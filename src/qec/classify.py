@@ -250,11 +250,12 @@ def _regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
 
 
 def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
-    """Verdict from a closed-form value; near zero the exact test decides."""
+    """Verdict and its trace label from a closed-form value; near zero the
+    exact test decides, and the label says so."""
     if value > BOUNDARY_TOL:
-        return Verdict.NON_QE_PRIMARY, "non-QE"
+        return Verdict.NON_QE_PRIMARY, Verdict.NON_QE_PRIMARY.value
     if value < -BOUNDARY_TOL:
-        return Verdict.QE, "QE"
+        return Verdict.QE, Verdict.QE.value
     verdict = Verdict.QE if exact else Verdict.NON_QE_PRIMARY
     return verdict, f"{verdict.value} (boundary, exact test decides)"
 
@@ -285,8 +286,7 @@ def _run_sieve(g: Graph, exact: bool, witness: tuple[int, ...] | None):
     spec = _family_index(g.n).get(canonical_cert(g))
     if spec is not None:
         value = formula_value(spec)
-        verdict, how = _sign_verdict(value, exact)
-        label = verdict.value if how != "boundary, exact test decides" else f"{verdict.value} ({how})"
+        verdict, label = _sign_verdict(value, exact)
         steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
         return steps, verdict, "step3"
     steps.append(("step3", "no closed-form family match"))
@@ -295,8 +295,7 @@ def _run_sieve(g: Graph, exact: bool, witness: tuple[int, ...] | None):
     if join is not None:
         g1, g2 = join
         value = qec_join_regular(g1, g2)
-        verdict, how = _sign_verdict(value, exact)
-        label = verdict.value if how != "boundary, exact test decides" else f"{verdict.value} ({how})"
+        verdict, label = _sign_verdict(value, exact)
         steps.append(("step4", f"join of regular parts ({g1.n}+{g2.n}), formula {value:.12g} -> {label}"))
         return steps, verdict, "step4"
     steps.append(("step4", "not a join of two regular graphs"))

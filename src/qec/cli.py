@@ -1,9 +1,9 @@
 """Command-line interface producing machine-readable classification reports.
 
-Exit codes: 0 success, 1 usage or parse error, 2 connected/supported-input
-violations, 3 internal invariant breach (never expected).  All floats are
-printed with 12 significant digits and JSON reports use canonical key order,
-so outputs are byte-reproducible.
+Exit codes: 0 success, 1 usage or parse error or a closed stdout (silent),
+2 connected/supported-input violations, 3 internal invariant breach (never
+expected).  All floats are printed with 12 significant digits and JSON
+reports use canonical key order, so outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -306,7 +307,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: stay quiet, and send what is still
+        # buffered to devnull so the flush at interpreter exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

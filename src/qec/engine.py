@@ -20,8 +20,6 @@ from .errors import OrderOneError
 from .graphs import Graph, distance_matrix
 from .kernels import jacobi_eigh
 
-JACOBI_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class QecReport:
@@ -59,7 +57,7 @@ def qec(g: Graph) -> QecReport:
     q = _hyperplane_basis(n)
     m = q.T @ d @ q
     m = 0.5 * (m + m.T)
-    w, vecs = jacobi_eigh(m, tol=JACOBI_TOL)
+    w, vecs = jacobi_eigh(m)
     value = float(w[0])
     f = q @ vecs[:, 0]
     pivot = int(np.argmax(np.abs(f)))
@@ -70,21 +68,21 @@ def qec(g: Graph) -> QecReport:
     df = d @ f
     mu = float(2.0 / n * (ones @ df))
     residual = float(np.linalg.norm(df - value * f - 0.5 * mu * ones))
-    spectrum = jacobi_eigh(d, tol=JACOBI_TOL)[0]
+    spectrum = jacobi_eigh(d)[0]
     return QecReport(value=value, f=f, mu=mu, residual=residual,
                      lambda1=float(spectrum[0]), lambda2=float(spectrum[1]))
 
 
 def distance_spectrum(g: Graph) -> np.ndarray:
     """Distance-matrix eigenvalues in descending order."""
-    return jacobi_eigh(distance_matrix(g).astype(float), tol=JACOBI_TOL)[0]
+    return jacobi_eigh(distance_matrix(g).astype(float))[0]
 
 
 def adjacency_min_eigenvalue(g: Graph) -> float:
     """Smallest adjacency eigenvalue (graph may be disconnected)."""
     if g.n == 1:
         return 0.0
-    w = jacobi_eigh(g.adj.astype(float), tol=JACOBI_TOL)[0]
+    w = jacobi_eigh(g.adj.astype(float))[0]
     return float(w[-1])
 
 

@@ -1,83 +1,43 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The backend is picked by the QEC_BACKEND environment variable — "numba",
-"numpy", or "auto"/unset (numba when importable).  Every dispatcher also
-takes an explicit ``backend=`` argument so the two paths can be compared
-directly; ``benchmarks/bench_kernels.py`` does exactly that.
+- ``connected_masks``: every connected labeled graph on n vertices, as a
+  packed upper-triangle edge mask (see qec.bits);
+- ``orbit_min_mark`` and ``min_permuted_mask``: the permutation action on
+  masks, for orbit collapse and canonical certificates;
+- ``jacobi_eigh``: a deterministic cyclic Jacobi eigensolver for small dense
+  symmetric matrices.
 
-Kernels here operate on packed upper-triangle edge masks (see qec.bits)
-and on small dense symmetric matrices.
+``active_backend`` names the implementation for run reports; it is always
+"numpy".
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .bits import n_bits, pair_rows_cols
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap if not (args and callable(args[0])) else args[0]
+JACOBI_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
 
 
-def active_backend(backend: str | None = None) -> str:
-    """Resolve a backend name from the argument or the QEC_BACKEND env var."""
-    choice = (backend or os.environ.get("QEC_BACKEND") or "auto").lower()
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r} (expected numba/numpy/auto)")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("QEC_BACKEND=numba but numba is not importable")
-    return choice
+def active_backend() -> str:
+    """Name of the kernel implementation."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # connected-mask scan: all edge masks whose labeled graph is connected
 
 
-@njit(cache=True)
-def _connected_scan_nb(n, out):  # pragma: no cover - exercised via dispatcher
-    nbits = n * (n - 1) // 2
-    full = (1 << n) - 1
-    rows = np.zeros(n, np.int64)
-    cnt = 0
-    for mask in range(1 << nbits):
-        for i in range(n):
-            rows[i] = 0
-        t = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (mask >> t) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                t += 1
-        reach = 1
-        prev = 0
-        while reach != prev:
-            prev = reach
-            for i in range(n):
-                if (reach >> i) & 1:
-                    reach |= rows[i]
-        if reach == full:
-            out[cnt] = mask
-            cnt += 1
-    return cnt
-
-
-def _connected_scan_np(n: int) -> np.ndarray:
+def connected_masks(n: int) -> np.ndarray:
+    """Ascending masks of all connected labeled graphs on n vertices."""
+    if not 1 <= n <= 7:
+        raise ValueError(f"mask scan is exponential in n*(n-1)/2; n={n} not in 1..7")
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
     nbits = n_bits(n)
     ii, jj = pair_rows_cols(n)
     eye = np.eye(n, dtype=np.uint8)
@@ -97,19 +57,6 @@ def _connected_scan_np(n: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def connected_masks(n: int, backend: str | None = None) -> np.ndarray:
-    """Ascending masks of all connected labeled graphs on n vertices."""
-    if not 1 <= n <= 7:
-        raise ValueError(f"mask scan is exponential in n*(n-1)/2; n={n} not in 1..7")
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    if active_backend(backend) == "numba":
-        out = np.empty(1 << n_bits(n), dtype=np.int64)
-        cnt = _connected_scan_nb(n, out)
-        return out[:cnt].copy()
-    return _connected_scan_np(n)
-
-
 # ---------------------------------------------------------------------------
 # permutation action on masks: orbit marking and canonical minimisation
 #
@@ -117,124 +64,48 @@ def connected_masks(n: int, backend: str | None = None) -> np.ndarray:
 # perm_src[p, t] of the original mask.
 
 
-@njit(cache=True)
-def _orbit_min_mark_nb(mask, perm_src, seen):  # pragma: no cover
-    nperm, nbits = perm_src.shape
-    best = mask
-    for p in range(nperm):
-        img = 0
-        for t in range(nbits):
-            if (mask >> perm_src[p, t]) & 1:
-                img |= 1 << t
-        seen[img] = 1
-        if img < best:
-            best = img
-    return best
-
-
-def _orbit_min_mark_np(mask: int, perm_src: np.ndarray, seen: np.ndarray) -> int:
+def _images(mask: int, perm_src: np.ndarray) -> np.ndarray:
+    """The P relabeled masks of `mask`, one per row of perm_src."""
     nbits = perm_src.shape[1]
     bits = ((mask >> np.arange(nbits, dtype=np.int64)) & 1).astype(np.int64)
-    imgs = bits[perm_src] @ (np.int64(1) << np.arange(nbits, dtype=np.int64))
-    seen[imgs] = 1
-    return int(imgs.min())
+    return bits[perm_src] @ (np.int64(1) << np.arange(nbits, dtype=np.int64))
 
 
-def orbit_min_mark(mask: int, perm_src: np.ndarray, seen: np.ndarray,
-                   backend: str | None = None) -> int:
+def orbit_min_mark(mask: int, perm_src: np.ndarray, seen: np.ndarray) -> int:
     """Mark every relabeling of `mask` in `seen` and return the minimal one."""
     if perm_src.shape[1] == 0:
         seen[0] = 1
         return 0
-    if active_backend(backend) == "numba":
-        return int(_orbit_min_mark_nb(np.int64(mask), perm_src, seen))
-    return _orbit_min_mark_np(mask, perm_src, seen)
+    imgs = _images(mask, perm_src)
+    seen[imgs] = 1
+    return int(imgs.min())
 
 
-@njit(cache=True)
-def _min_mask_nb(mask, perm_src):  # pragma: no cover
-    nperm, nbits = perm_src.shape
-    best = mask
-    for p in range(nperm):
-        img = 0
-        for t in range(nbits):
-            if (mask >> perm_src[p, t]) & 1:
-                img |= 1 << t
-        if img < best:
-            best = img
-    return best
-
-
-def _min_mask_np(mask: int, perm_src: np.ndarray) -> int:
-    nbits = perm_src.shape[1]
-    bits = ((mask >> np.arange(nbits, dtype=np.int64)) & 1).astype(np.int64)
-    imgs = bits[perm_src] @ (np.int64(1) << np.arange(nbits, dtype=np.int64))
-    return int(min(mask, imgs.min()))
-
-
-def min_permuted_mask(mask: int, perm_src: np.ndarray, backend: str | None = None) -> int:
+def min_permuted_mask(mask: int, perm_src: np.ndarray) -> int:
     """Minimum of `mask` under the relabelings in perm_src (and `mask` itself)."""
     if perm_src.shape[1] == 0:
         return 0
-    if active_backend(backend) == "numba":
-        return int(_min_mask_nb(np.int64(mask), perm_src))
-    return _min_mask_np(mask, perm_src)
+    return int(min(mask, _images(mask, perm_src).min()))
 
 
 # ---------------------------------------------------------------------------
 # cyclic Jacobi eigensolver for small dense symmetric matrices
 
 
-@njit(cache=True)
-def _jacobi_nb(a, v, tol, max_sweeps):  # pragma: no cover
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] * a[p, q]
-        if math.sqrt(off) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, q] = s * akp + c * akq
-                        a[q, k] = a[k, q]
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return -1
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvectors (columns) of a symmetric matrix.
 
-
-def _jacobi_np(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int) -> int:
+    Deterministic cyclic-by-row Jacobi rotations; convergence is an absolute
+    bound, JACOBI_TOL, on the off-diagonal Frobenius norm.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("jacobi_eigh expects a square matrix")
     n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            return sweep
+    v = np.eye(n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2))) <= JACOBI_TOL:
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = float(a[p, q])
@@ -257,25 +128,8 @@ def _jacobi_np(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int) -> int
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 v[:, [p, q]] = v[:, [p, q]] @ rot
-    return -1
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100,
-                backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors (columns) of a symmetric matrix.
-
-    Deterministic cyclic-by-row Jacobi rotations; convergence is an absolute
-    bound on the off-diagonal Frobenius norm.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("jacobi_eigh expects a square matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n > 1:
-        runner = _jacobi_nb if active_backend(backend) == "numba" else _jacobi_np
-        if runner(a, v, tol, max_sweeps) < 0:
-            raise ArithmeticError("Jacobi iteration did not converge")
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
     w = np.diagonal(a).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]

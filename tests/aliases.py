@@ -2,9 +2,9 @@
 
 External "Gm-n" ids come from user-supplied catalog files (McKay-style
 lists); this module carries only the handful of entries whose structure is
-pinned down by well-known identities, so tests and reports can name them
-without any bundled data file.  Four entries (the two apexed-pentagon pairs)
-are told apart by their exact QE verdict, and one entry is a fixture mask
+pinned down by well-known identities, so the tests can name them without
+any bundled data file.  Four entries (the two apexed-pentagon pairs) are
+told apart by their exact QE verdict, and one entry is a fixture mask
 derived by exhaustive classification and re-validated by the test suite.
 """
 
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .engine import is_cnd_exact
-from .graph6 import Catalog, CatalogEntry, to_graph6
-from .canon import canonical_cert
-from .graphs import (
+from qec.canon import canonical_cert
+from qec.engine import is_cnd_exact
+from qec.graph6 import Catalog, CatalogEntry, to_graph6
+from qec.graphs import (
     FamilySpec,
     Graph,
     add_apex,

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qec.aliases import known_graphs
+from aliases import known_graphs
 from qec.canon import is_isomorphic
 from qec.classify import (
     Verdict,

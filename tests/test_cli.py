@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qec
 from qec.cli import main
 from qec.graph6 import to_graph6
 from qec.graphs import build_family, cycle, multipartite, relabel
@@ -131,7 +136,25 @@ def test_trace(capsys):
     code, out, _ = run(capsys, "trace", to_graph6(build_family(cycle(6))))
     assert code == 0
     assert out.splitlines()[0].startswith("step1")
-    assert "step3" in out
+    step3 = [line for line in out.splitlines() if line.startswith("step3")]
+    # C6 has QEC exactly 0, so the exact test decides its closed form
+    assert step3[0].endswith("-> QE (boundary, exact test decides)")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_quiet(unbuffered):
+    src = str(Path(qec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qec.cli", "compute", "Bw"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_exit_code_usage_errors(capsys):

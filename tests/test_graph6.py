@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qec.aliases import builtin_catalog, known_graphs
+from aliases import builtin_catalog, known_graphs
 from qec.bits import n_bits
 from qec.canon import canonical_cert
 from qec.classify import enumerate_connected

@@ -4,84 +4,52 @@ import pytest
 from qec import kernels
 from qec.bits import n_bits
 from qec.canon import perm_table
-from qec.graphs import build_family, cycle, distance_matrix, from_mask, is_connected, multipartite
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
 
 
-def test_active_backend_env(monkeypatch):
-    monkeypatch.setenv("QEC_BACKEND", "numpy")
+def test_active_backend_env():
     assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("QEC_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
-    monkeypatch.delenv("QEC_BACKEND")
-    assert kernels.active_backend() in ("numba", "numpy")
-    assert kernels.active_backend("numpy") == "numpy"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_connected_masks_against_bfs(backend):
+def test_connected_masks_against_bfs():
     for n in (2, 3, 4, 5):
-        masks = kernels.connected_masks(n, backend=backend)
+        masks = kernels.connected_masks(n)
         expected = [m for m in range(1 << n_bits(n)) if is_connected(from_mask(n, m))]
         assert masks.tolist() == expected
 
 
-def test_connected_masks_backends_agree():
-    if len(BACKENDS) < 2:
-        pytest.skip("numba unavailable")
-    for n in (4, 5, 6):
-        a = kernels.connected_masks(n, backend="numba")
-        b = kernels.connected_masks(n, backend="numpy")
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_orbit_min_mark(backend):
+def test_orbit_min_mark():
     n = 5
     table = perm_table(n)
     g = build_family(cycle(5))
     seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-    least = kernels.orbit_min_mark(g.mask, table, seen, backend=backend)
+    least = kernels.orbit_min_mark(g.mask, table, seen)
     assert least <= g.mask
     assert seen[g.mask] == 1 and seen[least] == 1
     # orbit size x automorphism order = n!
     orbit = int(seen.sum())
     assert orbit == 12  # 5!/|Aut(C5)| = 120/10
-    assert kernels.min_permuted_mask(g.mask, table, backend=backend) == least
+    assert kernels.min_permuted_mask(g.mask, table) == least
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_min_permuted_mask_is_invariant(backend):
+def test_min_permuted_mask_is_invariant():
     table = perm_table(5)
     g = build_family(multipartite(3, 2))
-    base = kernels.min_permuted_mask(g.mask, table, backend=backend)
+    base = kernels.min_permuted_mask(g.mask, table)
     bits = [(g.mask >> int(s)) & 1 for s in table[17]]
     relabeled = sum(b << t for t, b in enumerate(bits))
-    assert kernels.min_permuted_mask(relabeled, table, backend=backend) == base
+    assert kernels.min_permuted_mask(relabeled, table) == base
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_jacobi_against_numpy_eigh(backend):
+def test_jacobi_against_numpy_eigh():
     rng = np.random.default_rng(12345)
     for n in (1, 2, 3, 5, 8, 9):
         a = rng.standard_normal((n, n))
         a = 0.5 * (a + a.T)
-        w, v = kernels.jacobi_eigh(a, backend=backend)
+        w, v = kernels.jacobi_eigh(a)
         assert np.allclose(w, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-10)
         assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-10)
-
-
-def test_jacobi_backends_agree():
-    if len(BACKENDS) < 2:
-        pytest.skip("numba unavailable")
-    d = distance_matrix(build_family(multipartite(3, 2, 1))).astype(float)
-    w1, v1 = kernels.jacobi_eigh(d, backend="numba")
-    w2, v2 = kernels.jacobi_eigh(d, backend="numpy")
-    assert np.allclose(w1, w2, atol=1e-12)
-    assert np.allclose(np.abs(v1), np.abs(v2), atol=1e-10)
 
 
 def test_jacobi_diagonal_input_short_circuits():
