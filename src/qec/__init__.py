@@ -7,6 +7,12 @@ of graphs on up to six (stretch: seven) vertices.
 
 __version__ = "0.1.0"
 
+import os
+
+# Graph-sized matrices gain nothing from BLAS threads, and an OpenBLAS thread
+# spins ~0.1 s of CPU once numpy starts it.  Acts only before numpy's import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .canon import CanonicalCert, canonical_cert, is_isomorphic
 from .classify import (
     ClassificationRecord,

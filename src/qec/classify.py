@@ -1,11 +1,11 @@
 """QE classification: exact verdicts, isometric witnesses, enumeration, sieve.
 
-The authoritative verdict is always the exact rational test; a non-QE graph
+The authoritative verdict is always the exact integer test; a non-QE graph
 is *primary* when no proper isometrically embedded connected induced
 subgraph is non-QE.  `sieve_trace` replays a six-step decision pipeline
 (products, witnesses, families, regular joins, embeddings, direct
-computation) and reports the first rule that decides a graph; its verdict
-always agrees with `classify`.
+computation) and reports the first rule that decides a graph; `classify`
+checks that its verdict agrees, and that QEC > 0 exactly for non-QE graphs.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .graphs import (
 
 ENUM_MAX_ORDER = 7
 BOUNDARY_TOL = 1e-9
+POOL_MIN_GRAPHS = 500  # below (n <= 6), pool start-up costs more than it saves
 
 
 class Verdict(str, Enum):
@@ -309,9 +310,10 @@ def _run_sieve(g: Graph, exact: bool, witness: tuple[int, ...] | None):
         return steps, Verdict.QE, "step5"
     steps.append(("step5", "no pendant edge, no embedding"))
 
+    # decided by the number alone; step 2 has ruled out a witness, so
+    # non-QE here is primary
     value = qec(g).value
-    verdict = Verdict.QE if exact else (
-        Verdict.NON_QE_NON_PRIMARY if witness is not None else Verdict.NON_QE_PRIMARY)
+    verdict = Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
     steps.append(("step6", f"direct computation: QEC = {value:.12g} -> {verdict.value}"))
     return steps, verdict, "step6"
 
@@ -351,10 +353,13 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
         if sieve_verdict != verdict:
             raise AssertionError(
                 f"sieve verdict {sieve_verdict} disagrees with exact verdict {verdict}")
+    value = qec(g).value
+    if (value > 0) != (verdict is not Verdict.QE):
+        raise AssertionError(f"QEC {value!r} contradicts exact verdict {verdict}")
     return ClassificationRecord(
         graph=g,
         cert=canonical_cert(g),
-        qec_value=qec(g).value,
+        qec_value=value,
         verdict=verdict,
         witness=witness,
         sieve_step=step,
@@ -381,16 +386,16 @@ def classify_all(n: int, sieve: bool = True,
                  workers: int | None = None) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; deterministic order.
 
-    Work is spread over a process pool capped by QEC_THREADS (default: all
-    cores); results are merged by certificate, so the output does not depend
-    on scheduling.
+    Sweeps of POOL_MIN_GRAPHS graphs or more are spread over a process pool
+    capped by QEC_THREADS (default: all cores); results are merged by
+    certificate, so the output does not depend on scheduling.
     """
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     graphs = enumerate_connected(n)
     if workers is None:
         workers = _worker_count()
-    if workers > 1 and len(graphs) >= 64:
+    if workers > 1 and len(graphs) >= POOL_MIN_GRAPHS:
         jobs = [(n, g.mask, sieve) for g in graphs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_classify_mask, jobs, chunksize=16))

@@ -2,17 +2,18 @@
 
 QEC(G) is the maximum of <f, Df> over unit vectors f orthogonal to the
 all-ones vector, D the distance matrix.  Numerically this is the largest
-eigenvalue of Q^T D Q where Q spans the hyperplane 1-perp; the QE/non-QE
-verdict, however, is always decided in exact rational arithmetic, because
-several graph families sit exactly on the QEC = 0 boundary where any
-floating-point sign test is fragile.
+eigenvalue of Q^T D Q where Q is an orthonormal basis of the hyperplane
+1-perp (LAPACK).  The sign of QEC is decided exactly, because many graphs
+sit on the QEC = 0 boundary where a floating-point sign test is fragile:
+with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
+when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
+M is PSD and singular.  Fraction-free integer elimination gives both facts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,16 +50,22 @@ def _hyperplane_basis(n: int) -> np.ndarray:
 
 
 def qec(g: Graph) -> QecReport:
-    """QEC of a connected graph on at least two vertices, with diagnostics."""
+    """QEC of a connected graph on at least two vertices, with diagnostics.
+
+    The value is +0.0 exactly when QEC = 0 (M PSD and singular, decided in
+    integers); otherwise it is the eigensolver's.
+    """
     if g.n < 2:
         raise OrderOneError("QEC is undefined on a single vertex")
-    d = distance_matrix(g).astype(float)
+    d_int = distance_matrix(g)
+    d = d_int.astype(float)
     n = g.n
     q = _hyperplane_basis(n)
     m = q.T @ d @ q
     m = 0.5 * (m + m.T)
     w, vecs = jacobi_eigh(m)
-    value = float(w[0])
+    psd, rank = _psd_rank(d_int)
+    value = 0.0 if psd and rank < n - 1 else float(w[0])
     f = q @ vecs[:, 0]
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:
@@ -80,51 +87,50 @@ def distance_spectrum(g: Graph) -> np.ndarray:
 
 def adjacency_min_eigenvalue(g: Graph) -> float:
     """Smallest adjacency eigenvalue (graph may be disconnected)."""
-    if g.n == 1:
-        return 0.0
     w = jacobi_eigh(g.adj.astype(float))[0]
     return float(w[-1])
 
 
-def _psd_exact(m: list[list[Fraction]]) -> bool:
-    """Positive-semidefiniteness by diagonally pivoted rational elimination.
+def _psd_rank(d: np.ndarray) -> tuple[bool, int]:
+    """(psd, rank) of M = -E^T D E, E the difference basis e_i - e_{i+1} of
+    1-perp, by fraction-free (Bareiss, Math. Comp. 22, 1968) elimination on
+    Python ints.
 
-    A symmetric matrix is PSD iff elimination never meets a negative
-    diagonal and, once no positive pivot remains, the active block is
-    entirely zero.
+    Pivots are positive diagonal entries while they last: M is PSD iff no
+    negative diagonal appears and, once none is positive, the active block
+    is zero.  Otherwise any nonzero pivot goes on, to count the rank.  Every
+    entry stays a minor of M, so each division by the previous pivot is exact.
     """
-    remaining = set(range(len(m)))
-    while remaining:
+    m = (-np.diff(np.diff(d, axis=0), axis=1)).tolist()  # M_ij = -(E^T D E)_ij
+    rows, cols = list(range(len(m))), list(range(len(m)))
+    psd, rank, prev = True, 0, 1
+    while rows:
         pivot = None
-        for i in sorted(remaining):
-            if m[i][i] < 0:
-                return False
-            if m[i][i] > 0 and pivot is None:
-                pivot = i
+        if psd:  # rows == cols so far
+            if any(m[i][i] < 0 for i in rows):
+                psd = False
+            else:
+                pivot = next(((i, i) for i in rows if m[i][i] > 0), None)
         if pivot is None:
-            return all(m[i][j] == 0 for i in remaining for j in remaining)
-        remaining.discard(pivot)
-        d = m[pivot][pivot]
-        for i in remaining:
-            if m[i][pivot] != 0:
-                r = m[i][pivot] / d
-                for j in remaining:
-                    m[i][j] -= r * m[pivot][j]
-    return True
+            pivot = next(((i, j) for i in rows for j in cols if m[i][j]), None)
+            if pivot is None:
+                break
+            psd = False
+        r, c = pivot
+        rows.remove(r)
+        cols.remove(c)
+        p = m[r][c]
+        for i in rows:
+            for j in cols:
+                m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) // prev
+        prev = p
+        rank += 1
+    return psd, rank
 
 
 def is_cnd_exact(g: Graph) -> bool:
     """Exact QE test: is x^T D x <= 0 for every x orthogonal to the all-ones
-    vector?  Decided in rational arithmetic; authoritative for classification."""
+    vector?  Decided in integer arithmetic; authoritative for classification."""
     if g.n < 2:
         raise OrderOneError("QE test is undefined on a single vertex")
-    d = distance_matrix(g)
-    n = g.n
-    # difference basis e_i - e_{i+1} spans 1-perp; M = -E^T D E is integral
-    e = np.zeros((n, n - 1), dtype=np.int64)
-    for i in range(n - 1):
-        e[i, i] = 1
-        e[i + 1, i] = -1
-    m_int = -(e.T @ d @ e)
-    m = [[Fraction(int(m_int[i, j])) for j in range(n - 1)] for i in range(n - 1)]
-    return _psd_exact(m)
+    return _psd_rank(distance_matrix(g))[0]

@@ -1,14 +1,11 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels, in numpy.  ``active_backend`` names the
+implementation for run reports; it is always "numpy".
 
 - ``connected_masks``: every connected labeled graph on n vertices, as a
   packed upper-triangle edge mask (see qec.bits);
 - ``orbit_min_mark`` and ``min_permuted_mask``: the permutation action on
   masks, for orbit collapse and canonical certificates;
-- ``jacobi_eigh``: a deterministic cyclic Jacobi eigensolver for small dense
-  symmetric matrices.
-
-``active_backend`` names the implementation for run reports; it is always
-"numpy".
+- ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending.
 """
 
 from __future__ import annotations
@@ -18,9 +15,6 @@ import math
 import numpy as np
 
 from .bits import n_bits, pair_rows_cols
-
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 
 def active_backend() -> str:
@@ -89,47 +83,18 @@ def min_permuted_mask(mask: int, perm_src: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver for small dense symmetric matrices
+# symmetric eigensolver
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors (columns) of a symmetric matrix.
 
-    Deterministic cyclic-by-row Jacobi rotations; convergence is an absolute
-    bound, JACOBI_TOL, on the off-diagonal Frobenius norm.
+    ``numpy.linalg.eigh`` (LAPACK), reordered.  The name is that of the Jacobi
+    solver it replaced, kept because ``perfbench/tracing.py`` patches
+    ``qec.engine.jacobi_eigh`` and ``qec.embedding.jacobi_eigh`` by name.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("jacobi_eigh expects a square matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2))) <= JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app = float(a[p, p])
-                aqq = float(a[q, q])
-                rot = np.array([[c, s], [-s, c]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    w = np.diagonal(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(a)
+    return w[::-1], v[:, ::-1]

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qec.classify import (
 )
 from qec.engine import is_cnd_exact, qec
 from qec.errors import DisconnectedError, DisconnectedSubgraphError, OrderTooLargeError
+from qec.graph6 import parse_graph6
 from qec.graphs import (
     add_apex,
     build_family,
@@ -89,7 +92,8 @@ def test_classify_all_order6():
     assert certs == sorted(certs)
 
 
-def test_classify_all_parallel_matches_serial():
+def test_classify_all_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(sys.modules["qec.classify"], "POOL_MIN_GRAPHS", 1)
     serial, s1 = classify_all(5, workers=1)
     parallel, s2 = classify_all(5, workers=2)
     assert s1 == s2
@@ -219,6 +223,15 @@ def test_sieve_examples():
     non_qe = [g for g in variants if not is_cnd_exact(g)]
     assert len(non_qe) == 1
     assert sieve_trace(non_qe[0])[-1][0] == "step6"
+
+
+def test_sieve_step6_decides_from_the_value(monkeypatch):
+    # ELr? is the six-vertex primary with QEC (-4 + sqrt 19)/3; step 6 must
+    # follow the number it computes, not the exact verdict
+    g = parse_graph6("ELr?")
+    assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = 0.11963298118 -> NonQePrimary")
+    monkeypatch.setattr(sys.modules["qec.classify"], "qec", lambda h: SimpleNamespace(value=-0.5))
+    assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = -0.5 -> QE")
 
 
 def test_sieve_agrees_with_classify_small():

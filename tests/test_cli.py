@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,6 +156,33 @@ def test_closed_stdout_is_quiet(unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _fresh_import(code, **env_vars):
+    src = str(Path(qec.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=src, **env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return proc.stdout.strip()
+
+
+def test_blas_runs_one_thread_unless_set():
+    show = "import os, qec, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_import(show) == "1"
+    assert _fresh_import(show, OPENBLAS_NUM_THREADS="2") == "2"
+    if Path("/proc/self/task").is_dir():
+        count = "import os, qec.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_import(count) == "1"
+
+
+def test_sign_invariant_breach_exits_3(capsys, monkeypatch):
+    # a QE graph (C4) given a positive QEC breaks the sign invariant
+    monkeypatch.setattr(sys.modules["qec.classify"], "qec", lambda g: SimpleNamespace(value=1e-16))
+    code, out, err = run(capsys, "classify", to_graph6(build_family(cycle(4))))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: QEC 1e-16 contradicts exact verdict")
 
 
 def test_exit_code_usage_errors(capsys):

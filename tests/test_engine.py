@@ -5,6 +5,7 @@ import pytest
 
 from qec.classify import enumerate_connected, is_isometric_subgraph
 from qec.engine import (
+    _psd_rank,
     adjacency_min_eigenvalue,
     distance_spectrum,
     is_cnd_exact,
@@ -99,6 +100,35 @@ def test_sign_agreement_exact_vs_numeric():
             assert (qec(g).value <= 1e-9) == is_cnd_exact(g)
 
 
+def test_exact_layer_against_atlas_oracle():
+    # every connected class on 2..6 vertices from the networkx atlas; the
+    # oracle side uses Floyd-Warshall distances, an explicit difference
+    # basis, sympy ranks and numpy eigenvalues, and no qec code
+    nx = pytest.importorskip("networkx")
+    sp = pytest.importorskip("sympy")
+    zeros = {n: [0, 0] for n in range(2, 7)}
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if not 2 <= n <= 6 or not nx.is_connected(a):
+            continue
+        d = nx.floyd_warshall_numpy(a)
+        e = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
+        m = np.rint(-(e.T @ d @ e)).astype(int)
+        basis = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, :n - 1]
+        top = np.linalg.eigvalsh(basis.T @ d @ basis)[-1]
+        g = from_edges(n, list(a.edges()))
+        assert _psd_rank(distance_matrix(g)) == (top < 1e-9, sp.Matrix(m.tolist()).rank())
+        value = qec(g).value
+        assert (value == 0.0) == (abs(top) < 1e-9)
+        zeros[n][0] += value == 0.0
+        zeros[n][1] += abs(top) < 1e-9
+        if value == 0.0:
+            assert math.copysign(1.0, value) == 1.0
+        else:
+            assert abs(value - top) < 1e-9
+    assert zeros == {2: [0, 0], 3: [0, 0], 4: [1, 1], 5: [3, 3], 6: [25, 25]}
+
+
 def test_distance_spectrum_examples():
     assert np.allclose(distance_spectrum(build_family(complete(4))),
                        [3, -1, -1, -1], atol=1e-10)
@@ -110,6 +140,7 @@ def test_distance_spectrum_examples():
 
 
 def test_adjacency_min_eigenvalue_examples():
+    assert adjacency_min_eigenvalue(from_edges(1, [])) == 0.0
     assert abs(adjacency_min_eigenvalue(from_edges(4, []))) < 1e-12
     two_k2 = disjoint_union(build_family(complete(2)), build_family(complete(2)))
     assert abs(adjacency_min_eigenvalue(two_k2) + 1.0) < 1e-10
