@@ -10,6 +10,7 @@ tables are cached, larger orders stream them in chunks.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,36 +36,34 @@ class CanonicalCert:
         return f"{self.n}:{self.bits:0{width}x}"
 
 
-def _src_from_perms(perms: np.ndarray, n: int) -> np.ndarray:
-    """Bit-source table: row p, column t holds the source bit of pair t under perm p."""
+def _tgt_from_perms(perms: np.ndarray, n: int) -> np.ndarray:
+    """Bit-target table: row s, column p is the bit pair s moves to when vertex
+    i of the relabeled graph is vertex perms[p, i] of the original."""
+    inv = np.argsort(perms, axis=1).astype(np.int8)
     pim = pair_index_matrix(n)
     ii, jj = pair_rows_cols(n)
-    return np.ascontiguousarray(pim[perms[:, ii], perms[:, jj]], dtype=np.int16)
+    return np.ascontiguousarray(pim[inv[:, ii], inv[:, jj]].T, dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
 def perm_table(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return _src_from_perms(perms, n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    return _tgt_from_perms(perms, n)
 
 
-def _min_mask_streaming(mask: int, n: int) -> int:
-    best = mask
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return best
-        src = _src_from_perms(np.array(block, dtype=np.int64), n)
-        best = min(best, kernels.min_permuted_mask(mask, src))
+def _tables(n: int) -> Iterator[np.ndarray]:
+    """Bit-target tables that together hold every relabeling of n vertices."""
+    if n <= _TABLE_MAX_ORDER:
+        yield perm_table(n)
+        return
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, _CHUNK)):
+        yield _tgt_from_perms(np.array(block, dtype=np.int8), n)
 
 
 def canonical_cert(g: Graph) -> CanonicalCert:
     if g._cert is None:
-        if g.n <= _TABLE_MAX_ORDER:
-            bits = kernels.min_permuted_mask(g.mask, perm_table(g.n))
-        else:
-            bits = _min_mask_streaming(g.mask, g.n)
+        bits = min(kernels.min_permuted_mask(g.mask, t) for t in _tables(g.n))
         g._cert = CanonicalCert(g.n, bits)
     return g._cert
 

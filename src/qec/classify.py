@@ -11,7 +11,6 @@ checks that its verdict agrees, and that QEC > 0 exactly for non-QE graphs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -125,29 +124,28 @@ def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
 def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Scans every labeled graph, keeps the connected ones and collapses each
-    isomorphism orbit the first time it is met; the first (smallest) mask of
-    an orbit is its certificate, so the output is ordered by certificate.
+    Deleting a leaf of a spanning tree leaves a connected graph, so every
+    connected graph on n >= 2 vertices is an order-(n - 1) class plus a
+    vertex joined to a nonempty subset (vertex augmentation; McKay, J.
+    Algorithms 26, 1998).  Each candidate orbit is marked when first met and
+    contributes its smallest mask, its certificate; the output is sorted.
     """
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"enumeration supports 1..{ENUM_MAX_ORDER} vertices, got {n}")
     if n == 1:
-        g = from_mask(1, 0)
-        g._cert = CanonicalCert(1, 0)
-        return [g]
-    masks = kernels.connected_masks(n)
-    seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-    table = perm_table(n)
-    out: list[Graph] = []
-    for mask in masks.tolist():
-        if seen[mask]:
-            continue
-        least = kernels.orbit_min_mark(mask, table, seen)
-        if least != mask:
-            raise AssertionError("orbit representative out of order")
-        g = from_mask(n, mask)
-        g._cert = CanonicalCert(n, mask)
-        out.append(g)
+        minima = [0]
+    else:
+        shift = n_bits(n - 1)
+        seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
+        minima = []
+        for parent in enumerate_connected(n - 1):
+            for joined in range(1, 1 << (n - 1)):
+                mask = parent.mask | joined << shift
+                if not seen[mask]:
+                    minima.append(kernels.orbit_min_mark(mask, perm_table(n), seen))
+    out = [from_mask(n, mask) for mask in sorted(minima)]
+    for g in out:
+        g._cert = CanonicalCert(n, g.mask)
     return out
 
 
@@ -396,6 +394,7 @@ def classify_all(n: int, sieve: bool = True,
     if workers is None:
         workers = _worker_count()
     if workers > 1 and len(graphs) >= POOL_MIN_GRAPHS:
+        from concurrent.futures import ProcessPoolExecutor  # only big sweeps pay its import
         jobs = [(n, g.mask, sieve) for g in graphs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_classify_mask, jobs, chunksize=16))

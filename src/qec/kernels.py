@@ -2,9 +2,9 @@
 implementation for run reports; it is always "numpy".
 
 - ``connected_masks``: every connected labeled graph on n vertices, as a
-  packed upper-triangle edge mask (see qec.bits);
+  packed upper-triangle edge mask; unused, kept for the benchmark's tracer;
 - ``orbit_min_mark`` and ``min_permuted_mask``: the permutation action on
-  masks, for orbit collapse and canonical certificates;
+  masks over an int8 bit-target table, for orbit collapse and certificates;
 - ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending.
 """
 
@@ -30,8 +30,6 @@ def connected_masks(n: int) -> np.ndarray:
     """Ascending masks of all connected labeled graphs on n vertices."""
     if not 1 <= n <= 7:
         raise ValueError(f"mask scan is exponential in n*(n-1)/2; n={n} not in 1..7")
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
     nbits = n_bits(n)
     ii, jj = pair_rows_cols(n)
     eye = np.eye(n, dtype=np.uint8)
@@ -54,32 +52,29 @@ def connected_masks(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # permutation action on masks: orbit marking and canonical minimisation
 #
-# perm_src is a (P, B) int16 table: bit t of the relabeled mask is bit
-# perm_src[p, t] of the original mask.
+# perm_tgt is a (B, P) int8 table: under relabeling p, bit s of the original
+# mask becomes bit perm_tgt[s, p] of the relabeled mask.
 
 
-def _images(mask: int, perm_src: np.ndarray) -> np.ndarray:
-    """The P relabeled masks of `mask`, one per row of perm_src."""
-    nbits = perm_src.shape[1]
-    bits = ((mask >> np.arange(nbits, dtype=np.int64)) & 1).astype(np.int64)
-    return bits[perm_src] @ (np.int64(1) << np.arange(nbits, dtype=np.int64))
+def _images(mask: int, perm_tgt: np.ndarray) -> np.ndarray:
+    """The P relabeled masks of `mask`, one per column of perm_tgt."""
+    imgs = np.zeros(perm_tgt.shape[1], dtype=np.int64)
+    for s in range(perm_tgt.shape[0]):
+        if mask >> s & 1:
+            imgs += np.left_shift(1, perm_tgt[s], dtype=np.int64)  # numpy < 2 would shift in int8
+    return imgs
 
 
-def orbit_min_mark(mask: int, perm_src: np.ndarray, seen: np.ndarray) -> int:
+def orbit_min_mark(mask: int, perm_tgt: np.ndarray, seen: np.ndarray) -> int:
     """Mark every relabeling of `mask` in `seen` and return the minimal one."""
-    if perm_src.shape[1] == 0:
-        seen[0] = 1
-        return 0
-    imgs = _images(mask, perm_src)
+    imgs = _images(mask, perm_tgt)
     seen[imgs] = 1
     return int(imgs.min())
 
 
-def min_permuted_mask(mask: int, perm_src: np.ndarray) -> int:
-    """Minimum of `mask` under the relabelings in perm_src (and `mask` itself)."""
-    if perm_src.shape[1] == 0:
-        return 0
-    return int(min(mask, _images(mask, perm_src).min()))
+def min_permuted_mask(mask: int, perm_tgt: np.ndarray) -> int:
+    """Minimum of `mask` under the relabelings in perm_tgt (and `mask` itself)."""
+    return int(min(mask, _images(mask, perm_tgt).min()))
 
 
 # ---------------------------------------------------------------------------

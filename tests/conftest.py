@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,16 +7,3 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-
-def pytest_addoption(parser):
-    parser.addoption("--runslow", action="store_true", default=False,
-                     help="run tests marked slow (seven-vertex stretch)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

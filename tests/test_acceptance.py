@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
-Run `pytest -s tests/test_acceptance.py -v` to see the per-criterion lines;
-add --runslow for the seven-vertex stretch criterion (11).
+Run `pytest -s tests/test_acceptance.py -v` to see the per-criterion lines,
+the seven-vertex stretch criterion (11) included.
 
 Criteria 3 and 9 assert corrected reference constants.  The originals
 were contradicted by exact computation: criterion 3 stated the cubic
@@ -299,7 +299,6 @@ def test_criterion_10_complete_multipartite_primaries():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_11_seven_vertex_stretch():
     count = len(enumerate_connected(7))
     ok = count == 853

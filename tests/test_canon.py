@@ -10,6 +10,7 @@ from qec.errors import OrderTooLargeError
 from qec.graphs import (
     add_apex,
     build_family,
+    complement,
     complete,
     compose,
     cycle,
@@ -101,11 +102,13 @@ def test_isomorphism_is_equivalence_relation():
 
 
 def test_streaming_cert_order9():
-    g = build_family(cycle(9))
-    cert = canonical_cert(g)
+    sparse = build_family(cycle(9))
+    dense = complement(sparse)  # 27 of 36 pairs
     perm = [4, 7, 0, 2, 8, 1, 5, 3, 6]
-    assert canonical_cert(relabel(g, perm)) == cert
-    assert cert.n == 9
+    for g in (sparse, dense):
+        cert = canonical_cert(g)
+        assert canonical_cert(relabel(g, perm)) == cert
+        assert cert.n == 9 and bin(cert.bits).count("1") == g.edge_count
 
 
 def test_cert_str_roundtrippable():
@@ -127,10 +130,51 @@ def test_enumeration_counts_match_known_values():
 
 
 def test_enumeration_is_cert_sorted_and_duplicate_free():
-    for n in (4, 5, 6):
-        certs = [canonical_cert(g) for g in enumerate_connected(n)]
+    for n in range(1, 8):
+        graphs = enumerate_connected(n)
+        assert all(g.mask == g._cert.bits for g in graphs)
+        certs = [canonical_cert(g) for g in graphs]
         assert certs == sorted(certs)
         assert len(set(certs)) == len(certs)
+
+
+def _atlas_connected(nx, n):
+    return [h for h in nx.graph_atlas_g() if h.number_of_nodes() == n and nx.is_connected(h)]
+
+
+def _bfs_connected(g):
+    reached, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for v in range(g.n):
+            if g.adj[u, v] and v not in reached:
+                reached.add(v)
+                frontier.append(v)
+    return len(reached) == g.n
+
+
+def test_enumeration_equals_atlas_certificates_up_to_order6():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 7):
+        expected = {brute_force_cert(from_edges(n, h.edges())).bits
+                    for h in _atlas_connected(nx, n)}
+        assert {g.mask for g in enumerate_connected(n)} == expected
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_enumeration_order7_against_atlas():
+    nx = pytest.importorskip("networkx")
+    assert len(_atlas_connected(nx, 7)) == 853
+    graphs = enumerate_connected(7)
+    assert len(graphs) == 853
+    assert all(_bfs_connected(g) for g in graphs)
+    buckets = {}
+    for g in graphs:
+        h = nx.from_numpy_array(g.adj.astype(int))
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(a, b)
 
 
 def test_enumeration_rejects_large_order():

@@ -281,6 +281,5 @@ def test_enumerate_connected_order1():
     assert len(gs) == 1 and gs[0].n == 1
 
 
-@pytest.mark.slow
 def test_enumerate_connected_order7_count():
     assert len(enumerate_connected(7)) == 853

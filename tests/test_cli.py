@@ -176,6 +176,11 @@ def test_blas_runs_one_thread_unless_set():
         assert _fresh_import(count) == "1"
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    show = "import sys, qec.cli; print('concurrent.futures.process' in sys.modules)"
+    assert _fresh_import(show) == "False"
+
+
 def test_sign_invariant_breach_exits_3(capsys, monkeypatch):
     # a QE graph (C4) given a positive QEC breaks the sign invariant
     monkeypatch.setattr(sys.modules["qec.classify"], "qec", lambda g: SimpleNamespace(value=1e-16))

@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from qec import kernels
 from qec.bits import n_bits
 from qec.canon import perm_table
-from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
+from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite, relabel
 
 
 def test_active_backend_env():
@@ -12,7 +15,7 @@ def test_active_backend_env():
 
 
 def test_connected_masks_against_bfs():
-    for n in (2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         masks = kernels.connected_masks(n)
         expected = [m for m in range(1 << n_bits(n)) if is_connected(from_mask(n, m))]
         assert masks.tolist() == expected
@@ -36,9 +39,37 @@ def test_min_permuted_mask_is_invariant():
     table = perm_table(5)
     g = build_family(multipartite(3, 2))
     base = kernels.min_permuted_mask(g.mask, table)
-    bits = [(g.mask >> int(s)) & 1 for s in table[17]]
-    relabeled = sum(b << t for t, b in enumerate(bits))
+    relabeled = relabel(g, [3, 0, 4, 1, 2]).mask
+    assert relabeled != g.mask
     assert kernels.min_permuted_mask(relabeled, table) == base
+
+
+def _brute_force_orbit(n, mask):
+    """Every relabeling of `mask`, from itertools.permutations alone."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = {pairs[t] for t in range(len(pairs)) if mask >> t & 1}
+    orbit = set()
+    for perm in itertools.permutations(range(n)):
+        image = 0
+        for t, (i, j) in enumerate(pairs):
+            if (perm[i], perm[j]) in edges or (perm[j], perm[i]) in edges:
+                image |= 1 << t
+        orbit.add(image)
+    return orbit
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_orbit_kernels_against_brute_force(n):
+    rng = random.Random(n)
+    table = perm_table(n)
+    for _ in range(25):
+        mask = rng.getrandbits(n_bits(n))
+        orbit = _brute_force_orbit(n, mask)
+        seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
+        least = kernels.orbit_min_mark(mask, table, seen)
+        assert set(np.flatnonzero(seen).tolist()) == orbit
+        assert least == min(orbit)
+        assert kernels.min_permuted_mask(mask, table) == min(orbit)
 
 
 def test_jacobi_against_numpy_eigh():

@@ -19,10 +19,8 @@ DIGESTS = [
     (5, "json", "46506e6eb3898ffe08d632b3ab6969df24eb2e5af0658915f900e56cbddcc900"),
     (6, "json", "86f8273dfbd0c633b29b7bf646d62563c7cac461ca935d040792605d9a733486"),
     (6, "csv", "55ba78fee636825d52b4b990f3c5552cce515f90bd78614ebd5c72631492c19d"),
-    pytest.param(7, "json", "c39c02a1589de7d491c8372f83847457190fe9e264fb1a9c6693a1c42555f9b1",
-                 marks=pytest.mark.slow),
-    pytest.param(7, "csv", "25e5e5eac13e0478d29207d8366dacd33472c88d609f884b3541128e4c0f6878",
-                 marks=pytest.mark.slow),
+    (7, "json", "c39c02a1589de7d491c8372f83847457190fe9e264fb1a9c6693a1c42555f9b1"),
+    (7, "csv", "25e5e5eac13e0478d29207d8366dacd33472c88d609f884b3541128e4c0f6878"),
 ]
 
 # classes with QEC exactly 0 (even cycles, pendant-edge graphs, ...)
