@@ -11,10 +11,14 @@ rounds, in wall-clock seconds on this machine.
 End to end:
   classify_all_n{5,6,7}   classify_all(n, workers=1)
   cli_enumerate_n6        a cold `python -m qec.cli enumerate --n 6` process
-Changed layers:
+Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   min_permuted_mask_n{7,8}_per_call
                           mean over 200 seeded random masks, table built first
+  non_qe_witness_n7       non_qe_witness over the 401 non-QE order-7 classes
+  star_qe_split_n7        _star_qe_split over all 853 order-7 classes
+The two last run on graphs rebuilt from their masks, so no distance matrix
+computed while picking them is reused.
 """
 
 from __future__ import annotations
@@ -40,15 +44,27 @@ def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
     from qec.canon import perm_table
-    from qec.classify import classify_all, enumerate_connected
+    from qec.classify import _star_qe_split, classify_all, enumerate_connected, non_qe_witness
+    from qec.engine import is_cnd_exact
+    from qec.graphs import from_mask
     from qec.kernels import min_permuted_mask
 
     out: dict[str, float] = {}
     t0 = time.perf_counter()
-    count = len(enumerate_connected(7))
+    masks = [g.mask for g in enumerate_connected(7)]
     out["enumerate_connected_n7"] = time.perf_counter() - t0
-    if count != 853:
-        raise SystemExit(f"enumerate_connected(7) gave {count} classes")
+    if len(masks) != 853:
+        raise SystemExit(f"enumerate_connected(7) gave {len(masks)} classes")
+    non_qe = [mask for mask in masks if not is_cnd_exact(from_mask(7, mask))]
+    if len(non_qe) != 401:
+        raise SystemExit(f"{len(non_qe)} non-QE order-7 classes, expected 401")
+    for name, layer, chosen in (("non_qe_witness_n7", non_qe_witness, non_qe),
+                                ("star_qe_split_n7", _star_qe_split, masks)):
+        graphs = [from_mask(7, mask) for mask in chosen]
+        t0 = time.perf_counter()
+        for g in graphs:
+            layer(g)
+        out[name] = time.perf_counter() - t0
     for n in (5, 6, 7):
         t0 = time.perf_counter()
         classify_all(n, workers=1)

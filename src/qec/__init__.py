@@ -21,7 +21,6 @@ from .classify import (
     classify,
     classify_all,
     enumerate_connected,
-    is_isometric_subgraph,
     non_qe_witness,
     sieve_trace,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "identify",
     "induced_subgraph",
     "is_cnd_exact",
-    "is_isometric_subgraph",
     "is_isomorphic",
     "load_catalog",
     "non_qe_witness",

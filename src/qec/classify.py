@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,11 +23,10 @@ from . import kernels
 from .bits import n_bits
 from .canon import CanonicalCert, canonical_cert, perm_table
 from .embedding import embed, pendant_rule, verify_embedding
-from .engine import is_cnd_exact, qec
+from .engine import _psd_rank, is_cnd_exact, qec
 from .errors import (
     BadParamsError,
     DisconnectedError,
-    DisconnectedSubgraphError,
     OrderOneError,
     OrderTooLargeError,
 )
@@ -37,6 +36,7 @@ from .graphs import (
     Graph,
     build_family,
     complement,
+    component_masks,
     compose,
     connected_components,
     distance_matrix,
@@ -76,43 +76,42 @@ class ClassificationRecord:
 # isometric subgraphs and witnesses
 
 
-def is_isometric_subgraph(g: Graph, subset) -> bool:
-    """Do distances inside the induced subgraph match the ambient distances?
+def _qe_slice(d: np.ndarray, vertices) -> bool:
+    """Exact QE test of the isometric induced subgraph on `vertices`, whose
+    distance matrix is the slice d[S, S] of the ambient one."""
+    return _psd_rank(d[np.ix_(vertices, vertices)])[0]
 
-    Induced subgraphs of diameter <= 2 are always isometric, which settles
-    most cases without comparing distance matrices.
+
+def _isometry_rule(g: Graph) -> Callable[[int], bool]:
+    """Predicate on vertex bitsets S: does S induce an isometric subgraph?
+
+    S is isometric iff every pair u < v in S at distance k >= 2 has a
+    neighbour w of u in S with d(w, v) = k - 1.  Only if: take w on a
+    shortest u-v path inside S.  If, by induction on k: d_S(w, v) = k - 1,
+    so d_S(u, v) <= k.  Such an S is connected, and its distances are the
+    slice d[S, S].
     """
-    s = sorted(set(subset))
-    h = induced_subgraph(g, s)
-    if not is_connected(h):
-        raise DisconnectedSubgraphError(f"subset {s} induces a disconnected subgraph")
-    dh = distance_matrix(h)
-    if dh.max() <= 2:
-        return True
-    idx = np.array(s, dtype=np.int64)
-    return bool(np.array_equal(dh, distance_matrix(g)[np.ix_(idx, idx)]))
+    d = distance_matrix(g)
+    # toward[u][v]: neighbours w of u with d(w, v) = d(u, v) - 1, as a bitset
+    closer = g.adj[:, None, :] & (d.T[None, :, :] == d[:, :, None] - 1)
+    toward = (closer @ (1 << np.arange(g.n))).tolist()
+    far = [((1 << u) | (1 << v), toward[u][v])
+           for u, v in combinations(range(g.n), 2) if d[u, v] >= 2]
+    return lambda bits: all(w & bits for pair, w in far if pair & bits == pair)
 
 
 def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
     """Least vertex set inducing a connected, isometric, non-QE proper subgraph.
 
     Sets smaller than five vertices cannot work (every graph on up to four
-    vertices is QE), so the search starts at size five.
+    vertices is QE), so the search starts at size five.  Each set is tested
+    by `_isometry_rule` and decided on its slice of g's distance matrix.
     """
-    dg = None
+    d = distance_matrix(g)
+    isometric = _isometry_rule(g)
     for size in range(5, g.n):
         for s in combinations(range(g.n), size):
-            h = induced_subgraph(g, s)
-            if not is_connected(h):
-                continue
-            dh = distance_matrix(h)
-            if dh.max() > 2:
-                if dg is None:
-                    dg = distance_matrix(g)
-                idx = np.array(s, dtype=np.int64)
-                if not np.array_equal(dh, dg[np.ix_(idx, idx)]):
-                    continue
-            if not is_cnd_exact(h):
+            if isometric(sum(1 << v for v in s)) and not _qe_slice(d, s):
                 return s
     return None
 
@@ -158,19 +157,25 @@ def _qe_exact(g: Graph) -> bool:
 
 
 def _star_qe_split(g: Graph) -> tuple[int, int, int] | None:
-    """Cut vertex splitting g into two QE parts; returns (v, n1, n2)."""
+    """Cut vertex splitting g into two QE parts; returns (v, n1, n2).
+
+    Each part, one component of g - v or the rest, plus v, is an isometric
+    block: a walk that leaves it returns through v, so it is not shortest.
+    Its distance matrix is therefore a slice of g's.
+    """
+    d = distance_matrix(g)
+    rows = g.neighbor_masks()
+    every = (1 << g.n) - 1
     for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        comps = connected_components(induced_subgraph(g, rest))
+        cut = 1 << v
+        comps = component_masks([row & ~cut for row in rows], every & ~cut)
         if len(comps) < 2:
             continue
         for comp in comps:
-            side = sorted(rest[i] for i in comp) + [v]
-            other = sorted(set(range(g.n)) - set(side)) + [v]
-            g1 = induced_subgraph(g, side)
-            g2 = induced_subgraph(g, other)
-            if _qe_exact(g1) and _qe_exact(g2):
-                return (v, g1.n, g2.n)
+            side = [u for u in range(g.n) if (comp | cut) >> u & 1]
+            other = [u for u in range(g.n) if not comp >> u & 1]
+            if _qe_slice(d, side) and _qe_slice(d, other):
+                return (v, len(side), len(other))
     return None
 
 

@@ -8,7 +8,7 @@ operations are pure; nothing here mutates a graph after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
-    __slots__ = ("n", "adj", "_mask", "_cert")
+    __slots__ = ("n", "adj", "_mask", "_cert", "_dist")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool).copy()
@@ -51,6 +51,7 @@ class Graph:
         self.adj = adj
         self._mask: int | None = None
         self._cert = None
+        self._dist: np.ndarray | None = None
 
     @property
     def mask(self) -> int:
@@ -100,7 +101,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def from_mask(n: int, mask: int) -> Graph:
     if mask < 0 or mask >> n_bits(n):
         raise BadParamsError(f"mask {mask} does not fit order {n}")
-    return Graph(unpack_adj(n, mask))
+    g = Graph(unpack_adj(n, mask))
+    g._mask = mask
+    return g
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
@@ -113,36 +116,45 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     return Graph(g.adj[np.ix_(inv, inv)])
 
 
-def is_connected(g: Graph) -> bool:
-    rows = g.neighbor_masks()
-    reach, prev = 1, 0
+def _reach(rows: Sequence[int], reach: int) -> int:
+    """Vertices reachable from the bitset `reach` along adjacency bitsets `rows`."""
+    prev = 0
     while reach != prev:
         prev = reach
-        for i in range(g.n):
+        for i, row in enumerate(rows):
             if (reach >> i) & 1:
-                reach |= rows[i]
-    return reach == (1 << g.n) - 1
+                reach |= row
+    return reach
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    rows = g.neighbor_masks()
+def is_connected(g: Graph) -> bool:
+    return _reach(g.neighbor_masks(), 1) == (1 << g.n) - 1
+
+
+def component_masks(rows: Sequence[int], todo: int) -> list[int]:
+    """Components of the vertex bitset `todo` as bitsets, by least vertex;
+    `rows` are adjacency bitsets with no edge leaving `todo`."""
     comps = []
-    todo = (1 << g.n) - 1
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        reach, prev = 1 << start, 0
-        while reach != prev:
-            prev = reach
-            for i in range(g.n):
-                if (reach >> i) & 1:
-                    reach |= rows[i]
-        comps.append(tuple(i for i in range(g.n) if (reach >> i) & 1))
-        todo &= ~reach
+        comps.append(_reach(rows, todo & -todo))
+        todo &= ~comps[-1]
     return comps
 
 
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    comps = component_masks(g.neighbor_masks(), (1 << g.n) - 1)
+    return [tuple(i for i in range(g.n) if (c >> i) & 1) for c in comps]
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-walk lengths between all vertex pairs (BFS per source)."""
+    """Shortest-walk lengths between all vertex pairs (BFS per source).
+
+    Computed once per graph and cached on it: every call returns the same
+    read-only array, so callers slice or copy it and never write into it.
+    The distances of an isometric induced subgraph on S are d[S, S].
+    """
+    if g._dist is not None:
+        return g._dist
     n = g.n
     rows = g.neighbor_masks()
     dist = np.zeros((n, n), dtype=np.int64)
@@ -163,6 +175,8 @@ def distance_matrix(g: Graph) -> np.ndarray:
             seen |= frontier
         if seen != (1 << n) - 1:
             raise DisconnectedError("distance matrix requires a connected graph")
+    dist.setflags(write=False)
+    g._dist = dist
     return dist
 
 

@@ -21,7 +21,8 @@ import pytest
 
 from qec.bits import n_bits
 from qec.canon import canonical_cert, is_isomorphic
-from qec.classify import Verdict, classify, classify_all, enumerate_connected, is_isometric_subgraph
+from isometry import is_isometric_subgraph
+from qec.classify import Verdict, classify, classify_all, enumerate_connected
 from qec.embedding import embed, verify_embedding
 from qec.engine import is_cnd_exact, qec
 from qec.errors import NotQEError

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from aliases import known_graphs
+from isometry import is_isometric_subgraph
 from qec.canon import is_isomorphic
 from qec.classify import (
     Verdict,
+    _isometry_rule,
     classify,
     classify_all,
     enumerate_connected,
-    is_isometric_subgraph,
     non_qe_witness,
     sieve_trace,
 )
@@ -26,6 +28,7 @@ from qec.graphs import (
     complete,
     compose,
     cycle,
+    distance_matrix,
     from_edges,
     induced_subgraph,
     multipartite,
@@ -45,6 +48,43 @@ def test_isometric_disconnected_subset():
     c6 = build_family(cycle(6))
     with pytest.raises(DisconnectedSubgraphError):
         is_isometric_subgraph(c6, (0, 3))
+
+
+def test_isometry_rule_and_distance_cache_against_networkx():
+    # networkx only on the oracle side: connectivity of the induced subgraph
+    # and Floyd-Warshall of subgraph against graph
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    cases = []
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        n = h.number_of_nodes()
+        if n <= 6:
+            subsets = [s for k in range(2, n + 1) for s in itertools.combinations(range(n), k)]
+        else:
+            subsets = [tuple(sorted(rng.sample(range(n), rng.choice((5, 6))))) for _ in range(3)]
+        cases.append((h, subsets))
+    seen = {True: 0, False: 0}
+    for h, subsets in cases:
+        n = h.number_of_nodes()
+        g = from_edges(n, h.edges())
+        d = distance_matrix(g)
+        dh = nx.floyd_warshall_numpy(h, nodelist=range(n))
+        assert np.array_equal(d, dh)
+        assert distance_matrix(g) is d
+        with pytest.raises(ValueError):
+            d[0, 0] = 1
+        isometric = _isometry_rule(g)
+        for s in subsets:
+            sub = h.subgraph(s)
+            want = nx.is_connected(sub) and np.array_equal(
+                nx.floyd_warshall_numpy(sub, nodelist=s), dh[np.ix_(s, s)])
+            assert isometric(sum(1 << v for v in s)) == want, (sorted(h.edges()), s)
+            seen[want] += 1
+    order7 = [subsets for h, subsets in cases if h.number_of_nodes() == 7]
+    assert len(order7) == 853 and sum(map(len, order7)) >= 2000
+    assert min(seen.values()) > 1000, seen
 
 
 def test_witness_k42():

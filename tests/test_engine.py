@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qec.classify import enumerate_connected, is_isometric_subgraph
+from isometry import is_isometric_subgraph
+from qec.classify import enumerate_connected
 from qec.engine import (
     _psd_rank,
     adjacency_min_eigenvalue,
@@ -149,7 +150,7 @@ def test_adjacency_min_eigenvalue_examples():
 
 
 def test_power_iteration_oracle_agreement():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in enumerate_connected(n):
             assert abs(qec(g).value - qec_power_oracle(g)) <= 1e-8
 

@@ -65,6 +65,26 @@ def random_connected(n, rng):
             return g
 
 
+def test_from_mask_keeps_its_mask(monkeypatch):
+    import qec.graphs
+    from qec.bits import pack_mask
+
+    rng = random.Random(6)
+    cases = [(n, rng.getrandbits(n_bits(n))) for n in range(1, 11) for _ in range(5)]
+    graphs = []
+
+    def no_repack(adj):
+        raise AssertionError("from_mask re-packed its mask")
+
+    monkeypatch.setattr(qec.graphs, "pack_mask", no_repack)
+    for n, mask in cases:
+        g = from_mask(n, mask)
+        assert g.mask == mask
+        graphs.append(g)
+    monkeypatch.undo()
+    assert [pack_mask(g.adj) for g in graphs] == [mask for _, mask in cases]
+
+
 def test_from_edges_complete_triangle():
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert g.edge_count == 3

@@ -73,6 +73,10 @@ def test_orbit_kernels_against_brute_force(n):
 
 
 def test_jacobi_against_numpy_eigh():
+    """The eigensolver's contract: eigenvalues in descending order, orthonormal
+    eigenvectors, and V diag(w) V^T reconstructing the input.  Both sides are
+    LAPACK, so this is no value oracle; that is the power iteration in
+    test_engine.py."""
     rng = np.random.default_rng(12345)
     for n in (1, 2, 3, 5, 8, 9):
         a = rng.standard_normal((n, n))
