@@ -17,7 +17,7 @@ Layers:
                           mean over 200 seeded random masks, table built first
   non_qe_witness_n7       non_qe_witness over the 401 non-QE order-7 classes
   star_qe_split_n7        _star_qe_split over all 853 order-7 classes
-The two last run on graphs rebuilt from their masks, so no distance matrix
+The last two run on graphs rebuilt from their masks, so no distance matrix
 computed while picking them is reused.
 """
 
