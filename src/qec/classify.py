@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .bits import n_bits
+from .bits import n_bits, pair_list
 from .canon import CanonicalCert, canonical_cert, perm_table
 from .embedding import embed, pendant_rule, verify_embedding
 from .engine import _psd_rank, is_cnd_exact, qec
@@ -76,10 +76,18 @@ class ClassificationRecord:
 # isometric subgraphs and witnesses
 
 
-def _qe_slice(d: np.ndarray, vertices) -> bool:
-    """Exact QE test of the isometric induced subgraph on `vertices`, whose
-    distance matrix is the slice d[S, S] of the ambient one."""
-    return _psd_rank(d[np.ix_(vertices, vertices)])[0]
+def _qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> bool:
+    """Exact QE test of the isometric induced subgraph on the sorted
+    `vertices`, whose distance matrix is the slice d[S, S] of the ambient one:
+    below ENUM_MAX_ORDER vertices, a `_non_qe_table` read at its labeled mask
+    (graph6 pair order, from the adjacency bitsets `rows`); else on the slice."""
+    k = len(vertices)
+    if k >= ENUM_MAX_ORDER:
+        return _psd_rank(d[np.ix_(vertices, vertices)])[0]
+    mask = 0
+    for t, (i, j) in enumerate(pair_list(k)):
+        mask |= (rows[vertices[j]] >> vertices[i] & 1) << t
+    return not _non_qe_table(k)[mask]
 
 
 def _isometry_rule(g: Graph) -> Callable[[int], bool]:
@@ -105,13 +113,14 @@ def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
 
     Sets smaller than five vertices cannot work (every graph on up to four
     vertices is QE), so the search starts at size five.  Each set is tested
-    by `_isometry_rule` and decided on its slice of g's distance matrix.
+    by `_isometry_rule` and decided by `_qe_slice` (a table read below 7 vertices).
     """
     d = distance_matrix(g)
+    rows = g.neighbor_masks()
     isometric = _isometry_rule(g)
     for size in range(5, g.n):
         for s in combinations(range(g.n), size):
-            if isometric(sum(1 << v for v in s)) and not _qe_slice(d, s):
+            if isometric(sum(1 << v for v in s)) and not _qe_slice(d, rows, s):
                 return s
     return None
 
@@ -148,6 +157,19 @@ def enumerate_connected(n: int) -> list[Graph]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _non_qe_table(k: int) -> np.ndarray:
+    """Read-only bitmap over the labeled masks on 2 <= k < ENUM_MAX_ORDER
+    vertices, 1 exactly on the relabelings of the non-QE connected classes
+    (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once."""
+    table = np.zeros(1 << n_bits(k), dtype=np.uint8)
+    for h in enumerate_connected(k):
+        if not is_cnd_exact(h):
+            kernels.orbit_min_mark(h.mask, perm_table(k), table)
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # sieve support: product, family and join recognizers
 
@@ -161,7 +183,7 @@ def _star_qe_split(g: Graph) -> tuple[int, int, int] | None:
 
     Each part, one component of g - v or the rest, plus v, is an isometric
     block: a walk that leaves it returns through v, so it is not shortest.
-    Its distance matrix is therefore a slice of g's.
+    Its distance matrix is a slice of g's, and `_qe_slice` decides it.
     """
     d = distance_matrix(g)
     rows = g.neighbor_masks()
@@ -174,7 +196,7 @@ def _star_qe_split(g: Graph) -> tuple[int, int, int] | None:
         for comp in comps:
             side = [u for u in range(g.n) if (comp | cut) >> u & 1]
             other = [u for u in range(g.n) if not comp >> u & 1]
-            if _qe_slice(d, side) and _qe_slice(d, other):
+            if _qe_slice(d, rows, side) and _qe_slice(d, rows, other):
                 return (v, len(side), len(other))
     return None
 

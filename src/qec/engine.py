@@ -64,7 +64,7 @@ def qec(g: Graph) -> QecReport:
     m = q.T @ d @ q
     m = 0.5 * (m + m.T)
     w, vecs = jacobi_eigh(m)
-    psd, rank = _psd_rank(d_int)
+    psd, rank = _graph_psd_rank(g)
     value = 0.0 if psd and rank < n - 1 else float(w[0])
     f = q @ vecs[:, 0]
     pivot = int(np.argmax(np.abs(f)))
@@ -128,9 +128,17 @@ def _psd_rank(d: np.ndarray) -> tuple[bool, int]:
     return psd, rank
 
 
+def _graph_psd_rank(g: Graph) -> tuple[bool, int]:
+    """`_psd_rank` of g's distance matrix, factored once and kept on g."""
+    if g._psd is None:
+        g._psd = _psd_rank(distance_matrix(g))
+    return g._psd
+
+
 def is_cnd_exact(g: Graph) -> bool:
     """Exact QE test: is x^T D x <= 0 for every x orthogonal to the all-ones
-    vector?  Decided in integer arithmetic; authoritative for classification."""
+    vector?  Decided in integer arithmetic, once per graph (`qec` and `embed`
+    reuse it); authoritative for classification."""
     if g.n < 2:
         raise OrderOneError("QE test is undefined on a single vertex")
-    return _psd_rank(distance_matrix(g))[0]
+    return _graph_psd_rank(g)[0]

@@ -33,7 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
-    __slots__ = ("n", "adj", "_mask", "_cert", "_dist")
+    __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool).copy()
@@ -52,6 +52,7 @@ class Graph:
         self._mask: int | None = None
         self._cert = None
         self._dist: np.ndarray | None = None
+        self._psd: tuple[bool, int] | None = None  # (psd, rank), set by qec.engine
 
     @property
     def mask(self) -> int:
@@ -73,6 +74,11 @@ class Graph:
         """Adjacency rows packed as integer bitsets."""
         weights = 1 << np.arange(self.n, dtype=np.int64)
         return tuple(int(x) for x in (self.adj @ weights))
+
+    def __reduce__(self):
+        """Pickle as (n, mask) and certificate, rebuilt by the constructor:
+        read-only, and without the distance or factorization caches."""
+        return from_mask, (self.n, self.mask), (None, {"_cert": self._cert})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.mask == other.mask

@@ -13,6 +13,7 @@ from qec.canon import is_isomorphic
 from qec.classify import (
     Verdict,
     _isometry_rule,
+    _non_qe_table,
     classify,
     classify_all,
     enumerate_connected,
@@ -85,6 +86,73 @@ def test_isometry_rule_and_distance_cache_against_networkx():
     order7 = [subsets for h, subsets in cases if h.number_of_nodes() == 7]
     assert len(order7) == 853 and sum(map(len, order7)) >= 2000
     assert min(seen.values()) > 1000, seen
+
+
+def _hyperplane(k):
+    """Orthonormal basis of the complement of the all-ones vector (SVD)."""
+    u, _, _ = np.linalg.svd(np.ones((k, 1)))
+    return u[:, 1:]
+
+
+def test_non_qe_table_against_numpy_oracle():
+    # numpy only on the oracle side, over every labeled mask at once:
+    # distances by boolean matrix powers, QEC as the top eigenvalue of the
+    # distance matrix projected onto the all-ones complement
+    counts = []
+    for k in range(2, 7):
+        pairs = [(i, j) for j in range(1, k) for i in range(j)]  # graph6 order
+        masks = np.arange(1 << len(pairs))
+        adj = np.zeros((masks.size, k, k), dtype=np.int64)
+        for t, (i, j) in enumerate(pairs):
+            adj[:, i, j] = adj[:, j, i] = masks >> t & 1
+        step = adj | np.eye(k, dtype=np.int64)
+        reach, dist = step.astype(bool), adj.astype(float)
+        for length in range(2, k):
+            grown = (reach @ step) > 0
+            dist[grown & ~reach] = length
+            reach = grown
+        connected = reach.all(axis=(1, 2))
+        q = _hyperplane(k)
+        top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
+        assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
+        want = np.zeros(masks.size, dtype=bool)
+        want[connected] = top > 1e-9
+        table = _non_qe_table(k)
+        assert not table.flags.writeable
+        assert np.array_equal(table.astype(bool), want), k
+        counts.append(int(table.sum()))
+    assert counts == [0, 0, 0, 40, 5860]
+
+
+def test_witness_is_first_isometric_non_qe_subset_order8():
+    # networkx and numpy only on the oracle side; sets of five or six
+    # vertices are decided by table in the library, sets of seven by slice
+    nx = pytest.importorskip("networkx")
+    qs = {size: _hyperplane(size) for size in (5, 6, 7)}
+
+    def first_witness(h):
+        d = nx.floyd_warshall_numpy(h, nodelist=range(8))
+        for size in (5, 6, 7):
+            for s in itertools.combinations(range(8), size):
+                ds = d[np.ix_(s, s)]
+                if np.linalg.eigvalsh(qs[size].T @ ds @ qs[size])[-1] <= 1e-9:
+                    continue
+                sub = h.subgraph(s)
+                if nx.is_connected(sub) and np.array_equal(
+                        nx.floyd_warshall_numpy(sub, nodelist=s), ds):
+                    return s
+        return None
+
+    rng = random.Random(20261018)
+    sizes = {size: 0 for size in (None, 5, 6, 7)}
+    while sum(sizes.values()) < 400:
+        h = nx.gnp_random_graph(8, rng.uniform(0.2, 0.9), seed=rng.randrange(1 << 30))
+        if not nx.is_connected(h):
+            continue
+        want = first_witness(h)
+        assert non_qe_witness(from_edges(8, h.edges())) == want, sorted(h.edges())
+        sizes[None if want is None else len(want)] += 1
+    assert min(sizes.values()) >= 3, sizes
 
 
 def test_witness_k42():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,24 @@ def test_value_minus_one_iff_complete():
         for g in enumerate_connected(n):
             is_complete = g.edge_count == n * (n - 1) // 2
             assert (abs(qec(g).value + 1.0) <= 1e-10) == is_complete
+
+
+def test_one_factorization_per_graph(monkeypatch):
+    engine = sys.modules["qec.engine"]
+    from qec.embedding import embed
+
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape[0])
+        return _psd_rank(d)
+
+    monkeypatch.setattr(engine, "_psd_rank", counted)
+    g = build_family(cycle(6))
+    assert is_cnd_exact(g)
+    assert qec(g).value == 0.0
+    assert embed(g).dim == 3
+    assert calls == [6]
 
 
 def test_exact_test_examples():

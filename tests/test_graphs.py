@@ -85,6 +85,27 @@ def test_from_mask_keeps_its_mask(monkeypatch):
     assert [pack_mask(g.adj) for g in graphs] == [mask for _, mask in cases]
 
 
+def test_pickle_rebuilds_read_only_without_caches():
+    import pickle
+
+    from qec.engine import is_cnd_exact
+
+    rng = random.Random(7)
+    for n in (5, 7, 8):
+        while not is_connected(g := from_mask(n, rng.getrandbits(n_bits(n)))):
+            pass
+        cert = canonical_cert(g)
+        size = len(pickle.dumps(g))
+        d = distance_matrix(g)
+        is_cnd_exact(g)
+        assert len(pickle.dumps(g)) == size
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and h._cert == cert
+        assert not h.adj.flags.writeable
+        assert np.array_equal(distance_matrix(h), d)
+        assert not distance_matrix(h).flags.writeable
+
+
 def test_from_edges_complete_triangle():
     g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert g.edge_count == 3
