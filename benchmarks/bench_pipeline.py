@@ -20,13 +20,19 @@ Layers:
                           the one build of its k = 5 and k = 6 tables, since
                           every round starts a fresh interpreter
   star_qe_split_n7        _star_qe_split over all 853 order-7 classes
+  distance_stack_n7       distance matrices of the 853 order-7 classes: one
+                          batched BFS where graphs.distance_stack exists,
+                          else distance_matrix per graph
+  qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
+                          zero test included: engine.prime_stack plus
+                          qec_value where they exist, else qec(g).value
   non_qe_table_k6         the first call of _non_qe_table(6), build included:
                           enumerate_connected(6) and the exact test of its 112
                           classes (timed uncached, through __wrapped__, since
                           the witness layer has filled the cache); absent from
                           trees without the table
-The witness and split layers run on graphs rebuilt from their masks, so no
-distance matrix computed while picking them is reused.
+The witness, split, distance and value layers run on graphs rebuilt from
+their masks, so no distance matrix computed while picking them is reused.
 """
 
 from __future__ import annotations
@@ -74,6 +80,26 @@ def _measure() -> dict[str, float]:
         for g in graphs:
             layer(g)
         out[name] = time.perf_counter() - t0
+    graphs_module = importlib.import_module("qec.graphs")
+    engine = importlib.import_module("qec.engine")
+    graphs = [from_mask(7, mask) for mask in masks]
+    t0 = time.perf_counter()
+    if hasattr(graphs_module, "distance_stack"):
+        graphs_module.distance_stack(numpy.stack([g.adj for g in graphs]))
+    else:
+        for g in graphs:
+            graphs_module.distance_matrix(g)
+    out["distance_stack_n7"] = time.perf_counter() - t0
+    graphs = [from_mask(7, mask) for mask in masks]
+    t0 = time.perf_counter()
+    if hasattr(engine, "prime_stack"):
+        engine.prime_stack(graphs)
+        values = [engine.qec_value(g) for g in graphs]
+    else:
+        values = [engine.qec(g).value for g in graphs]
+    out["qec_values_n7"] = time.perf_counter() - t0
+    if sum(value > 0 for value in values) != 401:
+        raise SystemExit("expected 401 positive order-7 QEC values")
     table = getattr(importlib.import_module("qec.classify"), "_non_qe_table", None)
     if table is not None:
         t0 = time.perf_counter()

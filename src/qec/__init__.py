@@ -13,7 +13,7 @@ import os
 # spins ~0.1 s of CPU once numpy starts it.  Acts only before numpy's import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .canon import CanonicalCert, canonical_cert, is_isomorphic
+from .canon import CanonicalCert, canonical_cert
 from .classify import (
     ClassificationRecord,
     Summary,
@@ -25,23 +25,19 @@ from .classify import (
     sieve_trace,
 )
 from .embedding import Embedding, embed, gram_from_distance, pendant_rule, verify_embedding
-from .engine import QecReport, adjacency_min_eigenvalue, distance_spectrum, is_cnd_exact, qec
+from .engine import QecReport, adjacency_min_eigenvalue, is_cnd_exact, qec
 from .formulas import qec_formula, qec_join_regular, qec_multipartite
 from .graph6 import Catalog, CatalogEntry, identify, load_catalog, parse_graph6, to_graph6
 from .graphs import (
     FamilySpec,
     Graph,
-    add_apex,
     build_family,
     complement,
     compose,
-    diameter,
-    disjoint_union,
     distance_matrix,
     find_pendant_edge,
     from_edges,
     induced_subgraph,
-    relabel,
 )
 
 __all__ = [
@@ -55,7 +51,6 @@ __all__ = [
     "QecReport",
     "Summary",
     "Verdict",
-    "add_apex",
     "adjacency_min_eigenvalue",
     "build_family",
     "canonical_cert",
@@ -63,10 +58,7 @@ __all__ = [
     "classify_all",
     "complement",
     "compose",
-    "diameter",
-    "disjoint_union",
     "distance_matrix",
-    "distance_spectrum",
     "embed",
     "enumerate_connected",
     "find_pendant_edge",
@@ -75,7 +67,6 @@ __all__ = [
     "identify",
     "induced_subgraph",
     "is_cnd_exact",
-    "is_isomorphic",
     "load_catalog",
     "non_qe_witness",
     "parse_graph6",
@@ -84,7 +75,6 @@ __all__ = [
     "qec_formula",
     "qec_join_regular",
     "qec_multipartite",
-    "relabel",
     "sieve_trace",
     "to_graph6",
     "verify_embedding",

@@ -1,4 +1,4 @@
-"""Canonical certificates and isomorphism testing.
+"""Canonical certificates of isomorphism classes.
 
 A certificate is the minimum of the packed adjacency mask over all vertex
 relabelings, so two graphs have equal certificates exactly when they are
@@ -66,11 +66,3 @@ def canonical_cert(g: Graph) -> CanonicalCert:
         bits = min(kernels.min_permuted_mask(g.mask, t) for t in _tables(g.n))
         g._cert = CanonicalCert(g.n, bits)
     return g._cert
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    return canonical_cert(g1) == canonical_cert(g2)

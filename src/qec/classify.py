@@ -23,7 +23,7 @@ from . import kernels
 from .bits import n_bits, pair_list
 from .canon import CanonicalCert, canonical_cert, perm_table
 from .embedding import embed, pendant_rule, verify_embedding
-from .engine import _psd_rank, is_cnd_exact, qec
+from .engine import _psd_rank, is_cnd_exact, prime_stack, qec, qec_value
 from .errors import (
     BadParamsError,
     DisconnectedError,
@@ -378,7 +378,7 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
         if sieve_verdict != verdict:
             raise AssertionError(
                 f"sieve verdict {sieve_verdict} disagrees with exact verdict {verdict}")
-    value = qec(g).value
+    value = qec_value(g)
     if (value > 0) != (verdict is not Verdict.QE):
         raise AssertionError(f"QEC {value!r} contradicts exact verdict {verdict}")
     return ClassificationRecord(
@@ -391,9 +391,16 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
     )
 
 
-def _classify_mask(args: tuple[int, int, bool]) -> ClassificationRecord:
-    n, mask, sieve = args
-    return classify(from_mask(n, mask), sieve=sieve)
+def _sweep(graphs: list[Graph], sieve: bool) -> list[ClassificationRecord]:
+    """Classify graphs of one order after one batched BFS and one batched
+    eigensolve over all of them; exact tests, witnesses and sieve per graph."""
+    prime_stack(graphs)
+    return [classify(g, sieve=sieve) for g in graphs]
+
+
+def _sweep_masks(args: tuple[int, list[int], bool]) -> list[ClassificationRecord]:
+    n, masks, sieve = args
+    return _sweep([from_mask(n, mask) for mask in masks], sieve)
 
 
 def _worker_count() -> int:
@@ -411,9 +418,11 @@ def classify_all(n: int, sieve: bool = True,
                  workers: int | None = None) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; deterministic order.
 
-    Sweeps of POOL_MIN_GRAPHS graphs or more are spread over a process pool
-    capped by QEC_THREADS (default: all cores); results are merged by
-    certificate, so the output does not depend on scheduling.
+    The graphs go through `_sweep` as one stack.  Sweeps of POOL_MIN_GRAPHS
+    graphs or more are dealt out in strided slices over a process pool capped
+    by QEC_THREADS (default: all cores), each slice a stack of its own;
+    results are merged by certificate, so the output does not depend on
+    scheduling.
     """
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
@@ -422,11 +431,13 @@ def classify_all(n: int, sieve: bool = True,
         workers = _worker_count()
     if workers > 1 and len(graphs) >= POOL_MIN_GRAPHS:
         from concurrent.futures import ProcessPoolExecutor  # only big sweeps pay its import
-        jobs = [(n, g.mask, sieve) for g in graphs]
+        masks = [g.mask for g in graphs]
+        chunks = min(4 * workers, len(masks))
+        jobs = [(n, masks[i::chunks], sieve) for i in range(chunks)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_classify_mask, jobs, chunksize=16))
+            records = [r for part in pool.map(_sweep_masks, jobs) for r in part]
     else:
-        records = [classify(g, sieve=sieve) for g in graphs]
+        records = _sweep(graphs, sieve)
     records.sort(key=lambda r: r.cert)
     summary = Summary(
         qe=sum(r.verdict is Verdict.QE for r in records),

@@ -8,17 +8,21 @@ sit on the QEC = 0 boundary where a floating-point sign test is fragile:
 with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
 when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
 M is PSD and singular.  Fraction-free integer elimination gives both facts.
+A sweep solves the projected matrices of all its graphs in one batched call
+(`prime_stack`); `qec_value` is the value alone, `qec` adds diagnostics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import OrderOneError
-from .graphs import Graph, distance_matrix
+from .graphs import Graph, distance_matrix, distance_stack
 from .kernels import jacobi_eigh
 
 
@@ -39,34 +43,59 @@ class QecReport:
     lambda2: float
 
 
+@lru_cache(maxsize=None)
 def _hyperplane_basis(n: int) -> np.ndarray:
     """Orthonormal basis of 1-perp: trailing columns of the Householder
-    reflection that sends the first coordinate axis to 1/sqrt(n)."""
+    reflection that sends the first coordinate axis to 1/sqrt(n).  Read-only,
+    built once per order."""
     u = np.full(n, 1.0 / math.sqrt(n))
     w = -u.copy()
     w[0] += 1.0
     h = np.eye(n) - np.outer(w, w) * (2.0 / (w @ w))
-    return h[:, 1:]
+    q = h[:, 1:]
+    q.setflags(write=False)
+    return q
+
+
+def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenpairs of Q^T D Q for each D in a stack (N, n, n), n >= 2;
+    each matrix is treated alone, so its values do not depend on the stack."""
+    q = _hyperplane_basis(d.shape[-1])
+    m = q.T @ d.astype(float) @ q
+    return jacobi_eigh(0.5 * (m + m.transpose(0, 2, 1)))
+
+
+def prime_stack(graphs: Sequence[Graph]) -> None:
+    """Fill the distance and eigenvalue memos of connected graphs of one order
+    n >= 2 with one batched BFS and one batched eigensolve."""
+    dist = distance_stack(np.stack([g.adj for g in graphs]))
+    tops = _projected_eigh(dist)[0][:, 0].tolist()
+    for g, d, top in zip(graphs, dist, tops):
+        g._dist, g._top = d, top
+
+
+def qec_value(g: Graph) -> float:
+    """QEC alone: +0.0 exactly when M is PSD and singular (decided in integers),
+    otherwise the top eigenvalue of Q^T D Q, memoized on g."""
+    if g.n < 2:
+        raise OrderOneError("QEC is undefined on a single vertex")
+    if g._top is None:
+        g._top = float(_projected_eigh(distance_matrix(g)[None])[0][0, 0])
+    psd, rank = _graph_psd_rank(g)
+    return 0.0 if psd and rank < g.n - 1 else g._top
 
 
 def qec(g: Graph) -> QecReport:
-    """QEC of a connected graph on at least two vertices, with diagnostics.
-
-    The value is +0.0 exactly when QEC = 0 (M PSD and singular, decided in
-    integers); otherwise it is the eigensolver's.
-    """
+    """QEC of a connected graph on at least two vertices, with diagnostics;
+    the value is `qec_value`'s."""
     if g.n < 2:
         raise OrderOneError("QEC is undefined on a single vertex")
-    d_int = distance_matrix(g)
-    d = d_int.astype(float)
+    d = distance_matrix(g).astype(float)
     n = g.n
-    q = _hyperplane_basis(n)
-    m = q.T @ d @ q
-    m = 0.5 * (m + m.T)
-    w, vecs = jacobi_eigh(m)
-    psd, rank = _graph_psd_rank(g)
-    value = 0.0 if psd and rank < n - 1 else float(w[0])
-    f = q @ vecs[:, 0]
+    w, vecs = _projected_eigh(d[None])
+    g._top = float(w[0, 0])
+    value = qec_value(g)
+    f = _hyperplane_basis(n) @ vecs[0, :, 0]
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:
         f = -f
@@ -78,11 +107,6 @@ def qec(g: Graph) -> QecReport:
     spectrum = jacobi_eigh(d)[0]
     return QecReport(value=value, f=f, mu=mu, residual=residual,
                      lambda1=float(spectrum[0]), lambda2=float(spectrum[1]))
-
-
-def distance_spectrum(g: Graph) -> np.ndarray:
-    """Distance-matrix eigenvalues in descending order."""
-    return jacobi_eigh(distance_matrix(g).astype(float))[0]
 
 
 def adjacency_min_eigenvalue(g: Graph) -> float:

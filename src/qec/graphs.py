@@ -33,7 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
-    __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd")
+    __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd", "_top")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool).copy()
@@ -53,6 +53,7 @@ class Graph:
         self._cert = None
         self._dist: np.ndarray | None = None
         self._psd: tuple[bool, int] | None = None  # (psd, rank), set by qec.engine
+        self._top: float | None = None  # top eigenvalue of Q^T D Q, set by qec.engine
 
     @property
     def mask(self) -> int:
@@ -77,7 +78,7 @@ class Graph:
 
     def __reduce__(self):
         """Pickle as (n, mask) and certificate, rebuilt by the constructor:
-        read-only, and without the distance or factorization caches."""
+        read-only, and without the distance, factorization or eigenvalue caches."""
         return from_mask, (self.n, self.mask), (None, {"_cert": self._cert})
 
     def __eq__(self, other) -> bool:
@@ -112,16 +113,6 @@ def from_mask(n: int, mask: int) -> Graph:
     return g
 
 
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Rename vertex i to perm[i]."""
-    p = list(perm)
-    if sorted(p) != list(range(g.n)):
-        raise BadParamsError("not a permutation of 0..n-1")
-    inv = np.empty(g.n, dtype=np.int64)
-    inv[p] = np.arange(g.n)
-    return Graph(g.adj[np.ix_(inv, inv)])
-
-
 def _reach(rows: Sequence[int], reach: int) -> int:
     """Vertices reachable from the bitset `reach` along adjacency bitsets `rows`."""
     prev = 0
@@ -152,42 +143,31 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(g.n) if (c >> i) & 1) for c in comps]
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """Shortest-walk lengths between all vertex pairs (BFS per source).
-
-    Computed once per graph and cached on it: every call returns the same
-    read-only array, so callers slice or copy it and never write into it.
-    The distances of an isometric induced subgraph on S are d[S, S].
-    """
-    if g._dist is not None:
-        return g._dist
-    n = g.n
-    rows = g.neighbor_masks()
-    dist = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for i in range(n):
-                if (frontier >> i) & 1:
-                    nxt |= rows[i]
-            frontier = nxt & ~seen
-            for i in range(n):
-                if (frontier >> i) & 1:
-                    dist[s, i] = d
-            seen |= frontier
-        if seen != (1 << n) - 1:
-            raise DisconnectedError("distance matrix requires a connected graph")
+def distance_stack(adj: np.ndarray) -> np.ndarray:
+    """Read-only distance matrices of a stack (N, n, n) of adjacency matrices,
+    by BFS from every source at once: reach grows by reach @ adj per step,
+    and d(s, v) counts the steps before v is in reach of s."""
+    reach = np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape).copy()
+    dist = np.zeros(adj.shape, dtype=np.int64)
+    while True:
+        dist += ~reach
+        grown = reach | (reach @ adj)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    if not reach.all():
+        raise DisconnectedError("distance matrix requires a connected graph")
     dist.setflags(write=False)
-    g._dist = dist
     return dist
 
 
-def diameter(g: Graph) -> int:
-    return int(distance_matrix(g).max())
+def distance_matrix(g: Graph) -> np.ndarray:
+    """`distance_stack` of g alone, computed once and cached on g (a sweep may
+    fill it in): the same read-only array on every call, which callers slice
+    or copy.  An isometric induced subgraph on S has distances d[S, S]."""
+    if g._dist is None:
+        g._dist = distance_stack(g.adj[None])[0]
+    return g._dist
 
 
 # ---------------------------------------------------------------------------
@@ -370,29 +350,10 @@ def compose(kind: str, g1: Graph, g2: Graph,
     raise BadParamsError(f"unknown composition kind {kind!r}")
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    if g1.n + g2.n > MAX_ORDER:
-        raise OrderTooLargeError(f"union has {g1.n + g2.n} vertices (max {MAX_ORDER})")
-    edges = g1.edges() + [(g1.n + u, g1.n + v) for u, v in g2.edges()]
-    return from_edges(g1.n + g2.n, edges)
-
-
 def complement(g: Graph) -> Graph:
     adj = ~g.adj.copy()
     np.fill_diagonal(adj, False)
     return Graph(adj)
-
-
-def add_apex(g: Graph, attach: Iterable[int]) -> Graph:
-    """New vertex n adjacent to exactly the given vertex set."""
-    S = sorted(set(attach))
-    if not S:
-        raise EmptySetError("apex must attach to a non-empty vertex set")
-    if S[0] < 0 or S[-1] >= g.n:
-        raise OutOfRangeError(f"attach set {S} outside 0..{g.n - 1}")
-    if g.n + 1 > MAX_ORDER:
-        raise OrderTooLargeError(f"apex graph has {g.n + 1} vertices (max {MAX_ORDER})")
-    return from_edges(g.n + 1, g.edges() + [(v, g.n) for v in S])
 
 
 def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:

@@ -5,7 +5,8 @@ implementation for run reports; it is always "numpy".
   packed upper-triangle edge mask; unused, kept for the benchmark's tracer;
 - ``orbit_min_mark`` and ``min_permuted_mask``: the permutation action on
   masks over an int8 bit-target table, for orbit collapse and certificates;
-- ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending.
+- ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending,
+  on one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ def min_permuted_mask(mask: int, perm_tgt: np.ndarray) -> int:
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors (columns) of a symmetric matrix.
+    """Eigenvalues (descending) and eigenvectors (columns) of a symmetric
+    matrix, or of each matrix in a stack (..., n, n) in one call.
 
     ``numpy.linalg.eigh`` (LAPACK), reordered.  The name is that of the Jacobi
     solver it replaced, kept because ``perfbench/tracing.py`` patches
     ``qec.engine.jacobi_eigh`` and ``qec.embedding.jacobi_eigh`` by name.
     """
     a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("jacobi_eigh expects a square matrix")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError("jacobi_eigh expects a square matrix or a stack of them")
     w, v = np.linalg.eigh(a)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from constructions import add_apex, disjoint_union
 from qec.canon import canonical_cert
 from qec.engine import is_cnd_exact
 from qec.graph6 import Catalog, CatalogEntry, to_graph6
 from qec.graphs import (
     FamilySpec,
     Graph,
-    add_apex,
     build_family,
     compose,
-    disjoint_union,
     from_mask,
 )
 

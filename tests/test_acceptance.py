@@ -19,8 +19,9 @@ import math
 
 import pytest
 
+from constructions import add_apex, is_isomorphic
 from qec.bits import n_bits
-from qec.canon import canonical_cert, is_isomorphic
+from qec.canon import canonical_cert
 from isometry import is_isometric_subgraph
 from qec.classify import Verdict, classify, classify_all, enumerate_connected
 from qec.embedding import embed, verify_embedding
@@ -30,7 +31,6 @@ from qec.formulas import formula_value, qec_join_regular, qec_multipartite
 from qec.graph6 import parse_graph6, to_graph6
 from qec.graphs import (
     FamilySpec,
-    add_apex,
     build_family,
     complete,
     compose,

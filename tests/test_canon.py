@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from constructions import add_apex, is_isomorphic, relabel
 from qec.bits import pair_list
-from qec.canon import CanonicalCert, canonical_cert, is_isomorphic
+from qec.canon import CanonicalCert, canonical_cert
 from qec.classify import enumerate_connected
 from qec.errors import OrderTooLargeError
 from qec.graphs import (
-    add_apex,
     build_family,
     complement,
     complete,
@@ -18,7 +18,6 @@ from qec.graphs import (
     from_mask,
     multipartite,
     path,
-    relabel,
 )
 
 

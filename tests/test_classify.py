@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from aliases import known_graphs
+from constructions import add_apex, is_isomorphic
 from isometry import is_isometric_subgraph
-from qec.canon import is_isomorphic
 from qec.classify import (
     Verdict,
     _isometry_rule,
@@ -24,7 +24,6 @@ from qec.engine import is_cnd_exact, qec
 from qec.errors import DisconnectedError, DisconnectedSubgraphError, OrderTooLargeError
 from qec.graph6 import parse_graph6
 from qec.graphs import (
-    add_apex,
     build_family,
     complete,
     compose,
@@ -200,13 +199,27 @@ def test_classify_all_order6():
     assert certs == sorted(certs)
 
 
+def record_fields(r):
+    """Every field of a record, the QEC value bit for bit."""
+    return (r.graph.n, r.graph.mask, r.cert, r.qec_value.hex(), r.verdict,
+            r.witness, r.sieve_step)
+
+
 def test_classify_all_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(sys.modules["qec.classify"], "POOL_MIN_GRAPHS", 1)
     serial, s1 = classify_all(5, workers=1)
     parallel, s2 = classify_all(5, workers=2)
     assert s1 == s2
-    assert [(r.cert, r.verdict, r.sieve_step) for r in serial] == \
-           [(r.cert, r.verdict, r.sieve_step) for r in parallel]
+    assert [record_fields(r) for r in serial] == [record_fields(r) for r in parallel]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sweep_matches_single_graph_classify(n):
+    """The stacked sweep against `classify` on graphs with no memo, each
+    going through the kernels alone (a stack of one)."""
+    records, _ = classify_all(n, workers=1)
+    single = sorted((classify(g) for g in enumerate_connected(n)), key=lambda r: r.cert)
+    assert [record_fields(r) for r in records] == [record_fields(r) for r in single]
 
 
 def test_classify_all_order_bounds():

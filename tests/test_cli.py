@@ -3,14 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
+from constructions import relabel
 import qec
 from qec.cli import main
 from qec.graph6 import to_graph6
-from qec.graphs import build_family, cycle, multipartite, relabel
+from qec.graphs import build_family, cycle, multipartite
 
 
 def run(capsys, *argv):
@@ -183,7 +183,7 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 def test_sign_invariant_breach_exits_3(capsys, monkeypatch):
     # a QE graph (C4) given a positive QEC breaks the sign invariant
-    monkeypatch.setattr(sys.modules["qec.classify"], "qec", lambda g: SimpleNamespace(value=1e-16))
+    monkeypatch.setattr(sys.modules["qec.classify"], "qec_value", lambda g: 1e-16)
     code, out, err = run(capsys, "classify", to_graph6(build_family(cycle(4))))
     assert code == 3
     assert out == ""

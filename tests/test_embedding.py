@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from qec.canon import is_isomorphic
+from constructions import add_apex, is_isomorphic
 from qec.classify import enumerate_connected
 from qec.embedding import Embedding, embed, gram_from_distance, pendant_rule, verify_embedding
 from qec.engine import is_cnd_exact, qec
 from qec.errors import DimensionMismatchError, NotQEError
 from qec.graphs import (
-    add_apex,
     build_family,
     complete,
     compose,

@@ -4,21 +4,24 @@ import sys
 import numpy as np
 import pytest
 
+from constructions import disjoint_union
 from isometry import is_isometric_subgraph
+from qec import kernels
 from qec.classify import enumerate_connected
 from qec.engine import (
+    _hyperplane_basis,
     _psd_rank,
     adjacency_min_eigenvalue,
-    distance_spectrum,
     is_cnd_exact,
+    prime_stack,
     qec,
+    qec_value,
 )
 from qec.errors import DisconnectedError, OrderOneError
 from qec.graphs import (
     build_family,
     complete,
     cycle,
-    disjoint_union,
     distance_matrix,
     from_edges,
     induced_subgraph,
@@ -108,6 +111,39 @@ def test_one_factorization_per_graph(monkeypatch):
     assert calls == [6]
 
 
+def test_stacked_values_against_eigvalsh():
+    """One stack per order n <= 7: the batched top eigenvalues, and the values
+    read from them, against numpy eigvalsh of D (Floyd-Warshall) projected
+    on a QR basis of the difference vectors, not the Householder one."""
+    from test_graphs import floyd_warshall
+
+    for n in range(2, 8):
+        graphs = enumerate_connected(n)
+        prime_stack(graphs)
+        diff = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
+        q = np.linalg.qr(diff)[0]
+        for g in graphs:
+            top = np.linalg.eigvalsh(q.T @ floyd_warshall(g) @ q)[-1]
+            assert abs(g._top - top) < 1e-9
+            assert abs(qec_value(g) - top) < 1e-9
+            assert np.array_equal(g._dist, floyd_warshall(g))
+    assert _hyperplane_basis(7) is _hyperplane_basis(7)
+    assert not _hyperplane_basis(7).flags.writeable
+
+
+def test_stacked_values_equal_unbatched_solves_bitwise():
+    """Batching changes no bit: each top eigenvalue of a per-order stack is
+    the one a 2-D matmul and eigh of that graph alone give, so sweep records
+    do not depend on how the sweep is stacked."""
+    for n in range(2, 8):
+        graphs = enumerate_connected(n)
+        prime_stack(graphs)
+        q = _hyperplane_basis(n)
+        for g in graphs:
+            m = q.T @ g._dist.astype(float) @ q
+            assert g._top.hex() == float(np.linalg.eigh(0.5 * (m + m.T))[0][-1]).hex()
+
+
 def test_exact_test_examples():
     assert is_cnd_exact(build_family(cycle(4)))
     assert not is_cnd_exact(build_family(multipartite(3, 2)))
@@ -147,6 +183,11 @@ def test_exact_layer_against_atlas_oracle():
         else:
             assert abs(value - top) < 1e-9
     assert zeros == {2: [0, 0], 3: [0, 0], 4: [1, 1], 5: [3, 3], 6: [25, 25]}
+
+
+def distance_spectrum(g):
+    """Distance-matrix eigenvalues in descending order."""
+    return kernels.jacobi_eigh(distance_matrix(g).astype(float))[0]
 
 
 def test_distance_spectrum_examples():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from constructions import disjoint_union
 from qec.engine import qec
 from qec.errors import BadParamsError, NotRegularError, UnsupportedFamilyError
 from qec.formulas import (
@@ -16,7 +17,6 @@ from qec.graphs import (
     complete,
     compose,
     cycle,
-    disjoint_union,
     from_edges,
     knp4,
     multipartite,

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aliases import builtin_catalog, known_graphs
+from constructions import relabel
 from qec.bits import n_bits
 from qec.canon import canonical_cert
 from qec.classify import enumerate_connected
@@ -22,7 +23,6 @@ from qec.graphs import (
     from_mask,
     multipartite,
     path,
-    relabel,
 )
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qec.canon import canonical_cert, is_isomorphic
+from constructions import add_apex, disjoint_union, is_isomorphic, relabel
+from qec.canon import canonical_cert
 from qec.classify import enumerate_connected
 from qec.errors import (
     BadParamsError,
@@ -18,15 +19,13 @@ from qec.errors import (
 )
 from qec.graphs import (
     FamilySpec,
-    add_apex,
     build_family,
     complement,
     complete,
     compose,
     cycle,
-    diameter,
-    disjoint_union,
     distance_matrix,
+    distance_stack,
     find_pendant_edge,
     from_edges,
     from_mask,
@@ -35,7 +34,6 @@ from qec.graphs import (
     knp4,
     multipartite,
     path,
-    relabel,
     wedge,
 )
 from qec.bits import n_bits
@@ -88,7 +86,7 @@ def test_from_mask_keeps_its_mask(monkeypatch):
 def test_pickle_rebuilds_read_only_without_caches():
     import pickle
 
-    from qec.engine import is_cnd_exact
+    from qec.engine import is_cnd_exact, qec_value
 
     rng = random.Random(7)
     for n in (5, 7, 8):
@@ -98,9 +96,11 @@ def test_pickle_rebuilds_read_only_without_caches():
         size = len(pickle.dumps(g))
         d = distance_matrix(g)
         is_cnd_exact(g)
+        qec_value(g)
         assert len(pickle.dumps(g)) == size
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h._cert == cert
+        assert h._dist is None and h._psd is None and h._top is None
         assert not h.adj.flags.writeable
         assert np.array_equal(distance_matrix(h), d)
         assert not distance_matrix(h).flags.writeable
@@ -155,6 +155,30 @@ def test_distance_matrix_matches_floyd_warshall_random_order7():
     for _ in range(200):
         g = random_connected(7, rng)
         assert np.array_equal(distance_matrix(g), floyd_warshall(g))
+
+
+def test_distance_stack_against_floyd_warshall():
+    for n in range(1, 8):
+        graphs = enumerate_connected(n)
+        dist = distance_stack(np.stack([g.adj for g in graphs]))
+        assert dist.shape == (len(graphs), n, n) and not dist.flags.writeable
+        for g, d in zip(graphs, dist):
+            assert np.array_equal(d, floyd_warshall(g))
+
+
+def test_distance_stack_rejects_disconnected():
+    split = from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    connected = [g.adj for g in enumerate_connected(5)[:4]]
+    with pytest.raises(DisconnectedError):
+        distance_stack(np.stack(connected[:2] + [split.adj] + connected[2:]))
+    with pytest.raises(DisconnectedError):
+        distance_stack(split.adj[None])
+    with pytest.raises(DisconnectedError):
+        distance_matrix(split)
+
+
+def diameter(g):
+    return int(distance_matrix(g).max())
 
 
 def test_diameter():

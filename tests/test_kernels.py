@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from constructions import relabel
 from qec import kernels
 from qec.bits import n_bits
 from qec.canon import perm_table
-from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite, relabel
+from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
 
 
 def test_active_backend_env():
@@ -96,3 +97,20 @@ def test_jacobi_diagonal_input_short_circuits():
 def test_jacobi_rejects_nonsquare():
     with pytest.raises(ValueError):
         kernels.jacobi_eigh(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        kernels.jacobi_eigh(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError):
+        kernels.jacobi_eigh(np.zeros(3))
+
+
+def test_jacobi_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 6, 9):
+        a = rng.standard_normal((40, n, n))
+        a = a + a.transpose(0, 2, 1)
+        w, v = kernels.jacobi_eigh(a)
+        assert w.shape == (40, n) and v.shape == (40, n, n)
+        for k in range(len(a)):
+            wk, vk = kernels.jacobi_eigh(a[k])
+            assert w[k].tobytes() == wk.tobytes()
+            assert v[k].tobytes() == vk.tobytes()
