@@ -15,6 +15,12 @@ Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   min_permuted_mask_n{7,8}_per_call
                           mean over 200 seeded random masks, table built first
+  orbit_min_mark_n{7,8}_per_call
+                          the same masks through orbit_min_mark into one
+                          pre-faulted bitmap (256 MiB at n = 8), with
+                          perm_table where the tree has no canon.perm_powers,
+                          else the float64 power table: perm_powers(7), and
+                          at n = 8 one built here, which the library never caches
   non_qe_witness_n7       non_qe_witness over the 401 non-QE order-7 classes;
                           where the verdict table exists, this layer also pays
                           the one build of its k = 5 and k = 6 tables, since
@@ -62,7 +68,7 @@ def _measure() -> dict[str, float]:
     from qec.classify import _star_qe_split, classify_all, enumerate_connected, non_qe_witness
     from qec.engine import is_cnd_exact
     from qec.graphs import from_mask
-    from qec.kernels import min_permuted_mask
+    from qec.kernels import min_permuted_mask, orbit_min_mark
 
     out: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -117,6 +123,18 @@ def _measure() -> dict[str, float]:
         for mask in masks:
             min_permuted_mask(mask, table)
         out[f"min_permuted_mask_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
+        perm_powers = getattr(importlib.import_module("qec.canon"), "perm_powers", None)
+        if perm_powers is None:
+            orbit_table = table
+        else:
+            orbit_table = perm_powers(n) if n == 7 else numpy.ldexp(1.0, table)
+        seen = numpy.ones(1 << n_bits(n), dtype=numpy.uint8)  # every page touched
+        seen[:] = 0
+        t0 = time.perf_counter()
+        for mask in masks:
+            orbit_min_mark(mask, orbit_table, seen)
+        out[f"orbit_min_mark_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
+        del seen
     return out
 
 

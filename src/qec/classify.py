@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .bits import n_bits, pair_list
-from .canon import CanonicalCert, canonical_cert, perm_table
+from .canon import CanonicalCert, canonical_cert, perm_powers
 from .embedding import embed, pendant_rule, verify_embedding
 from .engine import _psd_rank, is_cnd_exact, prime_stack, qec, qec_value
 from .errors import (
@@ -143,14 +143,14 @@ def enumerate_connected(n: int) -> list[Graph]:
     if n == 1:
         minima = [0]
     else:
-        shift = n_bits(n - 1)
+        joined = np.arange(1, 1 << (n - 1)) << n_bits(n - 1)
         seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
         minima = []
         for parent in enumerate_connected(n - 1):
-            for joined in range(1, 1 << (n - 1)):
-                mask = parent.mask | joined << shift
-                if not seen[mask]:
-                    minima.append(kernels.orbit_min_mark(mask, perm_table(n), seen))
+            masks = parent.mask | joined
+            for mask in masks[seen[masks] == 0].tolist():
+                if not seen[mask]:  # an orbit marked since may cover it
+                    minima.append(kernels.orbit_min_mark(mask, perm_powers(n), seen))
     out = [from_mask(n, mask) for mask in sorted(minima)]
     for g in out:
         g._cert = CanonicalCert(n, g.mask)
@@ -165,7 +165,7 @@ def _non_qe_table(k: int) -> np.ndarray:
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
     for h in enumerate_connected(k):
         if not is_cnd_exact(h):
-            kernels.orbit_min_mark(h.mask, perm_table(k), table)
+            kernels.orbit_min_mark(h.mask, perm_powers(k), table)
     table.setflags(write=False)
     return table
 

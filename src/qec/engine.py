@@ -66,12 +66,14 @@ def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prime_stack(graphs: Sequence[Graph]) -> None:
-    """Fill the distance and eigenvalue memos of connected graphs of one order
-    n >= 2 with one batched BFS and one batched eigensolve."""
-    dist = distance_stack(np.stack([g.adj for g in graphs]))
+    """Fill the bitset, distance and eigenvalue memos of connected graphs of
+    one order n >= 2 with one product, one batched BFS and one batched eigensolve."""
+    adj = np.stack([g.adj for g in graphs])
+    rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
+    dist = distance_stack(adj)
     tops = _projected_eigh(dist)[0][:, 0].tolist()
-    for g, d, top in zip(graphs, dist, tops):
-        g._dist, g._top = d, top
+    for g, r, d, top in zip(graphs, rows, dist, tops):
+        g._rows, g._dist, g._top = tuple(r), d, top
 
 
 def qec_value(g: Graph) -> float:

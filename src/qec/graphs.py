@@ -33,7 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
-    __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd", "_top")
+    __slots__ = ("n", "adj", "_mask", "_rows", "_cert", "_dist", "_psd", "_top")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool).copy()
@@ -50,6 +50,7 @@ class Graph:
         self.n = n
         self.adj = adj
         self._mask: int | None = None
+        self._rows: tuple[int, ...] | None = None
         self._cert = None
         self._dist: np.ndarray | None = None
         self._psd: tuple[bool, int] | None = None  # (psd, rank), set by qec.engine
@@ -72,13 +73,14 @@ class Graph:
         return self.adj.sum(axis=0).astype(np.int64)
 
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency rows packed as integer bitsets."""
-        weights = 1 << np.arange(self.n, dtype=np.int64)
-        return tuple(int(x) for x in (self.adj @ weights))
+        """Adjacency rows packed as integer bitsets, memoized (see prime_stack)."""
+        if self._rows is None:
+            self._rows = tuple((self.adj @ (1 << np.arange(self.n))).tolist())
+        return self._rows
 
     def __reduce__(self):
         """Pickle as (n, mask) and certificate, rebuilt by the constructor:
-        read-only, and without the distance, factorization or eigenvalue caches."""
+        read-only, and without the bitset, distance, factorization or eigenvalue caches."""
         return from_mask, (self.n, self.mask), (None, {"_cert": self._cert})
 
     def __eq__(self, other) -> bool:

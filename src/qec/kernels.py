@@ -3,8 +3,9 @@ implementation for run reports; it is always "numpy".
 
 - ``connected_masks``: every connected labeled graph on n vertices, as a
   packed upper-triangle edge mask; unused, kept for the benchmark's tracer;
-- ``orbit_min_mark`` and ``min_permuted_mask``: the permutation action on
-  masks over an int8 bit-target table, for orbit collapse and certificates;
+- ``orbit_min_mark`` and ``min_permuted_mask``: relabeled masks, by one
+  product with a float64 power table for orbit collapse, and bit by bit over
+  an int8 bit-target table for certificates;
 - ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending,
   on one matrix or a stack.
 """
@@ -66,9 +67,16 @@ def _images(mask: int, perm_tgt: np.ndarray) -> np.ndarray:
     return imgs
 
 
-def orbit_min_mark(mask: int, perm_tgt: np.ndarray, seen: np.ndarray) -> int:
+def _power_images(mask: int, powers: np.ndarray) -> np.ndarray:
+    """`_images` as the bit row of `mask` times powers = 2.0 ** perm_tgt: exact
+    in float64, as each image is a sum of distinct powers of two below 2^53."""
+    bits = (mask >> np.arange(len(powers)) & 1).astype(np.float64)  # float: BLAS
+    return (bits @ powers).astype(np.int64)
+
+
+def orbit_min_mark(mask: int, powers: np.ndarray, seen: np.ndarray) -> int:
     """Mark every relabeling of `mask` in `seen` and return the minimal one."""
-    imgs = _images(mask, perm_tgt)
+    imgs = _power_images(mask, powers)
     seen[imgs] = 1
     return int(imgs.min())
 

@@ -101,6 +101,7 @@ def test_pickle_rebuilds_read_only_without_caches():
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h._cert == cert
         assert h._dist is None and h._psd is None and h._top is None
+        assert h._rows is None and h.neighbor_masks() == g.neighbor_masks()
         assert not h.adj.flags.writeable
         assert np.array_equal(distance_matrix(h), d)
         assert not distance_matrix(h).flags.writeable

@@ -7,7 +7,7 @@ import pytest
 from constructions import relabel
 from qec import kernels
 from qec.bits import n_bits
-from qec.canon import perm_table
+from qec.canon import perm_powers, perm_table
 from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
 
 
@@ -27,7 +27,7 @@ def test_orbit_min_mark():
     table = perm_table(n)
     g = build_family(cycle(5))
     seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-    least = kernels.orbit_min_mark(g.mask, table, seen)
+    least = kernels.orbit_min_mark(g.mask, perm_powers(n), seen)
     assert least <= g.mask
     assert seen[g.mask] == 1 and seen[least] == 1
     # orbit size x automorphism order = n!
@@ -59,18 +59,38 @@ def _brute_force_orbit(n, mask):
     return orbit
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_orbit_kernels_against_brute_force(n):
     rng = random.Random(n)
     table = perm_table(n)
-    for _ in range(25):
+    for _ in range(25 if n < 7 else 4):
         mask = rng.getrandbits(n_bits(n))
         orbit = _brute_force_orbit(n, mask)
         seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-        least = kernels.orbit_min_mark(mask, table, seen)
+        least = kernels.orbit_min_mark(mask, perm_powers(n), seen)
         assert set(np.flatnonzero(seen).tolist()) == orbit
         assert least == min(orbit)
         assert kernels.min_permuted_mask(mask, table) == min(orbit)
+
+
+def test_perm_powers_is_a_read_only_float64_power_table():
+    for n in range(2, 8):
+        powers = perm_powers(n)
+        assert powers.dtype == np.float64 and not powers.flags.writeable
+        assert np.array_equal(powers, 2.0 ** perm_table(n).astype(np.int64))
+
+
+def test_power_images_exact_at_order_8():
+    """Order 8 has 28 edge bits, beyond float32's 24: the float64 product must
+    give the int8 shift-and-add images bit for bit (power table built here;
+    the library caches none at this order)."""
+    table = perm_table(8)
+    powers = np.ldexp(1.0, table)
+    rng = random.Random(8)
+    masks = [rng.getrandbits(28) for _ in range(50)] + [(1 << 28) - 1]
+    masks += [1 << s for s in range(28)]
+    for mask in masks:
+        assert np.array_equal(kernels._power_images(mask, powers), kernels._images(mask, table))
 
 
 def test_jacobi_against_numpy_eigh():
