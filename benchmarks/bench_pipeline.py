@@ -32,13 +32,20 @@ Layers:
   qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
                           zero test included: engine.prime_stack plus
                           qec_value where they exist, else qec(g).value
+  exact_tests_n7          (psd, rank) of the 853 order-7 distance matrices, BFS
+                          excluded: one engine._psd_rank_stack call where it
+                          exists, else engine._psd_rank per matrix
+  find_pendant_edge_n7    graphs.find_pendant_edge over the 853 order-7 classes
+  regular_join_split_n7   classify._regular_join_split over the same classes;
+                          both with neighbor_masks() filled first, as
+                          prime_stack fills it in a sweep
   non_qe_table_k6         the first call of _non_qe_table(6), build included:
                           enumerate_connected(6) and the exact test of its 112
                           classes (timed uncached, through __wrapped__, since
                           the witness layer has filled the cache); absent from
                           trees without the table
-The witness, split, distance and value layers run on graphs rebuilt from
-their masks, so no distance matrix computed while picking them is reused.
+The witness, split, distance, value, exact, pendant and join layers run on
+graphs rebuilt from their masks, so no memo filled while picking them is reused.
 """
 
 from __future__ import annotations
@@ -106,7 +113,26 @@ def _measure() -> dict[str, float]:
     out["qec_values_n7"] = time.perf_counter() - t0
     if sum(value > 0 for value in values) != 401:
         raise SystemExit("expected 401 positive order-7 QEC values")
-    table = getattr(importlib.import_module("qec.classify"), "_non_qe_table", None)
+    dist = graphs_module.distance_stack(numpy.stack([from_mask(7, mask).adj for mask in masks]))
+    t0 = time.perf_counter()
+    if hasattr(engine, "_psd_rank_stack"):
+        verdicts = engine._psd_rank_stack(dist)
+    else:
+        verdicts = [engine._psd_rank(d) for d in dist]
+    out["exact_tests_n7"] = time.perf_counter() - t0
+    if sum(not psd for psd, _ in verdicts) != 401:
+        raise SystemExit("expected 401 non-QE order-7 exact tests")
+    classify_module = importlib.import_module("qec.classify")
+    for name, layer in (("find_pendant_edge_n7", graphs_module.find_pendant_edge),
+                        ("regular_join_split_n7", classify_module._regular_join_split)):
+        graphs = [from_mask(7, mask) for mask in masks]
+        for g in graphs:
+            g.neighbor_masks()
+        t0 = time.perf_counter()
+        for g in graphs:
+            layer(g)
+        out[name] = time.perf_counter() - t0
+    table = getattr(classify_module, "_non_qe_table", None)
     if table is not None:
         t0 = time.perf_counter()
         table.__wrapped__(6)

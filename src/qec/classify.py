@@ -35,14 +35,13 @@ from .graphs import (
     FamilySpec,
     Graph,
     build_family,
-    complement,
     component_masks,
     compose,
-    connected_components,
     distance_matrix,
     from_mask,
     induced_subgraph,
     is_connected,
+    set_bits,
 )
 
 ENUM_MAX_ORDER = 7
@@ -194,8 +193,7 @@ def _star_qe_split(g: Graph) -> tuple[int, int, int] | None:
         if len(comps) < 2:
             continue
         for comp in comps:
-            side = [u for u in range(g.n) if (comp | cut) >> u & 1]
-            other = [u for u in range(g.n) if not comp >> u & 1]
+            side, other = set_bits(comp | cut), set_bits(every & ~comp)
             if _qe_slice(d, rows, side) and _qe_slice(d, rows, other):
                 return (v, len(side), len(other))
     return None
@@ -252,26 +250,23 @@ def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _is_regular(g: Graph) -> bool:
-    deg = g.degrees()
-    return bool((deg == deg[0]).all())
+def _regular_on(rows: Sequence[int], side: int) -> bool:
+    """Is the subgraph induced on the vertex bitset `side` regular?"""
+    return len({(rows[v] & side).bit_count() for v in set_bits(side)}) == 1
 
 
 def _regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
-    """Split g = G1 + G2 (graph join) with both parts regular, if possible."""
-    comps = connected_components(complement(g))
-    if len(comps) < 2:
-        return None
-    ids = list(range(1, len(comps)))
-    for size in range(0, len(comps) - 1):
-        for chosen in combinations(ids, size):
-            a_ids = (0,) + chosen
-            va = sorted(v for i in a_ids for v in comps[i])
-            vb = sorted(set(range(g.n)) - set(va))
-            g1 = induced_subgraph(g, va)
-            g2 = induced_subgraph(g, vb)
-            if _is_regular(g1) and _is_regular(g2):
-                return g1, g2
+    """Split g = G1 + G2 (graph join) with both parts regular, if possible.
+    Each part is a union of components of the complement, found on bitsets."""
+    rows = g.neighbor_masks()
+    every = (1 << g.n) - 1
+    comps = component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
+    for size in range(len(comps) - 1):
+        for chosen in combinations(comps[1:], size):
+            side = comps[0] | sum(chosen)
+            if _regular_on(rows, side) and _regular_on(rows, every & ~side):
+                return (induced_subgraph(g, set_bits(side)),
+                        induced_subgraph(g, set_bits(every & ~side)))
     return None
 
 
@@ -392,8 +387,8 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
 
 
 def _sweep(graphs: list[Graph], sieve: bool) -> list[ClassificationRecord]:
-    """Classify graphs of one order after one batched BFS and one batched
-    eigensolve over all of them; exact tests, witnesses and sieve per graph."""
+    """Classify graphs of one order after one batched BFS, eigensolve and
+    exact elimination over all of them; witnesses and sieve per graph."""
     prime_stack(graphs)
     return [classify(g, sieve=sieve) for g in graphs]
 

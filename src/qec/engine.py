@@ -9,7 +9,9 @@ with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
 when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
 M is PSD and singular.  Fraction-free integer elimination gives both facts.
 A sweep solves the projected matrices of all its graphs in one batched call
-(`prime_stack`); `qec_value` is the value alone, `qec` adds diagnostics.
+and eliminates all their M in one int64 stack (`prime_stack`); a single graph
+is eliminated alone on Python ints.  `qec_value` is the value alone, `qec`
+adds diagnostics.
 """
 
 from __future__ import annotations
@@ -66,14 +68,15 @@ def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prime_stack(graphs: Sequence[Graph]) -> None:
-    """Fill the bitset, distance and eigenvalue memos of connected graphs of
-    one order n >= 2 with one product, one batched BFS and one batched eigensolve."""
+    """Fill the bitset, distance, eigenvalue and exact-test memos of connected
+    graphs of one order n >= 2 with one product, one batched BFS, one batched
+    eigensolve and one stacked elimination (`_psd_rank_stack`)."""
     adj = np.stack([g.adj for g in graphs])
     rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
     dist = distance_stack(adj)
     tops = _projected_eigh(dist)[0][:, 0].tolist()
-    for g, r, d, top in zip(graphs, rows, dist, tops):
-        g._rows, g._dist, g._top = tuple(r), d, top
+    for g, r, d, top, psd in zip(graphs, rows, dist, tops, _psd_rank_stack(dist)):
+        g._rows, g._dist, g._top, g._psd = tuple(r), d, top, psd
 
 
 def qec_value(g: Graph) -> float:
@@ -152,6 +155,47 @@ def _psd_rank(d: np.ndarray) -> tuple[bool, int]:
         prev = p
         rank += 1
     return psd, rank
+
+
+def _psd_rank_stack(dist: np.ndarray) -> list[tuple[bool, int]]:
+    """`_psd_rank` of each matrix in a stack (N, n, n), same pivots, one int64
+    Bareiss step at a time over the whole stack.
+
+    The update (p m - m[:, c] m[r, :]) // prev zeroes the pivot row and
+    column, so eliminated rows and columns stay zero and a finished (zero)
+    matrix stays fixed with p = 1.  Each entry is a minor of M, at most the
+    Hadamard bound B (the product of M's row norms, each at least 1), so both
+    products stay within B^2: matrices with B^2 >= 2^62, or an entry of M at
+    2^24 or more, go to `_psd_rank`.  At n <= 7, B^2 < 2^59.
+    """
+    m = -np.diff(np.diff(dist, axis=1), axis=2)
+    ok = (np.abs(m) < 1 << 24).all(axis=(1, 2))
+    bound = np.ones(len(m), dtype=np.int64)  # B^2, while it stays below 2^62
+    for s in np.maximum((m * m).sum(axis=2), 1).T:  # exact wherever ok
+        ok &= s <= ((1 << 62) - 1) // bound
+        bound *= np.where(ok, s, 1)
+    m = m[ok]
+    count, k = len(m), m.shape[-1]
+    at = np.arange(count)
+    psd, rank, prev = np.ones(count, dtype=bool), np.zeros(count, dtype=np.int64), 1
+    for _ in range(k):
+        diag = np.diagonal(m, axis1=1, axis2=2)
+        psd &= (diag >= 0).all(axis=1)
+        on_diag = psd & (diag > 0).any(axis=1)
+        nonzero = (m != 0).reshape(count, k * k)
+        live = nonzero.any(axis=1)
+        if not live.any():
+            break
+        psd &= on_diag | ~live
+        rank += live
+        first = nonzero.argmax(axis=1)
+        r = np.where(on_diag, (diag > 0).argmax(axis=1), first // k)
+        c = np.where(on_diag, r, first % k)
+        p = np.where(live, m[at, r, c], 1)[:, None, None]
+        m = (p * m - m[at, :, c][:, :, None] * m[at, r, :][:, None, :]) // prev
+        prev = p
+    stacked = zip(psd.tolist(), rank.tolist())
+    return [next(stacked) if fits else _psd_rank(d) for d, fits in zip(dist, ok.tolist())]
 
 
 def _graph_psd_rank(g: Graph) -> tuple[bool, int]:

@@ -130,6 +130,15 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.neighbor_masks(), 1) == (1 << g.n) - 1
 
 
+def set_bits(mask: int) -> list[int]:
+    """Vertices of the bitset `mask`, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def component_masks(rows: Sequence[int], todo: int) -> list[int]:
     """Components of the vertex bitset `todo` as bitsets, by least vertex;
     `rows` are adjacency bitsets with no edge leaving `todo`."""
@@ -138,11 +147,6 @@ def component_masks(rows: Sequence[int], todo: int) -> list[int]:
         comps.append(_reach(rows, todo & -todo))
         todo &= ~comps[-1]
     return comps
-
-
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    comps = component_masks(g.neighbor_masks(), (1 << g.n) - 1)
-    return [tuple(i for i in range(g.n) if (c >> i) & 1) for c in comps]
 
 
 def distance_stack(adj: np.ndarray) -> np.ndarray:
@@ -370,20 +374,14 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
 
 
 def find_pendant_edge(g: Graph) -> tuple[int, int, int, int] | None:
-    """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2."""
-    deg = g.degrees()
-    adj = g.adj
-    n = g.n
-    for a in range(n):
-        for b in range(n):
-            if b == a or not adj[a, b]:
-                continue
-            for ap in range(n):
-                if ap in (a, b) or not adj[a, ap] or deg[ap] != 2:
-                    continue
-                for bp in range(n):
-                    if bp in (a, b, ap) or deg[bp] != 2:
-                        continue
-                    if adj[ap, bp] and adj[bp, b]:
-                        return (a, b, ap, bp)
+    """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2,
+    by walks over the adjacency bitsets."""
+    rows = g.neighbor_masks()
+    deg2 = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 2)
+    for a, row in enumerate(rows):
+        for b in set_bits(row) if row & deg2 else ():
+            for ap in set_bits(row & deg2 & ~(1 << b)):
+                far = rows[ap] & rows[b] & deg2 & ~(1 << a)  # a' has one other neighbour
+                if far:
+                    return (a, b, ap, far.bit_length() - 1)
     return None

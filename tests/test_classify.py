@@ -14,6 +14,7 @@ from qec.classify import (
     Verdict,
     _isometry_rule,
     _non_qe_table,
+    _regular_join_split,
     classify,
     classify_all,
     enumerate_connected,
@@ -152,6 +153,33 @@ def test_witness_is_first_isometric_non_qe_subset_order8():
         assert non_qe_witness(from_edges(8, h.edges())) == want, sorted(h.edges())
         sizes[None if want is None else len(want)] += 1
     assert min(sizes.values()) >= 3, sizes
+
+
+def test_regular_join_split_against_networkx():
+    # networkx only on the oracle side: components of the complement by least
+    # vertex, unions containing the first tried by size, regularity by degrees
+    nx = pytest.importorskip("networkx")
+    from test_graphs import oracle_graphs
+
+    found = 0
+    for h in oracle_graphs(nx):
+        parts = sorted(sorted(c) for c in nx.connected_components(nx.complement(h)))
+        want = None
+        for size, chosen in ((size, chosen) for size in range(len(parts) - 1)
+                             for chosen in itertools.combinations(parts[1:], size)):
+            side = sorted(parts[0] + [v for c in chosen for v in c])
+            rest = sorted(set(h) - set(side))
+            if nx.is_regular(h.subgraph(side)) and nx.is_regular(h.subgraph(rest)):
+                want = (side, rest)
+                break
+        got = _regular_join_split(from_edges(h.number_of_nodes(), h.edges()))
+        if want is None:
+            assert got is None
+            continue
+        for part, vertices in zip(got, want):
+            assert np.array_equal(part.adj, nx.to_numpy_array(h, nodelist=vertices) > 0)
+        found += h.number_of_nodes() >= 8
+    assert found >= 120
 
 
 def test_witness_k42():

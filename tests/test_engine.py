@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from qec.classify import enumerate_connected
 from qec.engine import (
     _hyperplane_basis,
     _psd_rank,
+    _psd_rank_stack,
     adjacency_min_eigenvalue,
     is_cnd_exact,
     prime_stack,
@@ -23,8 +25,10 @@ from qec.graphs import (
     complete,
     cycle,
     distance_matrix,
+    distance_stack,
     from_edges,
     induced_subgraph,
+    is_connected,
     multipartite,
     path,
 )
@@ -109,6 +113,84 @@ def test_one_factorization_per_graph(monkeypatch):
     assert qec(g).value == 0.0
     assert embed(g).dim == 3
     assert calls == [6]
+
+
+def test_psd_rank_stack_equals_per_matrix_elimination():
+    """One stack per order: every class on 2..7 vertices, and 200 seeded
+    random connected graphs on each of 8, 9 and 10 vertices, give the
+    (psd, rank) of `_psd_rank`, Python ints and bools included."""
+    rng = random.Random(20261018)
+    stacks = [[g.adj for g in enumerate_connected(n)] for n in range(2, 8)]
+    for n in (8, 9, 10):
+        stack = []
+        while len(stack) < 200:
+            density = rng.uniform(0.15, 0.8)
+            g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                               if rng.random() < density])
+            if is_connected(g):
+                stack.append(g.adj)
+        stacks.append(stack)
+    ranks = set()
+    for stack in stacks:
+        dist = distance_stack(np.stack(stack))
+        got = _psd_rank_stack(dist)
+        assert got == [_psd_rank(d) for d in dist]
+        assert all(type(psd) is bool and type(rank) is int for psd, rank in got)
+        ranks |= {(len(dist[0]), psd, rank) for psd, rank in got}
+    # both verdicts and rank-deficient matrices occur at every order from 6 on
+    for n in range(6, 11):
+        assert {(n, True, n - 1), (n, False, n - 1), (n, True, n - 2)} <= ranks
+
+
+def test_psd_rank_stack_guards_int64(monkeypatch):
+    """Symmetric integer matrices with entries from 1 to 10^6 overflow int64
+    unless routed to `_psd_rank`, and so do 3-vertex ones whose M has one
+    diagonal entry near 2^60 and small others (a Hadamard bound taken on
+    wrapped squares would pass them).  The stack agrees with `_psd_rank` on
+    all of them and eliminates the small ones itself."""
+    engine = sys.modules["qec.engine"]
+    rng = np.random.default_rng(7)
+    stacks = []
+    for n in (3, 5, 8):
+        for scale in (1, 3, 10, 100, 10 ** 4, 10 ** 6):
+            d = rng.integers(0, scale + 1, size=(40, n, n))
+            stacks.append(np.triu(d, 1) + np.triu(d, 1).transpose(0, 2, 1))
+    far = rng.integers(1 << 58, 1 << 59, size=40)
+    near = rng.integers(1, 4, size=(2, 40))
+    d = np.zeros((40, 3, 3), dtype=np.int64)
+    d[:, 0, 1], d[:, 0, 2], d[:, 1, 2] = far, far + near[0], near[1]
+    stacks.append(d + d.transpose(0, 2, 1))
+    alone = []
+
+    def counted(d):
+        alone.append(d.shape[0])
+        return _psd_rank(d)
+
+    monkeypatch.setattr(engine, "_psd_rank", counted)
+    for dist in stacks:
+        assert _psd_rank_stack(dist) == [_psd_rank(d) for d in dist]
+    assert 40 < len(alone) < sum(map(len, stacks)) // 2
+    assert alone[-40:] == [3] * 40  # every matrix of the last stack
+
+
+def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
+    """classify_all(7) decides no 7-vertex matrix alone: prime_stack seeds
+    every exact test, and only smaller pieces (pendant remainders, verdict
+    tables) go through the per-matrix elimination."""
+    engine = sys.modules["qec.engine"]
+    from qec.classify import classify_all
+
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape[0])
+        return _psd_rank(d)
+
+    monkeypatch.setattr(engine, "_psd_rank", counted)
+    records, summary = classify_all(7, workers=1)
+    assert tuple(summary) == (452, 388, 13)
+    assert max(calls) < 7
+    assert all(r.graph._psd == _psd_rank(distance_matrix(r.graph)) for r in records)
 
 
 def test_stacked_values_against_eigvalsh():

@@ -349,6 +349,61 @@ def test_pendant_witness_definition_on_enumerated():
         assert g.adj[a, ap] and g.adj[ap, bp] and g.adj[bp, b] and g.adj[b, a]
 
 
+def oracle_graphs(nx):
+    """networkx graphs: every connected class on 1..7 vertices from the atlas,
+    then seeded random connected graphs on each of 8, 9 and 10 vertices:
+    200 from sparse to dense, 40 with a planted pendant edge (a 4-cycle
+    through two new degree-2 vertices) and 40 joins of two random regular
+    graphs, each randomly relabeled."""
+    graphs = [h for h in nx.graph_atlas_g()[1:] if nx.is_connected(h)]
+    rng = random.Random(20261018)
+
+    def connected_gnp(n, density):
+        while True:
+            h = nx.gnp_random_graph(n, density, seed=rng.getrandbits(32))
+            if nx.is_connected(h):
+                return h
+
+    def relabeled(h):
+        perm = list(h)
+        rng.shuffle(perm)
+        return nx.relabel_nodes(h, dict(zip(h, perm)))
+
+    for n in (8, 9, 10):
+        graphs += [connected_gnp(n, rng.uniform(0.1, 0.95)) for _ in range(200)]
+        for _ in range(40):
+            h = connected_gnp(n - 2, rng.uniform(0.2, 0.9))
+            a, b = rng.choice(list(h.edges()))
+            h.add_edges_from([(a, n - 2), (n - 2, n - 1), (n - 1, b)])
+            graphs.append(relabeled(h))
+        for _ in range(40):
+            k = rng.randint(1, n - 1)
+            parts = []
+            for size in (k, n - k):
+                degree = rng.choice([d for d in range(size) if d * size % 2 == 0])
+                parts.append(nx.random_regular_graph(degree, size, seed=rng.getrandbits(32)))
+            h = nx.disjoint_union(*parts)
+            h.add_edges_from((u, v) for u in range(k) for v in range(k, n))
+            graphs.append(relabeled(h))
+    return graphs
+
+
+def test_find_pendant_edge_against_networkx():
+    # the least (a, b, a', b') in lexicographic order over networkx adjacency
+    nx = pytest.importorskip("networkx")
+    found = 0
+    for h in oracle_graphs(nx):
+        deg = dict(h.degree())
+        witnesses = [(a, b, ap, bp) for a, b in itertools.permutations(h, 2) if h.has_edge(a, b)
+                     for ap in h[a] for bp in h[b]
+                     if len({a, b, ap, bp}) == 4 and h.has_edge(ap, bp)
+                     and deg[ap] == deg[bp] == 2]
+        want = min(witnesses, default=None)
+        assert find_pendant_edge(from_edges(h.number_of_nodes(), h.edges())) == want
+        found += want is not None and h.number_of_nodes() >= 8
+    assert found >= 120
+
+
 def test_complement_and_union():
     k3 = build_family(complete(3))
     assert complement(k3).edge_count == 0
