@@ -1,6 +1,6 @@
 """Best-of-k timings of the enumeration pipeline, before and after a change.
 
-    python benchmarks/bench_pipeline.py --parent DIR [--k 5] [--out BENCH_pipeline.json]
+    python benchmarks/bench_pipeline.py --parent DIR [--k 10] [--out BENCH_pipeline.json]
 
 DIR is a checkout of the parent commit (a `git clone` checked out there);
 the change is the checkout holding this script.  Each round runs one fresh
@@ -21,11 +21,15 @@ Layers:
                           perm_table where the tree has no canon.perm_powers,
                           else the float64 power table: perm_powers(7), and
                           at n = 8 one built here, which the library never caches
-  non_qe_witness_n7       non_qe_witness over the 401 non-QE order-7 classes;
-                          where the verdict table exists, this layer also pays
-                          the one build of its k = 5 and k = 6 tables, since
-                          every round starts a fresh interpreter
-  star_qe_split_n7        _star_qe_split over all 853 order-7 classes
+  non_qe_witness_n7       the witness search over the 401 non-QE order-7
+                          classes: one classify._witness_stack call where it
+                          exists, else non_qe_witness per graph
+  non_qe_witness_n8       the same over a seeded stack of 2,000 random
+                          connected 8-vertex graphs (G(8, p), p uniform in
+                          0.2..0.9), which have blocks of 7 vertices
+  star_qe_split_n7        the star split over all 853 order-7 classes: one
+                          classify._split_stack call where it exists, else
+                          _star_qe_split per graph
   distance_stack_n7       distance matrices of the 853 order-7 classes: one
                           batched BFS where graphs.distance_stack exists,
                           else distance_matrix per graph
@@ -46,6 +50,9 @@ Layers:
                           trees without the table
 The witness, split, distance, value, exact, pendant and join layers run on
 graphs rebuilt from their masks, so no memo filled while picking them is reused.
+The witness and split layers prime their graphs with engine.prime_stack, as a
+sweep does, and time a second call, on fresh copies, after an untimed first
+call has built the verdict tables and subset indexes.
 """
 
 from __future__ import annotations
@@ -72,9 +79,9 @@ def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
     from qec.canon import perm_table
-    from qec.classify import _star_qe_split, classify_all, enumerate_connected, non_qe_witness
+    from qec.classify import classify_all, enumerate_connected
     from qec.engine import is_cnd_exact
-    from qec.graphs import from_mask
+    from qec.graphs import from_mask, is_connected
     from qec.kernels import min_permuted_mask, orbit_min_mark
 
     out: dict[str, float] = {}
@@ -86,15 +93,34 @@ def _measure() -> dict[str, float]:
     non_qe = [mask for mask in masks if not is_cnd_exact(from_mask(7, mask))]
     if len(non_qe) != 401:
         raise SystemExit(f"{len(non_qe)} non-QE order-7 classes, expected 401")
-    for name, layer, chosen in (("non_qe_witness_n7", non_qe_witness, non_qe),
-                                ("star_qe_split_n7", _star_qe_split, masks)):
-        graphs = [from_mask(7, mask) for mask in chosen]
-        t0 = time.perf_counter()
-        for g in graphs:
-            layer(g)
-        out[name] = time.perf_counter() - t0
+    rng = random.Random(8)
+    order8 = []
+    while len(order8) < 2000:
+        p = rng.uniform(0.2, 0.9)
+        g = from_mask(8, sum(1 << t for t in range(n_bits(8)) if rng.random() < p))
+        if is_connected(g):
+            order8.append(g.mask)
     graphs_module = importlib.import_module("qec.graphs")
     engine = importlib.import_module("qec.engine")
+    classify_module = importlib.import_module("qec.classify")
+    stacked = {"witness": getattr(classify_module, "_witness_stack", None),
+               "split": getattr(classify_module, "_split_stack", None)}
+    per_graph = {"witness": classify_module.non_qe_witness,
+                 "split": getattr(classify_module, "_star_qe_split", None)}
+    for name, kind, n, chosen in (("non_qe_witness_n7", "witness", 7, non_qe),
+                                  ("non_qe_witness_n8", "witness", 8, order8),
+                                  ("star_qe_split_n7", "split", 7, masks)):
+        for timed in (False, True):
+            graphs = [from_mask(n, mask) for mask in chosen]
+            engine.prime_stack(graphs)
+            t0 = time.perf_counter()
+            if stacked[kind] is not None:
+                stacked[kind](graphs)
+            else:
+                for g in graphs:
+                    per_graph[kind](g)
+            if timed:
+                out[name] = time.perf_counter() - t0
     graphs = [from_mask(7, mask) for mask in masks]
     t0 = time.perf_counter()
     if hasattr(graphs_module, "distance_stack"):
@@ -122,7 +148,6 @@ def _measure() -> dict[str, float]:
     out["exact_tests_n7"] = time.perf_counter() - t0
     if sum(not psd for psd, _ in verdicts) != 401:
         raise SystemExit("expected 401 non-QE order-7 exact tests")
-    classify_module = importlib.import_module("qec.classify")
     for name, layer in (("find_pendant_edge_n7", graphs_module.find_pendant_edge),
                         ("regular_join_split_n7", classify_module._regular_join_split)):
         graphs = [from_mask(7, mask) for mask in masks]
@@ -165,7 +190,7 @@ def _measure() -> dict[str, float]:
 
 
 def _env(tree: Path) -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k != "QEC_THREADS"}
+    env = {k: v for k, v in os.environ.items() if k != "QEC_THREADS"}  # read by older trees
     env["PYTHONPATH"] = str(tree / "src")
     return env
 
@@ -193,7 +218,7 @@ def _describe(tree: Path) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--k", type=int, default=5, help="rounds; each number is the best of k")
+    ap.add_argument("--k", type=int, default=10, help="rounds; each number is the best of k")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_pipeline.json")
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()

@@ -6,24 +6,25 @@ subgraph is non-QE.  `sieve_trace` replays a six-step decision pipeline
 (products, witnesses, families, regular joins, embeddings, direct
 computation) and reports the first rule that decides a graph; `classify`
 checks that its verdict agrees, and that QEC > 0 exactly for non-QE graphs.
+The witness search and the star split are stacked kernels over vertex-subset
+bitsets: a sweep runs each once, a single graph as a stack of one.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kernels
-from .bits import n_bits, pair_list
+from .bits import n_bits, pair_rows_cols
 from .canon import CanonicalCert, canonical_cert, perm_powers
 from .embedding import embed, pendant_rule, verify_embedding
-from .engine import _psd_rank, is_cnd_exact, prime_stack, qec, qec_value
+from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value
 from .errors import (
     BadParamsError,
     DisconnectedError,
@@ -38,6 +39,7 @@ from .graphs import (
     component_masks,
     compose,
     distance_matrix,
+    distance_stack,
     from_mask,
     induced_subgraph,
     is_connected,
@@ -46,7 +48,6 @@ from .graphs import (
 
 ENUM_MAX_ORDER = 7
 BOUNDARY_TOL = 1e-9
-POOL_MIN_GRAPHS = 500  # below (n <= 6), pool start-up costs more than it saves
 
 
 class Verdict(str, Enum):
@@ -61,67 +62,145 @@ class Summary(NamedTuple):
     primary: int
 
 
+Witness = tuple[int, ...] | None  # a least isometric non-QE subgraph's vertices
+Split = tuple[int, int, int] | None  # cut vertex v and the two QE parts' orders
+
+
 @dataclass(frozen=True)
 class ClassificationRecord:
     graph: Graph
     cert: CanonicalCert
     qec_value: float
     verdict: Verdict
-    witness: tuple[int, ...] | None
+    witness: Witness
     sieve_step: str | None
 
 
 # ---------------------------------------------------------------------------
-# isometric subgraphs and witnesses
+# isometric subgraphs, witnesses and star splits, stacked
 
 
-def _qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> bool:
-    """Exact QE test of the isometric induced subgraph on the sorted
-    `vertices`, whose distance matrix is the slice d[S, S] of the ambient one:
-    below ENUM_MAX_ORDER vertices, a `_non_qe_table` read at its labeled mask
-    (graph6 pair order, from the adjacency bitsets `rows`); else on the slice."""
-    k = len(vertices)
-    if k >= ENUM_MAX_ORDER:
-        return _psd_rank(d[np.ix_(vertices, vertices)])[0]
-    mask = 0
-    for t, (i, j) in enumerate(pair_list(k)):
-        mask |= (rows[vertices[j]] >> vertices[i] & 1) << t
-    return not _non_qe_table(k)[mask]
+@lru_cache(maxsize=None)
+def _subset_pairs(n: int) -> np.ndarray:
+    """Read-only (2^n, n(n-1)/2) int8 index: at S, the flat positions u n + v
+    of the pairs u < v inside the vertex bitset S in graph6 order, then 0,
+    the pair (0, 0).  Adjacency read there is S's own labeled mask."""
+    u, v = np.array(pair_rows_cols(n))
+    bits = 1 << u | 1 << v
+    inside = np.arange(1 << n)[:, None] & bits == bits
+    order = np.argsort(~inside, axis=1, kind="stable")
+    pairs = np.where(np.take_along_axis(inside, order, axis=1), (u * n + v)[order], 0)
+    pairs = pairs.astype(np.int8)
+    pairs.setflags(write=False)
+    return pairs
 
 
-def _isometry_rule(g: Graph) -> Callable[[int], bool]:
-    """Predicate on vertex bitsets S: does S induce an isometric subgraph?
+@lru_cache(maxsize=None)
+def _witness_candidates(n: int) -> np.ndarray:
+    """Bitsets of the sets of 5..n-1 vertices by size, then in `combinations`
+    order."""
+    bits = np.array([sum(1 << v for v in s) for size in range(5, n)
+                     for s in combinations(range(n), size)], dtype=np.int16)
+    bits.setflags(write=False)
+    return bits
+
+
+def _isometric(adj: np.ndarray, dist: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
+    """(graph, subset) flags over a stack: does the vertex bitset S induce an
+    isometric subgraph?  `width` bounds the pairs inside one subset.
 
     S is isometric iff every pair u < v in S at distance k >= 2 has a
-    neighbour w of u in S with d(w, v) = k - 1.  Only if: take w on a
-    shortest u-v path inside S.  If, by induction on k: d_S(w, v) = k - 1,
-    so d_S(u, v) <= k.  Such an S is connected, and its distances are the
-    slice d[S, S].
+    neighbour w of u in S with d(w, v) = k - 1, that is < k (`toward`, which
+    holds v when u ~ v).  Only if: take w on a shortest u-v path inside S.
+    If, by induction on k: d_S(w, v) = k - 1, so d_S(u, v) <= k.  Such an S
+    is connected, and its distances are the slice d[S, S].
     """
-    d = distance_matrix(g)
-    # toward[u][v]: neighbours w of u with d(w, v) = d(u, v) - 1, as a bitset
-    closer = g.adj[:, None, :] & (d.T[None, :, :] == d[:, :, None] - 1)
-    toward = (closer @ (1 << np.arange(g.n))).tolist()
-    far = [((1 << u) | (1 << v), toward[u][v])
-           for u, v in combinations(range(g.n), 2) if d[u, v] >= 2]
-    return lambda bits: all(w & bits for pair, w in far if pair & bits == pair)
+    n = adj.shape[-1]
+    toward = (adj[:, :, None, :] & (dist[:, None] < dist[..., None])) @ (1 << np.arange(n))
+    toward = toward.reshape(len(adj), -1).astype(np.int16)
+    toward[:, 0] = -1  # the padding pair asks nothing
+    return (toward[:, _subset_pairs(n)[subsets, :width]] & subsets[:, None]).all(axis=2)
 
 
-def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
-    """Least vertex set inducing a connected, isometric, non-QE proper subgraph.
+def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
+               blocks: np.ndarray) -> np.ndarray:
+    """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of
+    the graphs `which` of a stack.  Up to four vertices they are QE; below
+    ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled mask; from there on
+    (order 8 and up), one `_psd_rank_stack` per size over the slices d[S, S]."""
+    n = adj.shape[-1]
+    sizes = (blocks[:, None] >> np.arange(n) & 1).sum(axis=1)
+    pos = _subset_pairs(n)[blocks, :n_bits(min(n - 1, ENUM_MAX_ORDER - 1))]
+    masks = adj.reshape(len(adj), -1)[which[:, None], pos] @ (1 << np.arange(pos.shape[1]))
+    qe = np.ones(len(blocks), dtype=bool)
+    for k in set(sizes.tolist()) & set(range(5, n)):
+        at = np.flatnonzero(sizes == k)
+        if k < ENUM_MAX_ORDER:
+            qe[at] = _non_qe_table(k)[masks[at]] == 0
+        else:
+            verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
+            d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]
+            qe[at] = [psd for psd, _ in _psd_rank_stack(d)]
+    return qe
 
-    Sets smaller than five vertices cannot work (every graph on up to four
-    vertices is QE), so the search starts at size five.  Each set is tested
-    by `_isometry_rule` and decided by `_qe_slice` (a table read below 7 vertices).
-    """
-    d = distance_matrix(g)
-    rows = g.neighbor_masks()
-    isometric = _isometry_rule(g)
-    for size in range(5, g.n):
-        for s in combinations(range(g.n), size):
-            if isometric(sum(1 << v for v in s)) and not _qe_slice(d, rows, s):
-                return s
-    return None
+
+def _witness_stack(graphs: Sequence[Graph]) -> list[Witness]:
+    """`non_qe_witness` of each graph of a stack of one order."""
+    if not graphs or graphs[0].n < 6:
+        return [None] * len(graphs)
+    n = graphs[0].n
+    adj = np.array([g.adj for g in graphs])
+    dist = np.array([distance_matrix(g) for g in graphs])
+    subsets = _witness_candidates(n)
+    hit = _isometric(adj, dist, subsets, n_bits(n - 1))
+    gi, si = np.nonzero(hit)
+    hit[gi, si] = ~_blocks_qe(adj, dist, gi, subsets[si])
+    first = subsets[hit.argmax(axis=1)].tolist()
+    return [tuple(set_bits(s)) if any_ else None for s, any_ in zip(first, hit.any(axis=1))]
+
+
+def non_qe_witness(g: Graph) -> Witness:
+    """Least vertex set inducing a connected, isometric, non-QE proper
+    subgraph, by size, then in `combinations` order; g is a stack of one.
+    Sets of up to four vertices cannot work: those graphs are all QE."""
+    return _witness_stack([g])[0]
+
+
+def _split_stack(graphs: Sequence[Graph]) -> list[Split]:
+    """Cut vertex splitting each graph of a stack of one order into two QE
+    parts, the least v, then the first component of g - v by least vertex:
+    (v, n1, n2).  Each part, one component of g - v or the rest, plus v, is
+    an isometric block: a walk that leaves it returns through v."""
+    count, n = len(graphs), graphs[0].n
+    one = 1 << np.arange(n)
+    # reach[g, v, u]: the component of u in g - v as a bitset (for u = v, the
+    # rest of g, led by no u), by Warshall's pass over the vertices w on one
+    # Python integer that holds all of them in fields of `width` bits; no
+    # product below carries, since every field value is below 2^width
+    width = 8 if n <= 8 else 16
+    field, full = np.dtype(f"<u{width // 8}"), (1 << width) - 1
+    start = (np.array([g.neighbor_masks() for g in graphs])[:, None, :] | one) & ~one[:, None]
+    spread = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * n, "little")  # a (g, v)'s fields
+    low = int.from_bytes(np.ones(start.size, field).tobytes(), "little")  # bit 0 of each field
+    head = low // spread * full  # each (g, v)'s field 0
+    reach = int.from_bytes(start.astype(field).tobytes(), "little")
+    for w in range(n):  # fields holding w take their (g, v)'s field w
+        reach |= (reach >> w & low) * full & (reach >> w * width & head) * spread
+    reach = np.frombuffer(reach.to_bytes(start.size * field.itemsize, "little"), field)
+    reach = reach.reshape(start.shape).astype(np.int64)
+    lead = reach & -reach == one  # u is its component's least vertex
+    hit = lead & (lead.sum(axis=2) >= 2)[:, :, None]
+    gi, vi, ui = np.nonzero(hit)
+    if not len(gi):
+        return [None] * count
+    comp = reach[gi, vi, ui]
+    adj, dist = np.array([g.adj for g in graphs]), np.array([distance_matrix(g) for g in graphs])
+    qe = _blocks_qe(adj, dist, np.tile(gi, 2), np.concatenate([comp | one[vi], ~comp & (1 << n) - 1]))
+    hit[gi, vi, ui] = qe[:len(gi)] & qe[len(gi):]
+    first = hit.reshape(count, -1).argmax(axis=1).tolist()
+    comps = reach.reshape(count, -1)[np.arange(count), first].tolist()
+    return [(f // n, c.bit_count() + 1, n - c.bit_count()) if h else None
+            for f, c, h in zip(first, comps, hit.any(axis=(1, 2)))]
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +239,13 @@ def enumerate_connected(n: int) -> list[Graph]:
 def _non_qe_table(k: int) -> np.ndarray:
     """Read-only bitmap over the labeled masks on 2 <= k < ENUM_MAX_ORDER
     vertices, 1 exactly on the relabelings of the non-QE connected classes
-    (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once."""
+    (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once,
+    the classes decided by one stacked elimination."""
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
-    for h in enumerate_connected(k):
-        if not is_cnd_exact(h):
+    classes = enumerate_connected(k)
+    exact = _psd_rank_stack(distance_stack(np.stack([h.adj for h in classes])))
+    for h, (psd, _) in zip(classes, exact):
+        if not psd:
             kernels.orbit_min_mark(h.mask, perm_powers(k), table)
     table.setflags(write=False)
     return table
@@ -173,42 +255,17 @@ def _non_qe_table(k: int) -> np.ndarray:
 # sieve support: product, family and join recognizers
 
 
-def _qe_exact(g: Graph) -> bool:
-    return g.n >= 2 and is_cnd_exact(g)
-
-
-def _star_qe_split(g: Graph) -> tuple[int, int, int] | None:
-    """Cut vertex splitting g into two QE parts; returns (v, n1, n2).
-
-    Each part, one component of g - v or the rest, plus v, is an isometric
-    block: a walk that leaves it returns through v, so it is not shortest.
-    Its distance matrix is a slice of g's, and `_qe_slice` decides it.
-    """
-    d = distance_matrix(g)
-    rows = g.neighbor_masks()
-    every = (1 << g.n) - 1
-    for v in range(g.n):
-        cut = 1 << v
-        comps = component_masks([row & ~cut for row in rows], every & ~cut)
-        if len(comps) < 2:
-            continue
-        for comp in comps:
-            side, other = set_bits(comp | cut), set_bits(every & ~comp)
-            if _qe_slice(d, rows, side) and _qe_slice(d, rows, other):
-                return (v, len(side), len(other))
-    return None
-
-
 @lru_cache(maxsize=None)
 def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
-    """Certificates of Cartesian products of two smaller QE graphs."""
+    """Certificates of Cartesian products of two smaller QE graphs, whose
+    verdicts are `_non_qe_table` reads."""
     found: dict[CanonicalCert, tuple[int, int]] = {}
     for a in range(2, n):
         if n % a or a > n // a:
             continue
         b = n // a
-        left = [g for g in enumerate_connected(a) if _qe_exact(g)]
-        right = [g for g in enumerate_connected(b) if _qe_exact(g)]
+        left, right = ([g for g in enumerate_connected(k) if not _non_qe_table(k)[g.mask]]
+                       for k in (a, b))
         for g1 in left:
             for g2 in right:
                 prod = compose("cartesian", g1, g2)
@@ -285,10 +342,11 @@ def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
 # the sieve
 
 
-def _run_sieve(g: Graph, exact: bool, witness: tuple[int, ...] | None):
+def _run_sieve(g: Graph, exact: bool, witness: Witness, split: Split):
+    """(steps, verdict, deciding step) of g, given its exact verdict, witness
+    and star split."""
     steps: list[tuple[str, str]] = []
 
-    split = _star_qe_split(g)
     if split is not None:
         v, n1, n2 = split
         steps.append(("step1", f"star product of QE factors ({n1}+{n2} glued at {v}) -> QE"))
@@ -346,21 +404,16 @@ def sieve_trace(g: Graph) -> list[tuple[str, str]]:
         raise DisconnectedError("sieve requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _run_sieve(g, exact, witness)[0]
+    return _run_sieve(g, exact, witness, _split_stack([g])[0])[0]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
-    """Exact verdict, witness, numeric QEC and (when available) sieve step."""
-    if g.n < 2:
-        raise OrderOneError("classification needs at least two vertices")
-    if not is_connected(g):
-        raise DisconnectedError("classification requires a connected graph")
-    exact = is_cnd_exact(g)
-    witness = None if exact else non_qe_witness(g)
+def _record(g: Graph, exact: bool, witness: Witness, split: Split) -> ClassificationRecord:
+    """g's record from its exact verdict, witness and star split; checks the
+    sieve (up to ENUM_MAX_ORDER vertices) and the sign of QEC against them."""
     if exact:
         verdict = Verdict.QE
     elif witness is not None:
@@ -368,8 +421,8 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
     else:
         verdict = Verdict.NON_QE_PRIMARY
     step = None
-    if sieve and g.n <= ENUM_MAX_ORDER:
-        _, sieve_verdict, step = _run_sieve(g, exact, witness)
+    if g.n <= ENUM_MAX_ORDER:
+        _, sieve_verdict, step = _run_sieve(g, exact, witness, split)
         if sieve_verdict != verdict:
             raise AssertionError(
                 f"sieve verdict {sieve_verdict} disagrees with exact verdict {verdict}")
@@ -386,53 +439,34 @@ def classify(g: Graph, sieve: bool = True) -> ClassificationRecord:
     )
 
 
-def _sweep(graphs: list[Graph], sieve: bool) -> list[ClassificationRecord]:
-    """Classify graphs of one order after one batched BFS, eigensolve and
-    exact elimination over all of them; witnesses and sieve per graph."""
-    prime_stack(graphs)
-    return [classify(g, sieve=sieve) for g in graphs]
+def classify(g: Graph) -> ClassificationRecord:
+    """Exact verdict, witness, numeric QEC and, up to ENUM_MAX_ORDER vertices,
+    sieve step; g runs through the stacked kernels as a stack of one."""
+    if g.n < 2:
+        raise OrderOneError("classification needs at least two vertices")
+    if not is_connected(g):
+        raise DisconnectedError("classification requires a connected graph")
+    exact = is_cnd_exact(g)
+    witness = None if exact else non_qe_witness(g)
+    return _record(g, exact, witness, _split_stack([g])[0] if g.n <= ENUM_MAX_ORDER else None)
 
 
-def _sweep_masks(args: tuple[int, list[int], bool]) -> list[ClassificationRecord]:
-    n, masks, sieve = args
-    return _sweep([from_mask(n, mask) for mask in masks], sieve)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("QEC_THREADS", "").strip()
-    if env:
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise BadParamsError(f"QEC_THREADS={env!r} is not an integer") from exc
-        return max(1, count)
-    return os.cpu_count() or 1
-
-
-def classify_all(n: int, sieve: bool = True,
-                 workers: int | None = None) -> tuple[list[ClassificationRecord], Summary]:
-    """Classify every connected graph on n vertices; deterministic order.
-
-    The graphs go through `_sweep` as one stack.  Sweeps of POOL_MIN_GRAPHS
-    graphs or more are dealt out in strided slices over a process pool capped
-    by QEC_THREADS (default: all cores), each slice a stack of its own;
-    results are merged by certificate, so the output does not depend on
-    scheduling.
-    """
+def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
+    """Classify every connected graph on n vertices; records in certificate
+    order.  The graphs go through each layer as one stack: one batched BFS,
+    eigensolve and exact elimination (`prime_stack`), one witness search over
+    the non-QE graphs and one star-split search over all.  `workers` must be
+    1: the sweep runs in this process."""
+    if workers != 1:
+        raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     graphs = enumerate_connected(n)
-    if workers is None:
-        workers = _worker_count()
-    if workers > 1 and len(graphs) >= POOL_MIN_GRAPHS:
-        from concurrent.futures import ProcessPoolExecutor  # only big sweeps pay its import
-        masks = [g.mask for g in graphs]
-        chunks = min(4 * workers, len(masks))
-        jobs = [(n, masks[i::chunks], sieve) for i in range(chunks)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [r for part in pool.map(_sweep_masks, jobs) for r in part]
-    else:
-        records = _sweep(graphs, sieve)
+    prime_stack(graphs)
+    exact = [is_cnd_exact(g) for g in graphs]
+    witnesses = iter(_witness_stack([g for g, psd in zip(graphs, exact) if not psd]))
+    records = [_record(g, psd, None if psd else next(witnesses), split)
+               for g, psd, split in zip(graphs, exact, _split_stack(graphs))]
     records.sort(key=lambda r: r.cert)
     summary = Summary(
         qe=sum(r.verdict is Verdict.QE for r in records),

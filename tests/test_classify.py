@@ -7,23 +7,33 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import per_graph
 from aliases import known_graphs
 from constructions import add_apex, is_isomorphic
 from isometry import is_isometric_subgraph
+from qec.bits import n_bits
 from qec.classify import (
     Verdict,
-    _isometry_rule,
+    _isometric,
     _non_qe_table,
     _regular_join_split,
+    _split_stack,
+    _witness_stack,
     classify,
     classify_all,
     enumerate_connected,
     non_qe_witness,
     sieve_trace,
 )
+from qec.cli import main
 from qec.engine import is_cnd_exact, qec
-from qec.errors import DisconnectedError, DisconnectedSubgraphError, OrderTooLargeError
-from qec.graph6 import parse_graph6
+from qec.errors import (
+    BadParamsError,
+    DisconnectedError,
+    DisconnectedSubgraphError,
+    OrderTooLargeError,
+)
+from qec.graph6 import parse_graph6, to_graph6
 from qec.graphs import (
     build_family,
     complete,
@@ -31,7 +41,9 @@ from qec.graphs import (
     cycle,
     distance_matrix,
     from_edges,
+    from_mask,
     induced_subgraph,
+    is_connected,
     multipartite,
 )
 
@@ -53,7 +65,8 @@ def test_isometric_disconnected_subset():
 
 def test_isometry_rule_and_distance_cache_against_networkx():
     # networkx only on the oracle side: connectivity of the induced subgraph
-    # and Floyd-Warshall of subgraph against graph
+    # and Floyd-Warshall of subgraph against graph; each graph's subsets go
+    # through the witness kernel's isometry test as one stack of one graph
     nx = pytest.importorskip("networkx")
     rng = random.Random(20261018)
     cases = []
@@ -76,12 +89,13 @@ def test_isometry_rule_and_distance_cache_against_networkx():
         assert distance_matrix(g) is d
         with pytest.raises(ValueError):
             d[0, 0] = 1
-        isometric = _isometry_rule(g)
-        for s in subsets:
+        bits = np.array([sum(1 << v for v in s) for s in subsets], dtype=np.int64)
+        got = _isometric(g.adj[None], d[None], bits, n_bits(n))[0]
+        for s, flag in zip(subsets, got.tolist()):
             sub = h.subgraph(s)
             want = nx.is_connected(sub) and np.array_equal(
                 nx.floyd_warshall_numpy(sub, nodelist=s), dh[np.ix_(s, s)])
-            assert isometric(sum(1 << v for v in s)) == want, (sorted(h.edges()), s)
+            assert flag == want, (sorted(h.edges()), s)
             seen[want] += 1
     order7 = [subsets for h, subsets in cases if h.number_of_nodes() == 7]
     assert len(order7) == 853 and sum(map(len, order7)) >= 2000
@@ -122,6 +136,17 @@ def test_non_qe_table_against_numpy_oracle():
         assert np.array_equal(table.astype(bool), want), k
         counts.append(int(table.sum()))
     assert counts == [0, 0, 0, 40, 5860]
+
+
+def test_non_qe_table_builds_with_one_stacked_elimination(monkeypatch):
+    cached = _non_qe_table(6)
+    engine = sys.modules["qec.engine"]
+    single = engine._psd_rank
+    calls = []
+    monkeypatch.setattr(engine, "_psd_rank", lambda d: calls.append(d) or single(d))
+    table = _non_qe_table.__wrapped__(6)
+    assert calls == []
+    assert table.dtype == cached.dtype and table.tobytes() == cached.tobytes()
 
 
 def test_witness_is_first_isometric_non_qe_subset_order8():
@@ -233,14 +258,6 @@ def record_fields(r):
             r.witness, r.sieve_step)
 
 
-def test_classify_all_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(sys.modules["qec.classify"], "POOL_MIN_GRAPHS", 1)
-    serial, s1 = classify_all(5, workers=1)
-    parallel, s2 = classify_all(5, workers=2)
-    assert s1 == s2
-    assert [record_fields(r) for r in serial] == [record_fields(r) for r in parallel]
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_sweep_matches_single_graph_classify(n):
     """The stacked sweep against `classify` on graphs with no memo, each
@@ -255,14 +272,92 @@ def test_classify_all_order_bounds():
         classify_all(8)
 
 
-def test_worker_count_env(monkeypatch):
-    from qec.classify import _worker_count
-    monkeypatch.setenv("QEC_THREADS", "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv("QEC_THREADS", "0")
-    assert _worker_count() == 1
-    monkeypatch.delenv("QEC_THREADS")
-    assert _worker_count() >= 1
+@pytest.mark.parametrize("workers", [0, 2, None])
+def test_classify_all_runs_on_one_worker(workers):
+    with pytest.raises(BadParamsError):
+        classify_all(4, workers=workers)
+
+
+def _glued(rng, n):
+    """A random connected graph on n vertices with a cut vertex: two random
+    connected parts, one of at least n - 3 vertices, sharing one vertex,
+    randomly relabeled."""
+    def part(k):
+        while True:
+            g = from_mask(k, rng.getrandbits(n_bits(k)) | rng.getrandbits(n_bits(k)))
+            if is_connected(g):
+                return g
+    a = rng.randrange(n - 3, n)
+    g = compose("star", part(a), part(n + 1 - a), roots=(rng.randrange(a), 0))
+    label = rng.sample(range(n), n)
+    return from_edges(n, [(label[i], label[j]) for i, j in g.edges()])
+
+
+def _primary_with_tree(rng, primary, n):
+    """A non-QE primary graph with n - primary.n vertices hung on it as a
+    random tree, randomly relabeled.  The primary part is isometric, and its
+    isometric subsets, alone or with tree vertices, are QE, so its vertex set
+    is the least witness."""
+    edges = primary.edges()
+    for new in range(primary.n, n):
+        edges.append((rng.randrange(new), new))
+    label = rng.sample(range(n), n)
+    return from_edges(n, [(label[i], label[j]) for i, j in edges])
+
+
+def kernel_stacks():
+    """Every class on 2..7 vertices, one stack per order, then seeded stacks
+    on 8, 9 and 10 vertices: G(n, p) graphs with p in 0.3..0.9, graphs glued
+    at a cut vertex (`_glued`) and the 13 seven-vertex primaries with a tree
+    hung on (`_primary_with_tree`), so that witnesses and split blocks of 7
+    or more vertices occur."""
+    stacks = [enumerate_connected(n) for n in range(2, 8)]
+    primaries = [r.graph for r in classify_all(7)[0] if r.verdict is Verdict.NON_QE_PRIMARY]
+    rng = random.Random(20261018)
+    for n in (8, 9, 10):
+        stack = [_glued(rng, n) for _ in range(60)]
+        stack += [_primary_with_tree(rng, p, n) for p in primaries]
+        while len(stack) < 200:
+            p = rng.uniform(0.3, 0.9)
+            g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            if is_connected(g):
+                stack.append(g)
+        stacks.append(stack)
+    return stacks
+
+
+def test_stacked_kernels_match_per_graph_reference():
+    """`_witness_stack` and `_split_stack` against the per-graph search of
+    tests/per_graph.py, on each stack, the stack reversed and shuffled, and
+    each graph as a stack of one; every graph is rebuilt from its mask so no
+    memo is shared."""
+    rng = random.Random(7)
+    big_witness = big_block = 0
+    for stack in kernel_stacks():
+        n = stack[0].n
+        fresh = [from_mask(n, g.mask) for g in stack]
+        witnesses = [per_graph.non_qe_witness(g) for g in fresh]
+        splits = [per_graph.star_qe_split(g) for g in fresh]
+        for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
+                      rng.sample(range(len(stack)), len(stack))):
+            again = [from_mask(n, stack[k].mask) for k in order]
+            assert _witness_stack(again) == [witnesses[k] for k in order], n
+            assert _split_stack(again) == [splits[k] for k in order], n
+        for g, witness, split in zip(stack, witnesses, splits):
+            assert non_qe_witness(from_mask(n, g.mask)) == witness
+            assert _split_stack([from_mask(n, g.mask)]) == [split]
+        big_witness += sum(w is not None and len(w) >= 7 for w in witnesses)
+        big_block += sum(s is not None and max(s[1:]) >= 7 for s in splits)
+    assert big_witness >= 40 and big_block >= 40, (big_witness, big_block)
+
+
+def test_trace_prints_the_reference_sieve(capsys):
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            assert main(["trace", to_graph6(g)]) == 0
+            want = [f"{step}: {outcome}" for step, outcome
+                    in per_graph.sieve_trace(from_mask(n, g.mask))]
+            assert capsys.readouterr().out.splitlines() == want, to_graph6(g)
 
 
 def test_five_vertex_primary_values():
