@@ -9,8 +9,14 @@ alternates which tree goes first; every number is the best over the k
 rounds, in wall-clock seconds on this machine.
 
 End to end:
-  classify_all_n{5,6,7}   classify_all(n, workers=1)
+  classify_all_n{5,6,7}   classify_all(n, workers=1), after the layers below
+                          (so enumerate_connected(7) has run in the process)
   cli_enumerate_n6        a cold `python -m qec.cli enumerate --n 6` process
+  enum7_op_cold           perfbench's enum7 operation, classify_all(7,
+                          workers=1) then an in-process `qec enumerate --n 7
+                          --out FILE`, run once in a fresh interpreter (after
+                          `import qec.cli`, so the lazy tables are built inside)
+  enum7_op_warm           the same operation run again in that interpreter
 Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   min_permuted_mask_n{7,8}_per_call
@@ -44,9 +50,10 @@ Layers:
                           both with neighbor_masks() filled first, as
                           prime_stack fills it in a sweep
   non_qe_table_k6         the first call of _non_qe_table(6), build included:
-                          enumerate_connected(6) and the exact test of its 112
-                          classes (timed uncached, through __wrapped__, since
-                          the witness layer has filled the cache); absent from
+                          the exact test of its 112 classes, and in trees
+                          without a class-mask cache enumerate_connected(6)
+                          (timed uncached, through __wrapped__, since the
+                          witness layer has filled the cache); absent from
                           trees without the table
 The witness, split, distance, value, exact, pendant and join layers run on
 graphs rebuilt from their masks, so no memo filled while picking them is reused.
@@ -58,7 +65,9 @@ call has built the verdict tables and subset indexes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import platform
@@ -189,6 +198,24 @@ def _measure() -> dict[str, float]:
     return out
 
 
+def _measure_op() -> dict[str, float]:
+    """The enum7 operation twice in this (fresh) interpreter: cold, then warm."""
+    from qec.classify import classify_all
+    from qec.cli import main as cli_main
+
+    out: dict[str, float] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["enumerate", "--n", "7", "--out", str(Path(tmp) / "n7.json")]
+        for name in ("enum7_op_cold", "enum7_op_warm"):
+            t0 = time.perf_counter()
+            classify_all(7, workers=1)
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli_main(argv) != 0:
+                    raise SystemExit("qec enumerate --n 7 failed")
+            out[name] = time.perf_counter() - t0
+    return out
+
+
 def _env(tree: Path) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "QEC_THREADS"}  # read by older trees
     env["PYTHONPATH"] = str(tree / "src")
@@ -196,10 +223,12 @@ def _env(tree: Path) -> dict[str, str]:
 
 
 def _round(tree: Path) -> dict[str, float]:
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--measure"],
-                          env=_env(tree), cwd=tree, capture_output=True, text=True,
-                          check=True)
-    times = json.loads(proc.stdout.splitlines()[-1])
+    times: dict[str, float] = {}
+    for mode in ("--measure", "--measure-op"):
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), mode],
+                              env=_env(tree), cwd=tree, capture_output=True, text=True,
+                              check=True)
+        times.update(json.loads(proc.stdout.splitlines()[-1]))
     with tempfile.TemporaryDirectory() as tmp:
         t0 = time.perf_counter()
         subprocess.run([sys.executable, "-m", "qec.cli", "enumerate", "--n", "6",
@@ -221,9 +250,13 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=10, help="rounds; each number is the best of k")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_pipeline.json")
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-op", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
         print(json.dumps(_measure()))
+        return
+    if args.measure_op:
+        print(json.dumps(_measure_op()))
         return
     if args.parent is None:
         ap.error("--parent is required")

@@ -51,11 +51,27 @@ def pack_mask(adj: np.ndarray) -> int:
     return mask
 
 
-def unpack_adj(n: int, mask: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
-    for t, (i, j) in enumerate(pair_list(n)):
-        if (mask >> t) & 1:
-            adj[i, j] = True
-            adj[j, i] = True
-    return adj
+@lru_cache(maxsize=None)
+def _unpack_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (n, n) positions of each pair on both triangles, and the mask bit
+    each reads."""
+    ii, jj = pair_rows_cols(n)
+    flat = np.concatenate([ii * n + jj, jj * n + ii])
+    shifts = np.tile(np.arange(n_bits(n)), 2)
+    flat.setflags(write=False)
+    shifts.setflags(write=False)
+    return flat, shifts
 
+
+def unpack_stack(n: int, masks) -> np.ndarray:
+    """(N, n, n) boolean adjacency of N packed masks: one broadcast shift of
+    the masks, scattered onto the pairs of both triangles."""
+    flat, shifts = _unpack_index(n)
+    masks = np.asarray(masks, dtype=np.int64)
+    adj = np.zeros((len(masks), n * n), dtype=bool)
+    adj[:, flat] = masks[:, None] >> shifts & 1
+    return adj.reshape(len(masks), n, n)
+
+
+def unpack_adj(n: int, mask: int) -> np.ndarray:
+    return unpack_stack(n, [mask])[0]

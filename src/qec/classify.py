@@ -21,10 +21,11 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .bits import n_bits, pair_rows_cols
+from .bits import n_bits, pair_rows_cols, unpack_stack
 from .canon import CanonicalCert, canonical_cert, perm_powers
 from .embedding import embed, pendant_rule, verify_embedding
-from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value
+# `qec` stays bound here, unused: perfbench/tracing.py traces its engine.qec layer through it
+from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
 from .errors import (
     BadParamsError,
     DisconnectedError,
@@ -207,32 +208,44 @@ def _split_stack(graphs: Sequence[Graph]) -> list[Split]:
 # enumeration up to isomorphism
 
 
-def enumerate_connected(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class.
+@lru_cache(maxsize=None)
+def _class_masks(n: int) -> np.ndarray:
+    """Read-only ascending int64 array of the canonical masks of the connected
+    classes on n vertices, built once per process from order n - 1's masks.
 
     Deleting a leaf of a spanning tree leaves a connected graph, so every
     connected graph on n >= 2 vertices is an order-(n - 1) class plus a
     vertex joined to a nonempty subset (vertex augmentation; McKay, J.
     Algorithms 26, 1998).  Each candidate orbit is marked when first met and
-    contributes its smallest mask, its certificate; the output is sorted.
+    contributes its smallest mask, its certificate.
     """
-    if not 1 <= n <= ENUM_MAX_ORDER:
-        raise OrderTooLargeError(f"enumeration supports 1..{ENUM_MAX_ORDER} vertices, got {n}")
     if n == 1:
         minima = [0]
     else:
         joined = np.arange(1, 1 << (n - 1)) << n_bits(n - 1)
         seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
         minima = []
-        for parent in enumerate_connected(n - 1):
-            masks = parent.mask | joined
+        for parent in _class_masks(n - 1).tolist():
+            masks = parent | joined
             for mask in masks[seen[masks] == 0].tolist():
                 if not seen[mask]:  # an orbit marked since may cover it
                     minima.append(kernels.orbit_min_mark(mask, perm_powers(n), seen))
-    out = [from_mask(n, mask) for mask in sorted(minima)]
-    for g in out:
-        g._cert = CanonicalCert(n, g.mask)
+    out = np.array(sorted(minima), dtype=np.int64)
+    out.setflags(write=False)
     return out
+
+
+def enumerate_connected(n: int) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class, in
+    certificate order: fresh graphs on every call, unpacked in one broadcast
+    from the class masks that `_class_masks` enumerates once per process."""
+    if not 1 <= n <= ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"enumeration supports 1..{ENUM_MAX_ORDER} vertices, got {n}")
+    masks = _class_masks(n).tolist()
+    graphs = [Graph(adj) for adj in unpack_stack(n, masks)]
+    for g, mask in zip(graphs, masks):
+        g._mask, g._cert = mask, CanonicalCert(n, mask)
+    return graphs
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +255,11 @@ def _non_qe_table(k: int) -> np.ndarray:
     (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once,
     the classes decided by one stacked elimination."""
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
-    classes = enumerate_connected(k)
-    exact = _psd_rank_stack(distance_stack(np.stack([h.adj for h in classes])))
-    for h, (psd, _) in zip(classes, exact):
+    masks = _class_masks(k)
+    exact = _psd_rank_stack(distance_stack(unpack_stack(k, masks)))
+    for mask, (psd, _) in zip(masks.tolist(), exact):
         if not psd:
-            kernels.orbit_min_mark(h.mask, perm_powers(k), table)
+            kernels.orbit_min_mark(mask, perm_powers(k), table)
     table.setflags(write=False)
     return table
 
@@ -264,8 +277,8 @@ def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
         if n % a or a > n // a:
             continue
         b = n // a
-        left, right = ([g for g in enumerate_connected(k) if not _non_qe_table(k)[g.mask]]
-                       for k in (a, b))
+        left, right = ([from_mask(k, mask) for mask in _class_masks(k).tolist()
+                        if not _non_qe_table(k)[mask]] for k in (a, b))
         for g1 in left:
             for g2 in right:
                 prod = compose("cartesian", g1, g2)
@@ -390,7 +403,7 @@ def _run_sieve(g: Graph, exact: bool, witness: Witness, split: Split):
 
     # decided by the number alone; step 2 has ruled out a witness, so
     # non-QE here is primary
-    value = qec(g).value
+    value = qec_value(g)
     verdict = Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
     steps.append(("step6", f"direct computation: QEC = {value:.12g} -> {verdict.value}"))
     return steps, verdict, "step6"

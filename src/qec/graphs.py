@@ -42,9 +42,10 @@ class Graph:
         n = int(adj.shape[0])
         if n < 1 or n > MAX_ORDER:
             raise OrderTooLargeError(f"order {n} outside supported range 1..{MAX_ORDER}")
-        if bool(adj.diagonal().any()):
+        raw = adj.tobytes()  # one byte per entry: the checks below are byte compares
+        if any(raw[:: n + 1]):
             raise SelfLoopError("adjacency has a nonzero diagonal entry")
-        if not np.array_equal(adj, adj.T):
+        if raw != adj.T.tobytes():
             raise BadParamsError("adjacency matrix must be symmetric")
         adj.setflags(write=False)
         self.n = n

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +11,10 @@ from aliases import known_graphs
 from constructions import add_apex, is_isomorphic
 from isometry import is_isometric_subgraph
 from qec.bits import n_bits
+from qec.canon import CanonicalCert
 from qec.classify import (
     Verdict,
+    _class_masks,
     _isometric,
     _non_qe_table,
     _regular_join_split,
@@ -26,7 +27,7 @@ from qec.classify import (
     sieve_trace,
 )
 from qec.cli import main
-from qec.engine import is_cnd_exact, qec
+from qec.engine import is_cnd_exact, prime_stack, qec, qec_value
 from qec.errors import (
     BadParamsError,
     DisconnectedError,
@@ -474,7 +475,7 @@ def test_sieve_step6_decides_from_the_value(monkeypatch):
     # follow the number it computes, not the exact verdict
     g = parse_graph6("ELr?")
     assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = 0.11963298118 -> NonQePrimary")
-    monkeypatch.setattr(sys.modules["qec.classify"], "qec", lambda h: SimpleNamespace(value=-0.5))
+    monkeypatch.setattr(sys.modules["qec.classify"], "qec_value", lambda h: -0.5)
     assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = -0.5 -> QE")
 
 
@@ -527,3 +528,51 @@ def test_enumerate_connected_order1():
 
 def test_enumerate_connected_order7_count():
     assert len(enumerate_connected(7)) == 853
+
+
+def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
+    """Only the class masks outlive a sweep: a second classify_all(7) marks no
+    orbit but runs its own stacked eigensolve and elimination over all 853
+    classes, on graphs of its own, and returns equal records."""
+    first, _ = classify_all(7)
+    engine, kernels = sys.modules["qec.engine"], sys.modules["qec.kernels"]
+    orbits, eliminated, solved = [], [], []
+
+    def counted(fn, log):
+        return lambda *args: log.append(args[0]) or fn(*args)
+
+    monkeypatch.setattr(kernels, "orbit_min_mark", counted(kernels.orbit_min_mark, orbits))
+    stack = counted(engine._psd_rank_stack, eliminated)
+    monkeypatch.setattr(engine, "_psd_rank_stack", stack)
+    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_rank_stack", stack)
+    monkeypatch.setattr(engine, "_projected_eigh", counted(engine._projected_eigh, solved))
+    second, _ = classify_all(7)
+    monkeypatch.undo()
+    assert orbits == []
+    assert [d.shape for d in eliminated] == [(853, 7, 7)]
+    assert [d.shape for d in solved] == [(853, 7, 7)]
+    assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}
+    assert hash(tuple(second)) == hash(tuple(first)) and second == first
+
+
+def test_class_masks_are_read_only_and_graphs_fresh():
+    for n in range(1, 8):
+        masks = _class_masks(n)
+        assert masks.dtype == np.int64 and not masks.flags.writeable
+        with pytest.raises(ValueError):
+            masks[0] = 1
+        assert np.array_equal(masks, _class_masks.__wrapped__(n)), n
+    graphs = enumerate_connected(6)
+    prime_stack(graphs)
+    values = [qec_value(g) for g in graphs]
+    for g in graphs:  # spoil every memo
+        g._dist = np.zeros((6, 6), dtype=np.int64)
+        g._rows, g._psd, g._top, g._cert = (0,) * 6, (True, 0), -1.0, CanonicalCert(6, 0)
+    again = enumerate_connected(6)
+    assert not {id(g) for g in graphs} & {id(g) for g in again}
+    assert not {id(g.adj) for g in graphs} & {id(g.adj) for g in again}
+    for g in again:
+        assert (g._dist, g._rows, g._psd, g._top) == (None, None, None, None)
+        assert g._cert == CanonicalCert(6, g.mask)
+    assert [g.mask for g in again] == _class_masks(6).tolist()
+    assert [qec_value(g) for g in again] == values
