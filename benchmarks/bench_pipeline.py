@@ -55,6 +55,19 @@ Layers:
                           (timed uncached, through __wrapped__, since the
                           witness layer has filled the cache); absent from
                           trees without the table
+  sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
+                          it (step 5 or 6 in classify_all(7)): one
+                          classify._step5_stack call where it exists, else
+                          pendant_rule, then embed and verify_embedding of
+                          the exact-QE graphs, per graph; timed after the
+                          classify_all rows, on primed fresh graphs, after an
+                          untimed call
+Single graphs, each the mean over its graphs of the best of 9 calls, every
+call on a graph rebuilt from its mask (so it pays its BFS and exact test):
+  classify_per_graph      classify over 200 seeded random connected graphs on
+                          5 to 7 vertices (G(n, p), p uniform in 0.2..0.9)
+  embed_per_graph         embed over 200 seeded random connected QE graphs
+                          drawn the same way
 The witness, split, distance, value, exact, pendant and join layers run on
 graphs rebuilt from their masks, so no memo filled while picking them is reused.
 The witness and split layers prime their graphs with engine.prime_stack, as a
@@ -88,7 +101,8 @@ def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
     from qec.canon import perm_table
-    from qec.classify import classify_all, enumerate_connected
+    from qec.classify import classify, classify_all, enumerate_connected
+    from qec.embedding import embed, pendant_rule, verify_embedding
     from qec.engine import is_cnd_exact
     from qec.graphs import from_mask, is_connected
     from qec.kernels import min_permuted_mask, orbit_min_mark
@@ -173,8 +187,44 @@ def _measure() -> dict[str, float]:
         out["non_qe_table_k6"] = time.perf_counter() - t0
     for n in (5, 6, 7):
         t0 = time.perf_counter()
-        classify_all(n, workers=1)
+        records = classify_all(n, workers=1)[0]
         out[f"classify_all_n{n}"] = time.perf_counter() - t0
+    step5 = [r.graph.mask for r in records if r.sieve_step in ("step5", "step6")]
+    if len(step5) != 164:
+        raise SystemExit(f"{len(step5)} order-7 classes reach sieve step 5, expected 164")
+    stacked_step5 = getattr(classify_module, "_step5_stack", None)
+    for timed in (False, True):
+        graphs = [from_mask(7, mask) for mask in step5]
+        engine.prime_stack(graphs)
+        t0 = time.perf_counter()
+        if stacked_step5 is not None:
+            stacked_step5(graphs)
+        else:
+            for g in graphs:
+                if pendant_rule(g) is None and is_cnd_exact(g):
+                    verify_embedding(embed(g), graphs_module.distance_matrix(g))
+        if timed:
+            out["sieve_step5_n7"] = time.perf_counter() - t0
+    rng = random.Random(57)
+    picks: dict[str, list[tuple[int, int]]] = {"classify": [], "embed": []}
+    while len(picks["embed"]) < 200:
+        n, p = rng.choice((5, 6, 7)), rng.uniform(0.2, 0.9)
+        g = from_mask(n, sum(1 << t for t in range(n_bits(n)) if rng.random() < p))
+        if is_connected(g):
+            if len(picks["classify"]) < 200:
+                picks["classify"].append((n, g.mask))
+            if is_cnd_exact(g):
+                picks["embed"].append((n, g.mask))
+    for name, layer in (("classify", classify), ("embed", embed)):
+        total = 0.0
+        for n, mask in picks[name]:
+            best_s = float("inf")
+            for _ in range(9):
+                t0 = time.perf_counter()
+                layer(from_mask(n, mask))
+                best_s = min(best_s, time.perf_counter() - t0)
+            total += best_s
+        out[f"{name}_per_graph"] = total / len(picks[name])
     for n in (7, 8):
         rng = random.Random(n)
         masks = [rng.getrandbits(n_bits(n)) for _ in range(MASKS_PER_ORDER)]

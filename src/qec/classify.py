@@ -6,8 +6,8 @@ subgraph is non-QE.  `sieve_trace` replays a six-step decision pipeline
 (products, witnesses, families, regular joins, embeddings, direct
 computation) and reports the first rule that decides a graph; `classify`
 checks that its verdict agrees, and that QEC > 0 exactly for non-QE graphs.
-The witness search and the star split are stacked kernels over vertex-subset
-bitsets: a sweep runs each once, a single graph as a stack of one.
+The witness search, the star split and step 5 are stacked kernels: a sweep
+runs each once, a single graph as a stack of one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,16 @@ import numpy as np
 from . import kernels
 from .bits import n_bits, pair_rows_cols, unpack_stack
 from .canon import CanonicalCert, canonical_cert, perm_powers
-from .embedding import embed, pendant_rule, verify_embedding
+# `embed`, `pendant_rule` and `verify_embedding` stay bound here, unused:
+# perfbench/tracing.py traces its embedding layers through them
+from .embedding import (  # noqa: F401
+    DEFECT_TOL,
+    _gram_defects,
+    _pendant_lifts,
+    embed,
+    pendant_rule,
+    verify_embedding,
+)
 # `qec` stays bound here, unused: perfbench/tracing.py traces its engine.qec layer through it
 from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
 from .errors import (
@@ -41,6 +50,7 @@ from .graphs import (
     compose,
     distance_matrix,
     distance_stack,
+    find_pendant_edge,
     from_mask,
     induced_subgraph,
     is_connected,
@@ -355,24 +365,62 @@ def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
 # the sieve
 
 
-def _run_sieve(g: Graph, exact: bool, witness: Witness, split: Split):
-    """(steps, verdict, deciding step) of g, given its exact verdict, witness
-    and star split."""
+class Step5(NamedTuple):
+    """Sieve step 5 of one graph: did a pendant lift verify, and the defect
+    of the lifted embedding, or else of the Gram embedding."""
+
+    lifted: bool
+    defect: float
+
+
+def _step5_stack(graphs: Sequence[Graph]) -> list[Step5]:
+    """Step 5 of each graph of a stack of one order, from no exact test of
+    the graph: graphs with a pendant witness (a, b, a', b') whose remainder
+    G - {a', b'} is QE, a `_blocks_qe` read of that isometric block, are
+    lifted in one stack (`_pendant_lifts`); every other graph gets its Gram
+    embedding in one more."""
+    if not graphs:
+        return []
+    n = graphs[0].n
+    dist = np.array([distance_matrix(g) for g in graphs])
+    pendants = [find_pendant_edge(g) for g in graphs]
+    at = np.array([i for i, p in enumerate(pendants) if p is not None], dtype=np.int64)
+    lifted = np.zeros(len(graphs), dtype=bool)
+    if len(at):
+        rest = np.array([(1 << n) - 1 - (1 << pendants[i][2]) - (1 << pendants[i][3])
+                         for i in at.tolist()], dtype=np.int64)
+        lifted[at] = _blocks_qe(np.array([g.adj for g in graphs]), dist, at, rest)
+    defects = np.empty(len(graphs))
+    lift, other = np.flatnonzero(lifted), np.flatnonzero(~lifted)
+    if len(lift):
+        defects[lift] = _pendant_lifts(dist[lift], [pendants[i] for i in lift.tolist()])
+    if len(other):
+        defects[other] = _gram_defects(dist[other])
+    return [Step5(*outcome) for outcome in zip(lifted.tolist(), defects.tolist())]
+
+
+Head = tuple[list[tuple[str, str]], Verdict | None]  # steps 1-4 and their verdict
+
+
+def _sieve_head(g: Graph, exact: bool, witness: Witness, split: Split) -> Head:
+    """Steps 1-4 of the sieve, given g's exact verdict (read only by the
+    boundary labels of steps 3 and 4), witness and star split: the steps
+    taken and the verdict, None when none of them decides."""
     steps: list[tuple[str, str]] = []
 
     if split is not None:
         v, n1, n2 = split
         steps.append(("step1", f"star product of QE factors ({n1}+{n2} glued at {v}) -> QE"))
-        return steps, Verdict.QE, "step1"
+        return steps, Verdict.QE
     cart = _qe_cartesian_products(g.n).get(canonical_cert(g))
     if cart is not None:
         steps.append(("step1", f"cartesian product of QE factors ({cart[0]}x{cart[1]}) -> QE"))
-        return steps, Verdict.QE, "step1"
+        return steps, Verdict.QE
     steps.append(("step1", "not a nontrivial product of QE graphs"))
 
     if witness is not None:
         steps.append(("step2", f"isometric non-QE subgraph on {set(witness)} -> non-QE, non-primary"))
-        return steps, Verdict.NON_QE_NON_PRIMARY, "step2"
+        return steps, Verdict.NON_QE_NON_PRIMARY
     steps.append(("step2", "no isometric non-QE proper subgraph"))
 
     spec = _family_index(g.n).get(canonical_cert(g))
@@ -380,7 +428,7 @@ def _run_sieve(g: Graph, exact: bool, witness: Witness, split: Split):
         value = formula_value(spec)
         verdict, label = _sign_verdict(value, exact)
         steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
-        return steps, verdict, "step3"
+        return steps, verdict
     steps.append(("step3", "no closed-form family match"))
 
     join = _regular_join_split(g)
@@ -389,15 +437,32 @@ def _run_sieve(g: Graph, exact: bool, witness: Witness, split: Split):
         value = qec_join_regular(g1, g2)
         verdict, label = _sign_verdict(value, exact)
         steps.append(("step4", f"join of regular parts ({g1.n}+{g2.n}), formula {value:.12g} -> {label}"))
-        return steps, verdict, "step4"
+        return steps, verdict
     steps.append(("step4", "not a join of two regular graphs"))
+    return steps, None
 
-    if pendant_rule(g) is not None:
+
+def _sieve_inputs(graphs: Sequence[Graph], exact: Sequence[bool], witnesses: Sequence[Witness],
+                  splits: Sequence[Split]) -> list[tuple[Head, Step5 | None]]:
+    """Steps 1-4 of each graph of a stack of one order, and the step-5
+    outcome of those they leave open, from one `_step5_stack`."""
+    heads = [_sieve_head(*args) for args in zip(graphs, exact, witnesses, splits)]
+    outcomes = iter(_step5_stack([g for g, (_, verdict) in zip(graphs, heads) if verdict is None]))
+    return [(head, None if head[1] is not None else next(outcomes)) for head in heads]
+
+
+def _run_sieve(g: Graph, head: Head, step5: Step5 | None):
+    """(steps, verdict, deciding step) of g from its steps 1-4 and, when they
+    leave it open, its step-5 outcome (`_sieve_inputs`)."""
+    steps, verdict = head
+    if verdict is not None:
+        return steps, verdict, steps[-1][0]
+    steps = list(steps)
+    if step5.lifted:
         steps.append(("step5", "pendant edge: lifted embedding verified, QEC = 0 -> QE"))
         return steps, Verdict.QE, "step5"
-    if exact:
-        defect = verify_embedding(embed(g), distance_matrix(g))
-        steps.append(("step5", f"explicit embedding constructed (defect {defect:.3g}) -> QE"))
+    if step5.defect <= DEFECT_TOL:
+        steps.append(("step5", f"explicit embedding constructed (defect {step5.defect:.3g}) -> QE"))
         return steps, Verdict.QE, "step5"
     steps.append(("step5", "no pendant edge, no embedding"))
 
@@ -417,16 +482,18 @@ def sieve_trace(g: Graph) -> list[tuple[str, str]]:
         raise DisconnectedError("sieve requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _run_sieve(g, exact, witness, _split_stack([g])[0])[0]
+    return _run_sieve(g, *_sieve_inputs([g], [exact], [witness], _split_stack([g]))[0])[0]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def _record(g: Graph, exact: bool, witness: Witness, split: Split) -> ClassificationRecord:
-    """g's record from its exact verdict, witness and star split; checks the
-    sieve (up to ENUM_MAX_ORDER vertices) and the sign of QEC against them."""
+def _record(g: Graph, exact: bool, witness: Witness,
+            sieve: tuple[Head, Step5 | None] | None) -> ClassificationRecord:
+    """g's record from its exact verdict, witness and, up to ENUM_MAX_ORDER
+    vertices, sieve inputs (`_sieve_inputs`); checks the sieve and the sign
+    of QEC against the exact verdict."""
     if exact:
         verdict = Verdict.QE
     elif witness is not None:
@@ -434,8 +501,8 @@ def _record(g: Graph, exact: bool, witness: Witness, split: Split) -> Classifica
     else:
         verdict = Verdict.NON_QE_PRIMARY
     step = None
-    if g.n <= ENUM_MAX_ORDER:
-        _, sieve_verdict, step = _run_sieve(g, exact, witness, split)
+    if sieve is not None:
+        _, sieve_verdict, step = _run_sieve(g, *sieve)
         if sieve_verdict != verdict:
             raise AssertionError(
                 f"sieve verdict {sieve_verdict} disagrees with exact verdict {verdict}")
@@ -461,15 +528,19 @@ def classify(g: Graph) -> ClassificationRecord:
         raise DisconnectedError("classification requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _record(g, exact, witness, _split_stack([g])[0] if g.n <= ENUM_MAX_ORDER else None)
+    sieve = None
+    if g.n <= ENUM_MAX_ORDER:
+        sieve = _sieve_inputs([g], [exact], [witness], _split_stack([g]))[0]
+    return _record(g, exact, witness, sieve)
 
 
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; records in certificate
     order.  The graphs go through each layer as one stack: one batched BFS,
     eigensolve and exact elimination (`prime_stack`), one witness search over
-    the non-QE graphs and one star-split search over all.  `workers` must be
-    1: the sweep runs in this process."""
+    the non-QE graphs, one star-split search over all and one step 5 over
+    those that reach it.  `workers` must be 1: the sweep runs in this
+    process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
@@ -477,9 +548,10 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord
     graphs = enumerate_connected(n)
     prime_stack(graphs)
     exact = [is_cnd_exact(g) for g in graphs]
-    witnesses = iter(_witness_stack([g for g, psd in zip(graphs, exact) if not psd]))
-    records = [_record(g, psd, None if psd else next(witnesses), split)
-               for g, psd, split in zip(graphs, exact, _split_stack(graphs))]
+    found = iter(_witness_stack([g for g, psd in zip(graphs, exact) if not psd]))
+    witnesses = [None if psd else next(found) for psd in exact]
+    sieves = _sieve_inputs(graphs, exact, witnesses, _split_stack(graphs))
+    records = [_record(*args) for args in zip(graphs, exact, witnesses, sieves)]
     records.sort(key=lambda r: r.cert)
     summary = Summary(
         qe=sum(r.verdict is Verdict.QE for r in records),

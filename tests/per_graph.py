@@ -1,24 +1,37 @@
-"""Per-graph witness search and star split: the reference for the stacked
-kernels of `qec.classify`.
+"""Per-graph witness search, star split and sieve step 5: the reference
+for the stacked kernels of `qec.classify` and `qec.embedding`.
 
-Each function walks one graph's vertex subsets in Python, the order the
+Each search walks one graph's vertex subsets in Python, the order the
 kernels must reproduce: witnesses by size, then in `combinations` order;
 splits by cut vertex, then by the least vertex of the component.  Blocks
 below seven vertices read the library's verdict tables (checked against a
 numpy oracle in `test_classify.py`); larger ones are eliminated alone.
+Step 5 embeds one graph at a time: a pendant remainder is built as an
+induced subgraph with its own BFS and exact test, and a graph is embedded
+when its exact verdict says QE.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from qec.bits import pair_list
-from qec.classify import ENUM_MAX_ORDER, _non_qe_table, _run_sieve
+from qec.classify import ENUM_MAX_ORDER, Step5, _non_qe_table, _run_sieve, _sieve_head
+from qec.embedding import RANK_CUTOFF, Embedding
 from qec.engine import _psd_rank, is_cnd_exact
-from qec.graphs import Graph, component_masks, distance_matrix, set_bits
+from qec.errors import NotQEError
+from qec.graphs import (
+    Graph,
+    component_masks,
+    distance_matrix,
+    find_pendant_edge,
+    induced_subgraph,
+    set_bits,
+)
 
 
 def qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> bool:
@@ -76,8 +89,87 @@ def star_qe_split(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
+def gram_embedding(d: np.ndarray) -> tuple[np.ndarray, Embedding]:
+    """Eigenvalues (descending) of the centered Gram matrix -1/2 C D C of one
+    distance matrix, and the embedding its eigenpairs above the rank cutoff
+    give, each column signed so its largest entry in magnitude is positive."""
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    c = np.eye(n) - np.full((n, n), 1.0 / n)
+    gram = -0.5 * (c @ d @ c)
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > RANK_CUTOFF * max(float(vals[0]), 0.0)
+    coords = vecs[:, keep] * np.sqrt(vals[keep])
+    for col in range(coords.shape[1]):
+        pivot = int(np.argmax(np.abs(coords[:, col])))
+        if coords[pivot, col] < 0:
+            coords[:, col] = -coords[:, col]
+    return vals, Embedding(dim=int(np.count_nonzero(keep)), coords=coords)
+
+
+def embed(g: Graph) -> Embedding:
+    """Quadratic embedding of a QE graph; raises NotQEError otherwise."""
+    if g.n == 1:
+        return Embedding(dim=0, coords=np.zeros((1, 0)))
+    if not is_cnd_exact(g):
+        raise NotQEError("graph admits no quadratic embedding")
+    vals, e = gram_embedding(distance_matrix(g))
+    scale = max(float(vals[0]), 1.0)
+    if float(vals[-1]) < -1e-6 * scale:
+        raise ArithmeticError(f"Gram matrix of a QE graph has eigenvalue {vals[-1]}")
+    return e
+
+
+def verify_embedding(e: Embedding, d: np.ndarray) -> float:
+    """Largest |squared point distance - graph distance| over all pairs."""
+    d = np.asarray(d, dtype=float)
+    sq = np.sum((e.coords[:, None, :] - e.coords[None, :, :]) ** 2, axis=2)
+    return float(np.max(np.abs(sq - d)))
+
+
+def pendant_lift(g: Graph) -> float | None:
+    """Defect of the lifted embedding when a pendant edge exists and the
+    remainder, an induced subgraph, is QE, else None: the remainder's
+    embedding gets one more coordinate, height 1 at the two pendant vertices
+    above their anchors."""
+    witness = find_pendant_edge(g)
+    if witness is None:
+        return None
+    a, b, ap, bp = witness
+    keep = [v for v in range(g.n) if v not in (ap, bp)]
+    h = induced_subgraph(g, keep)
+    if h.n >= 2 and not is_cnd_exact(h):
+        return None
+    base = embed(h)
+    pos = {v: i for i, v in enumerate(keep)}
+    coords = np.zeros((g.n, base.dim + 1))
+    for v in keep:
+        coords[v, :base.dim] = base.coords[pos[v]]
+    coords[ap, :base.dim] = base.coords[pos[a]]
+    coords[ap, base.dim] = 1.0
+    coords[bp, :base.dim] = base.coords[pos[b]]
+    coords[bp, base.dim] = 1.0
+    defect = verify_embedding(Embedding(dim=base.dim + 1, coords=coords), distance_matrix(g))
+    if defect > 1e-8:
+        raise ArithmeticError(f"pendant-edge extension failed to verify (defect {defect})")
+    return defect
+
+
+def step5(g: Graph, exact: bool) -> Step5:
+    """Step 5 decided per graph by the exact verdict: the pendant lift, else
+    the embedding of a QE graph; a non-QE graph has none (defect inf)."""
+    lift = pendant_lift(g)
+    if lift is not None:
+        return Step5(True, lift)
+    if exact:
+        return Step5(False, verify_embedding(embed(g), distance_matrix(g)))
+    return Step5(False, math.inf)
+
+
 def sieve_trace(g: Graph) -> list[tuple[str, str]]:
-    """The sieve's steps, with the witness and split found per graph."""
+    """The sieve's steps, with the witness, split and step 5 found per graph."""
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _run_sieve(g, exact, witness, star_qe_split(g))[0]
+    head = _sieve_head(g, exact, witness, star_qe_split(g))
+    return _run_sieve(g, head, step5(g, exact) if head[1] is None else None)[0]

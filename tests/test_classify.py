@@ -13,12 +13,14 @@ from isometry import is_isometric_subgraph
 from qec.bits import n_bits
 from qec.canon import CanonicalCert
 from qec.classify import (
+    Step5,
     Verdict,
     _class_masks,
     _isometric,
     _non_qe_table,
     _regular_join_split,
     _split_stack,
+    _step5_stack,
     _witness_stack,
     classify,
     classify_all,
@@ -27,11 +29,13 @@ from qec.classify import (
     sieve_trace,
 )
 from qec.cli import main
+from qec.embedding import embed, pendant_rule
 from qec.engine import is_cnd_exact, prime_stack, qec, qec_value
 from qec.errors import (
     BadParamsError,
     DisconnectedError,
     DisconnectedSubgraphError,
+    NotQEError,
     OrderTooLargeError,
 )
 from qec.graph6 import parse_graph6, to_graph6
@@ -352,6 +356,61 @@ def test_stacked_kernels_match_per_graph_reference():
     assert big_witness >= 40 and big_block >= 40, (big_witness, big_block)
 
 
+def _reference_step5(g):
+    """Step 5 of g by the per-graph reference, embedding every graph that has
+    no pendant lift, whatever its verdict."""
+    lift = per_graph.pendant_lift(g)
+    if lift is not None:
+        return Step5(True, lift)
+    d = distance_matrix(g)
+    return Step5(False, per_graph.verify_embedding(per_graph.gram_embedding(d)[1], d))
+
+
+def test_step5_kernel_matches_per_graph_reference():
+    """`_step5_stack` against the per-graph lift and embedding of
+    tests/per_graph.py on every class on 2..7 vertices: the pendant outcome
+    and the defect to the bit, on each order's stack, reversed and shuffled,
+    and on each graph as a stack of one; `embed` and `pendant_rule` (stacks
+    of one) against the reference too.  Every graph is rebuilt from its
+    mask, so no memo is shared."""
+    rng = random.Random(5)
+    lifts = 0
+    for n in range(2, 8):
+        stack = enumerate_connected(n)
+        want = [_reference_step5(from_mask(n, g.mask)) for g in stack]
+        for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
+                      rng.sample(range(len(stack)), len(stack))):
+            assert _step5_stack([from_mask(n, stack[k].mask) for k in order]) == \
+                [want[k] for k in order], n
+        for g, outcome in zip(stack, want):
+            assert _step5_stack([from_mask(n, g.mask)]) == [outcome]
+            assert pendant_rule(from_mask(n, g.mask)) == (0.0 if outcome.lifted else None)
+            if is_cnd_exact(from_mask(n, g.mask)):
+                got, ref = embed(from_mask(n, g.mask)), per_graph.embed(from_mask(n, g.mask))
+                assert got.dim == ref.dim and np.array_equal(got.coords, ref.coords)
+            else:
+                with pytest.raises(NotQEError):
+                    embed(from_mask(n, g.mask))
+        lifts += sum(outcome.lifted for outcome in want)
+    assert lifts == 1 + 2 + 10 + 52
+
+
+def test_step5_defects_separate_qe_from_non_qe():
+    """Step 5 calls a graph QE when its Gram embedding's defect is at most
+    1e-8, reading no exact verdict.  On every class with no pendant lift on
+    2..7 vertices the QE defects stay below 1e-13 and the non-QE ones above
+    0.02 (least 0.0849, 0.0574 and 0.0205 at n = 5, 6, 7)."""
+    for n in range(2, 8):
+        graphs = enumerate_connected(n)
+        outcomes = _step5_stack(graphs)
+        qe = [o.defect for g, o in zip(graphs, outcomes) if not o.lifted and is_cnd_exact(g)]
+        non_qe = [o.defect for g, o in zip(graphs, outcomes) if not is_cnd_exact(g)]
+        assert max(qe) <= 1e-13, n
+        assert not any(o.lifted for g, o in zip(graphs, outcomes) if not is_cnd_exact(g))
+        if n >= 5:
+            assert min(non_qe) >= 0.02, n
+
+
 def test_trace_prints_the_reference_sieve(capsys):
     for n in range(2, 7):
         for g in enumerate_connected(n):
@@ -553,6 +612,33 @@ def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     assert [d.shape for d in solved] == [(853, 7, 7)]
     assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}
     assert hash(tuple(second)) == hash(tuple(first)) and second == first
+
+
+def test_warm_sweep_decides_step5_in_two_eigensolves(monkeypatch):
+    """A warm classify_all(7) eliminates no matrix alone: the pendant
+    remainders of step 5 are verdict-table reads.  Its one stacked
+    elimination covers the 853 classes, and step 5 makes two eigensolves,
+    one over the 20 pendant remainders and one over the 144 other graphs
+    that reach it."""
+    classify_all(7)
+    engine, embedding = sys.modules["qec.engine"], sys.modules["qec.embedding"]
+    single, stacked, solved = [], [], []
+
+    def counted(fn, log):
+        return lambda *args: log.append(args[0]) or fn(*args)
+
+    monkeypatch.setattr(engine, "_psd_rank", counted(engine._psd_rank, single))
+    monkeypatch.setattr(embedding, "_psd_rank", counted(embedding._psd_rank, single))
+    stack = counted(engine._psd_rank_stack, stacked)
+    monkeypatch.setattr(engine, "_psd_rank_stack", stack)
+    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_rank_stack", stack)
+    monkeypatch.setattr(embedding, "jacobi_eigh", counted(embedding.jacobi_eigh, solved))
+    records, _ = classify_all(7)
+    monkeypatch.undo()
+    assert single == []
+    assert [d.shape for d in stacked] == [(853, 7, 7)]
+    assert [d.shape for d in solved] == [(20, 5, 5), (144, 7, 7)]
+    assert sum(r.sieve_step == "step5" for r in records) == 154
 
 
 def test_class_masks_are_read_only_and_graphs_fresh():
