@@ -19,6 +19,8 @@ End to end:
   enum7_op_warm           the same operation run again in that interpreter
 Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
+  graphs_from_masks_n7    enumerate_connected(7) again: the 853 graphs built
+                          from the cached class masks
   min_permuted_mask_n{7,8}_per_call
                           mean over 200 seeded random masks, table built first
   orbit_min_mark_n{7,8}_per_call
@@ -55,6 +57,9 @@ Layers:
                           (timed uncached, through __wrapped__, since the
                           witness layer has filled the cache); absent from
                           trees without the table
+  report_n7               the JSON report of `qec enumerate --n 7` from the
+                          records of classify_all(7): qec.cli._record_dict per
+                          record, then qec.cli._dump_json
   sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
                           it (step 5 or 6 in classify_all(7)): one
                           classify._step5_stack call where it exists, else
@@ -72,7 +77,9 @@ The witness, split, distance, value, exact, pendant and join layers run on
 graphs rebuilt from their masks, so no memo filled while picking them is reused.
 The witness and split layers prime their graphs with engine.prime_stack, as a
 sweep does, and time a second call, on fresh copies, after an untimed first
-call has built the verdict tables and subset indexes.
+call has built the verdict tables and subset indexes.  Where the stacked
+kernels take adjacency and distance stacks, they get the ones the priming
+built, as in a sweep; older trees pass graph lists.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -97,6 +105,25 @@ HERE = Path(__file__).resolve().parents[1]
 MASKS_PER_ORDER = 200
 
 
+def _prime_stack(engine, graphs):
+    """engine.prime_stack over graphs; returns their adjacency and distance
+    stacks where it takes the adjacency stack, else (older trees) None."""
+    if "adj" not in inspect.signature(engine.prime_stack).parameters:
+        engine.prime_stack(graphs)
+        return None
+    adj = numpy.stack([g.adj for g in graphs])
+    return adj, engine.prime_stack(graphs, adj)
+
+
+def _run_stacked(kernel, graphs, stacks):
+    """A stacked kernel over graphs, given their stacks where it takes them."""
+    if stacks is None:
+        return kernel(graphs)
+    if next(iter(inspect.signature(kernel).parameters)) == "graphs":
+        return kernel(graphs, *stacks)
+    return kernel(*stacks)
+
+
 def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
@@ -111,6 +138,9 @@ def _measure() -> dict[str, float]:
     t0 = time.perf_counter()
     masks = [g.mask for g in enumerate_connected(7)]
     out["enumerate_connected_n7"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    enumerate_connected(7)
+    out["graphs_from_masks_n7"] = time.perf_counter() - t0
     if len(masks) != 853:
         raise SystemExit(f"enumerate_connected(7) gave {len(masks)} classes")
     non_qe = [mask for mask in masks if not is_cnd_exact(from_mask(7, mask))]
@@ -135,10 +165,10 @@ def _measure() -> dict[str, float]:
                                   ("star_qe_split_n7", "split", 7, masks)):
         for timed in (False, True):
             graphs = [from_mask(n, mask) for mask in chosen]
-            engine.prime_stack(graphs)
+            stacks = _prime_stack(engine, graphs)
             t0 = time.perf_counter()
             if stacked[kind] is not None:
-                stacked[kind](graphs)
+                _run_stacked(stacked[kind], graphs, stacks)
             else:
                 for g in graphs:
                     per_graph[kind](g)
@@ -155,7 +185,7 @@ def _measure() -> dict[str, float]:
     graphs = [from_mask(7, mask) for mask in masks]
     t0 = time.perf_counter()
     if hasattr(engine, "prime_stack"):
-        engine.prime_stack(graphs)
+        _prime_stack(engine, graphs)
         values = [engine.qec_value(g) for g in graphs]
     else:
         values = [engine.qec(g).value for g in graphs]
@@ -187,18 +217,24 @@ def _measure() -> dict[str, float]:
         out["non_qe_table_k6"] = time.perf_counter() - t0
     for n in (5, 6, 7):
         t0 = time.perf_counter()
-        records = classify_all(n, workers=1)[0]
+        records, summary = classify_all(n, workers=1)
         out[f"classify_all_n{n}"] = time.perf_counter() - t0
+    cli = importlib.import_module("qec.cli")
+    t0 = time.perf_counter()
+    dicts = [cli._record_dict(r) for r in records]
+    cli._dump_json(cli._report("enumerate n=7", dicts, dict(zip(
+        ("qe", "non_primary", "primary"), summary))))
+    out["report_n7"] = time.perf_counter() - t0
     step5 = [r.graph.mask for r in records if r.sieve_step in ("step5", "step6")]
     if len(step5) != 164:
         raise SystemExit(f"{len(step5)} order-7 classes reach sieve step 5, expected 164")
     stacked_step5 = getattr(classify_module, "_step5_stack", None)
     for timed in (False, True):
         graphs = [from_mask(7, mask) for mask in step5]
-        engine.prime_stack(graphs)
+        stacks = _prime_stack(engine, graphs)
         t0 = time.perf_counter()
         if stacked_step5 is not None:
-            stacked_step5(graphs)
+            _run_stacked(stacked_step5, graphs, stacks)
         else:
             for g in graphs:
                 if pendant_rule(g) is None and is_cnd_exact(g):

@@ -72,6 +72,3 @@ def unpack_stack(n: int, masks) -> np.ndarray:
     adj[:, flat] = masks[:, None] >> shifts & 1
     return adj.reshape(len(masks), n, n)
 
-
-def unpack_adj(n: int, mask: int) -> np.ndarray:
-    return unpack_stack(n, [mask])[0]

@@ -51,6 +51,7 @@ from .graphs import (
     distance_matrix,
     distance_stack,
     find_pendant_edge,
+    _from_masks,
     from_mask,
     induced_subgraph,
     is_connected,
@@ -155,13 +156,11 @@ def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
     return qe
 
 
-def _witness_stack(graphs: Sequence[Graph]) -> list[Witness]:
-    """`non_qe_witness` of each graph of a stack of one order."""
-    if not graphs or graphs[0].n < 6:
-        return [None] * len(graphs)
-    n = graphs[0].n
-    adj = np.array([g.adj for g in graphs])
-    dist = np.array([distance_matrix(g) for g in graphs])
+def _witness_stack(adj: np.ndarray, dist: np.ndarray) -> list[Witness]:
+    """`non_qe_witness` of each graph of a stack (adjacency, distances) of one order."""
+    n = adj.shape[-1]
+    if not len(adj) or n < 6:
+        return [None] * len(adj)
     subsets = _witness_candidates(n)
     hit = _isometric(adj, dist, subsets, n_bits(n - 1))
     gi, si = np.nonzero(hit)
@@ -174,15 +173,15 @@ def non_qe_witness(g: Graph) -> Witness:
     """Least vertex set inducing a connected, isometric, non-QE proper
     subgraph, by size, then in `combinations` order; g is a stack of one.
     Sets of up to four vertices cannot work: those graphs are all QE."""
-    return _witness_stack([g])[0]
+    return _witness_stack(g.adj[None], distance_matrix(g)[None])[0]
 
 
-def _split_stack(graphs: Sequence[Graph]) -> list[Split]:
-    """Cut vertex splitting each graph of a stack of one order into two QE
-    parts, the least v, then the first component of g - v by least vertex:
-    (v, n1, n2).  Each part, one component of g - v or the rest, plus v, is
-    an isometric block: a walk that leaves it returns through v."""
-    count, n = len(graphs), graphs[0].n
+def _split_stack(adj: np.ndarray, dist: np.ndarray) -> list[Split]:
+    """Cut vertex splitting each graph of a stack (adjacency, distances) of one
+    order into two QE parts, the least v, then the first component of g - v by
+    least vertex: (v, n1, n2).  Each part, one component of g - v or the rest,
+    plus v, is an isometric block: a walk that leaves it returns through v."""
+    count, n = adj.shape[:2]
     one = 1 << np.arange(n)
     # reach[g, v, u]: the component of u in g - v as a bitset (for u = v, the
     # rest of g, led by no u), by Warshall's pass over the vertices w on one
@@ -190,7 +189,7 @@ def _split_stack(graphs: Sequence[Graph]) -> list[Split]:
     # product below carries, since every field value is below 2^width
     width = 8 if n <= 8 else 16
     field, full = np.dtype(f"<u{width // 8}"), (1 << width) - 1
-    start = (np.array([g.neighbor_masks() for g in graphs])[:, None, :] | one) & ~one[:, None]
+    start = ((adj @ one)[:, None, :] | one) & ~one[:, None]
     spread = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * n, "little")  # a (g, v)'s fields
     low = int.from_bytes(np.ones(start.size, field).tobytes(), "little")  # bit 0 of each field
     head = low // spread * full  # each (g, v)'s field 0
@@ -205,7 +204,6 @@ def _split_stack(graphs: Sequence[Graph]) -> list[Split]:
     if not len(gi):
         return [None] * count
     comp = reach[gi, vi, ui]
-    adj, dist = np.array([g.adj for g in graphs]), np.array([distance_matrix(g) for g in graphs])
     qe = _blocks_qe(adj, dist, np.tile(gi, 2), np.concatenate([comp | one[vi], ~comp & (1 << n) - 1]))
     hit[gi, vi, ui] = qe[:len(gi)] & qe[len(gi):]
     first = hit.reshape(count, -1).argmax(axis=1).tolist()
@@ -245,17 +243,21 @@ def _class_masks(n: int) -> np.ndarray:
     return out
 
 
+def _class_graphs(n: int) -> tuple[list[Graph], np.ndarray]:
+    """`enumerate_connected(n)` and the adjacency stack the graphs are views of."""
+    graphs, adj = _from_masks(n, _class_masks(n).tolist())
+    for g in graphs:
+        g._cert = CanonicalCert(n, g._mask)
+    return graphs, adj
+
+
 def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class, in
     certificate order: fresh graphs on every call, unpacked in one broadcast
     from the class masks that `_class_masks` enumerates once per process."""
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"enumeration supports 1..{ENUM_MAX_ORDER} vertices, got {n}")
-    masks = _class_masks(n).tolist()
-    graphs = [Graph(adj) for adj in unpack_stack(n, masks)]
-    for g, mask in zip(graphs, masks):
-        g._mask, g._cert = mask, CanonicalCert(n, mask)
-    return graphs
+    return _class_graphs(n)[0]
 
 
 @lru_cache(maxsize=None)
@@ -373,23 +375,22 @@ class Step5(NamedTuple):
     defect: float
 
 
-def _step5_stack(graphs: Sequence[Graph]) -> list[Step5]:
-    """Step 5 of each graph of a stack of one order, from no exact test of
-    the graph: graphs with a pendant witness (a, b, a', b') whose remainder
-    G - {a', b'} is QE, a `_blocks_qe` read of that isometric block, are
-    lifted in one stack (`_pendant_lifts`); every other graph gets its Gram
-    embedding in one more."""
+def _step5_stack(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
+    """Step 5 of each graph of a stack (graphs, adjacency, distances) of one
+    order, from no exact test of the graph: graphs with a pendant witness
+    (a, b, a', b') whose remainder G - {a', b'} is QE, a `_blocks_qe` read of
+    that isometric block, are lifted in one stack (`_pendant_lifts`); every
+    other graph gets its Gram embedding in one more."""
     if not graphs:
         return []
     n = graphs[0].n
-    dist = np.array([distance_matrix(g) for g in graphs])
     pendants = [find_pendant_edge(g) for g in graphs]
     at = np.array([i for i, p in enumerate(pendants) if p is not None], dtype=np.int64)
     lifted = np.zeros(len(graphs), dtype=bool)
     if len(at):
         rest = np.array([(1 << n) - 1 - (1 << pendants[i][2]) - (1 << pendants[i][3])
                          for i in at.tolist()], dtype=np.int64)
-        lifted[at] = _blocks_qe(np.array([g.adj for g in graphs]), dist, at, rest)
+        lifted[at] = _blocks_qe(adj, dist, at, rest)
     defects = np.empty(len(graphs))
     lift, other = np.flatnonzero(lifted), np.flatnonzero(~lifted)
     if len(lift):
@@ -442,13 +443,21 @@ def _sieve_head(g: Graph, exact: bool, witness: Witness, split: Split) -> Head:
     return steps, None
 
 
-def _sieve_inputs(graphs: Sequence[Graph], exact: Sequence[bool], witnesses: Sequence[Witness],
+def _sieve_inputs(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray,
+                  exact: Sequence[bool], witnesses: Sequence[Witness],
                   splits: Sequence[Split]) -> list[tuple[Head, Step5 | None]]:
-    """Steps 1-4 of each graph of a stack of one order, and the step-5
-    outcome of those they leave open, from one `_step5_stack`."""
+    """Steps 1-4 of each graph of a stack (graphs, adjacency, distances) of one
+    order, and the step-5 outcome of those they leave open, from one `_step5_stack`."""
     heads = [_sieve_head(*args) for args in zip(graphs, exact, witnesses, splits)]
-    outcomes = iter(_step5_stack([g for g, (_, verdict) in zip(graphs, heads) if verdict is None]))
+    at = [i for i, (_, verdict) in enumerate(heads) if verdict is None]
+    outcomes = iter(_step5_stack([graphs[i] for i in at], adj[at], dist[at]))
     return [(head, None if head[1] is not None else next(outcomes)) for head in heads]
+
+
+def _sieve_of_one(g: Graph, exact: bool, witness: Witness) -> tuple[Head, Step5 | None]:
+    """`_sieve_inputs` of g alone, a stack of one."""
+    adj, dist = g.adj[None], distance_matrix(g)[None]
+    return _sieve_inputs([g], adj, dist, [exact], [witness], _split_stack(adj, dist))[0]
 
 
 def _run_sieve(g: Graph, head: Head, step5: Step5 | None):
@@ -482,7 +491,7 @@ def sieve_trace(g: Graph) -> list[tuple[str, str]]:
         raise DisconnectedError("sieve requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _run_sieve(g, *_sieve_inputs([g], [exact], [witness], _split_stack([g]))[0])[0]
+    return _run_sieve(g, *_sieve_of_one(g, exact, witness))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,31 +537,30 @@ def classify(g: Graph) -> ClassificationRecord:
         raise DisconnectedError("classification requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    sieve = None
-    if g.n <= ENUM_MAX_ORDER:
-        sieve = _sieve_inputs([g], [exact], [witness], _split_stack([g]))[0]
+    sieve = _sieve_of_one(g, exact, witness) if g.n <= ENUM_MAX_ORDER else None
     return _record(g, exact, witness, sieve)
 
 
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; records in certificate
-    order.  The graphs go through each layer as one stack: one batched BFS,
-    eigensolve and exact elimination (`prime_stack`), one witness search over
-    the non-QE graphs, one star-split search over all and one step 5 over
-    those that reach it.  `workers` must be 1: the sweep runs in this
-    process."""
+    order.  The graphs, views of one adjacency stack, go through each layer
+    as one stack: one batched BFS, eigensolve and exact elimination
+    (`prime_stack`), whose distance stack each later kernel reads with the
+    adjacency, one witness search over the non-QE graphs, one star-split
+    search over all and one step 5 over those that reach it.  `workers` must
+    be 1: the sweep runs in this process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
-    graphs = enumerate_connected(n)
-    prime_stack(graphs)
+    graphs, adj = _class_graphs(n)
+    dist = prime_stack(graphs, adj)
     exact = [is_cnd_exact(g) for g in graphs]
-    found = iter(_witness_stack([g for g, psd in zip(graphs, exact) if not psd]))
+    non_qe = [i for i, psd in enumerate(exact) if not psd]
+    found = iter(_witness_stack(adj[non_qe], dist[non_qe]))
     witnesses = [None if psd else next(found) for psd in exact]
-    sieves = _sieve_inputs(graphs, exact, witnesses, _split_stack(graphs))
+    sieves = _sieve_inputs(graphs, adj, dist, exact, witnesses, _split_stack(adj, dist))
     records = [_record(*args) for args in zip(graphs, exact, witnesses, sieves)]
-    records.sort(key=lambda r: r.cert)
     summary = Summary(
         qe=sum(r.verdict is Verdict.QE for r in records),
         non_primary=sum(r.verdict is Verdict.NON_QE_NON_PRIMARY for r in records),

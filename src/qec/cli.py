@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .classify import (
@@ -115,8 +115,44 @@ def _report(input_desc: str, records: list[dict], summary: dict | None = None) -
     }
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's text of each scalar type; bool ahead of int for isinstance
+_JSON_SCALARS = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
+                 int: int.__repr__, type(None): lambda v: "null",
+                 float: lambda v: _JSON_FLOATS.get(text := float.__repr__(v), text)}
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": "), indent=1)
+    """`json.dumps(payload, sort_keys=True, separators=(", ", ": "), indent=1)`,
+    byte for byte, without json's pure-Python indenting encoder."""
+    return _json_text(payload, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """json's text of `value` on a line that `newline` starts; an item whose
+    type is a key of _JSON_SCALARS is written without a call of its own."""
+    inner = newline + " "
+    if isinstance(value, dict):
+        items = [(encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
+                 + (write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner))
+                 for key, item in sorted(value.items())]
+        return "{" + inner + (", " + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+                 for item in value]
+        return "[" + inner + (", " + inner).join(items) + newline + "]" if items else "[]"
+    for kind, write in _JSON_SCALARS.items():  # subclasses, and scalars at the top
+        if isinstance(value, kind):
+            return write(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """json's text of a dict key that is not exactly a str."""
+    for kind, write in _JSON_SCALARS.items():
+        if isinstance(key, kind):
+            return encode_basestring_ascii(key if kind is str else write(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _csv_row(rec: dict) -> list[str]:

@@ -67,16 +67,17 @@ def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(0.5 * (m + m.transpose(0, 2, 1)))
 
 
-def prime_stack(graphs: Sequence[Graph]) -> None:
+def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> np.ndarray:
     """Fill the bitset, distance, eigenvalue and exact-test memos of connected
-    graphs of one order n >= 2 with one product, one batched BFS, one batched
-    eigensolve and one stacked elimination (`_psd_rank_stack`)."""
-    adj = np.stack([g.adj for g in graphs])
+    graphs of one order n >= 2 from their adjacency stack with one product,
+    one batched BFS, one batched eigensolve and one stacked elimination
+    (`_psd_rank_stack`); returns the distance stack, which the memos view."""
     rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
     dist = distance_stack(adj)
     tops = _projected_eigh(dist)[0][:, 0].tolist()
     for g, r, d, top, psd in zip(graphs, rows, dist, tops, _psd_rank_stack(dist)):
         g._rows, g._dist, g._top, g._psd = tuple(r), d, top, psd
+    return dist
 
 
 def qec_value(g: Graph) -> float:

@@ -24,6 +24,8 @@ from .errors import (
 from .graphs import MAX_ORDER, Graph, from_mask
 
 _HEADER = ">>graph6<<"
+# a payload byte's six bits, reversed: mask bit 6k + b is bit 5 - b of byte k
+_REV6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -52,32 +54,19 @@ def parse_graph6(text: str) -> Graph:
         raise TrailingGarbageError(f"{len(body) - need} extra bytes after payload")
     mask = 0
     for k, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
+        if not 63 <= ord(ch) < 127:
             raise BadLengthError(f"invalid payload byte {ch!r}")
-        for b in range(6):
-            t = 6 * k + b
-            bit = (val >> (5 - b)) & 1
-            if t < nbits:
-                mask |= bit << t
-            elif bit:
-                raise TrailingGarbageError("nonzero padding bits")
+        mask |= _REV6[ord(ch) - 63] << 6 * k
+    if mask >> nbits:
+        raise TrailingGarbageError("nonzero padding bits")
     return from_mask(n, mask)
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph; parse_graph6(to_graph6(g)) reproduces g exactly."""
-    nbits = n_bits(g.n)
     mask = g.mask
-    out = [chr(63 + g.n)]
-    for k in range((nbits + 5) // 6):
-        val = 0
-        for b in range(6):
-            t = 6 * k + b
-            if t < nbits and (mask >> t) & 1:
-                val |= 1 << (5 - b)
-        out.append(chr(63 + val))
-    return "".join(out)
+    return chr(63 + g.n) + "".join([chr(63 + _REV6[mask >> t & 63])
+                                    for t in range(0, n_bits(g.n), 6)])
 
 
 @dataclass(frozen=True)
@@ -94,11 +83,14 @@ class Catalog:
     entries: list[CatalogEntry]
     warnings: list[str] = field(default_factory=list)
 
-    def by_cert(self) -> dict[CanonicalCert, str]:
-        index: dict[CanonicalCert, str] = {}
+    def __post_init__(self):
+        self._by_cert: dict[CanonicalCert, str] = {}
         for e in self.entries:
-            index.setdefault(e.cert, e.id)
-        return index
+            self._by_cert.setdefault(e.cert, e.id)
+
+    def by_cert(self) -> dict[CanonicalCert, str]:
+        """Certificate -> id of its first entry, indexed once, on construction."""
+        return self._by_cert
 
 
 def load_catalog(path) -> Catalog:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bits import n_bits, pack_mask, pair_list, unpack_adj
+from .bits import n_bits, pack_mask, pair_list, unpack_stack
 from .errors import (
     BadParamsError,
     BadRootError,
@@ -33,6 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
+    # qec.engine sets _psd, (psd, rank), and _top, the top eigenvalue of Q^T D Q
     __slots__ = ("n", "adj", "_mask", "_rows", "_cert", "_dist", "_psd", "_top")
 
     def __init__(self, adj: np.ndarray):
@@ -48,14 +49,12 @@ class Graph:
         if raw != adj.T.tobytes():
             raise BadParamsError("adjacency matrix must be symmetric")
         adj.setflags(write=False)
-        self.n = n
-        self.adj = adj
-        self._mask: int | None = None
-        self._rows: tuple[int, ...] | None = None
-        self._cert = None
-        self._dist: np.ndarray | None = None
-        self._psd: tuple[bool, int] | None = None  # (psd, rank), set by qec.engine
-        self._top: float | None = None  # top eigenvalue of Q^T D Q, set by qec.engine
+        self._set(adj, None)
+
+    def _set(self, adj: np.ndarray, mask: int | None) -> None:
+        """Take a checked read-only `adj`, its mask if known, and empty memos."""
+        self.n, self.adj, self._mask = adj.shape[0], adj, mask
+        self._rows = self._cert = self._dist = self._psd = self._top = None
 
     @property
     def mask(self) -> int:
@@ -65,7 +64,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.adj)) // 2
+        return self.mask.bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for (i, j) in pair_list(self.n) if self.adj[i, j]]
@@ -108,12 +107,24 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adj)
 
 
+def _from_masks(n: int, masks: list[int]) -> tuple[list[Graph], np.ndarray]:
+    """Graphs of packed masks on n vertices and their read-only (N, n, n)
+    adjacency stack, one `unpack_stack`, of which they are views: no copy and
+    none of the constructor's checks, which an unpacked mask passes."""
+    adj = unpack_stack(n, masks)
+    adj.setflags(write=False)
+    graphs = [Graph.__new__(Graph) for _ in masks]
+    for g, view, mask in zip(graphs, adj, masks):
+        g._set(view, mask)
+    return graphs, adj
+
+
 def from_mask(n: int, mask: int) -> Graph:
     if mask < 0 or mask >> n_bits(n):
         raise BadParamsError(f"mask {mask} does not fit order {n}")
-    g = Graph(unpack_adj(n, mask))
-    g._mask = mask
-    return g
+    if n < 1 or n > MAX_ORDER:
+        raise OrderTooLargeError(f"order {n} outside supported range 1..{MAX_ORDER}")
+    return _from_masks(n, [int(mask)])[0][0]
 
 
 def _reach(rows: Sequence[int], reach: int) -> int:

@@ -10,7 +10,7 @@ import per_graph
 from aliases import known_graphs
 from constructions import add_apex, is_isomorphic
 from isometry import is_isometric_subgraph
-from qec.bits import n_bits
+from qec.bits import n_bits, pack_mask
 from qec.canon import CanonicalCert
 from qec.classify import (
     Step5,
@@ -40,6 +40,7 @@ from qec.errors import (
 )
 from qec.graph6 import parse_graph6, to_graph6
 from qec.graphs import (
+    Graph,
     build_family,
     complete,
     compose,
@@ -310,6 +311,12 @@ def _primary_with_tree(rng, primary, n):
     return from_edges(n, [(label[i], label[j]) for i, j in edges])
 
 
+def stacked(graphs):
+    """Adjacency and distance stacks of graphs of one order, as the stacked
+    kernels take them."""
+    return np.array([g.adj for g in graphs]), np.array([distance_matrix(g) for g in graphs])
+
+
 def kernel_stacks():
     """Every class on 2..7 vertices, one stack per order, then seeded stacks
     on 8, 9 and 10 vertices: G(n, p) graphs with p in 0.3..0.9, graphs glued
@@ -346,11 +353,11 @@ def test_stacked_kernels_match_per_graph_reference():
         for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
                       rng.sample(range(len(stack)), len(stack))):
             again = [from_mask(n, stack[k].mask) for k in order]
-            assert _witness_stack(again) == [witnesses[k] for k in order], n
-            assert _split_stack(again) == [splits[k] for k in order], n
+            assert _witness_stack(*stacked(again)) == [witnesses[k] for k in order], n
+            assert _split_stack(*stacked(again)) == [splits[k] for k in order], n
         for g, witness, split in zip(stack, witnesses, splits):
             assert non_qe_witness(from_mask(n, g.mask)) == witness
-            assert _split_stack([from_mask(n, g.mask)]) == [split]
+            assert _split_stack(*stacked([from_mask(n, g.mask)])) == [split]
         big_witness += sum(w is not None and len(w) >= 7 for w in witnesses)
         big_block += sum(s is not None and max(s[1:]) >= 7 for s in splits)
     assert big_witness >= 40 and big_block >= 40, (big_witness, big_block)
@@ -380,10 +387,11 @@ def test_step5_kernel_matches_per_graph_reference():
         want = [_reference_step5(from_mask(n, g.mask)) for g in stack]
         for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
                       rng.sample(range(len(stack)), len(stack))):
-            assert _step5_stack([from_mask(n, stack[k].mask) for k in order]) == \
-                [want[k] for k in order], n
+            again = [from_mask(n, stack[k].mask) for k in order]
+            assert _step5_stack(again, *stacked(again)) == [want[k] for k in order], n
         for g, outcome in zip(stack, want):
-            assert _step5_stack([from_mask(n, g.mask)]) == [outcome]
+            one = [from_mask(n, g.mask)]
+            assert _step5_stack(one, *stacked(one)) == [outcome]
             assert pendant_rule(from_mask(n, g.mask)) == (0.0 if outcome.lifted else None)
             if is_cnd_exact(from_mask(n, g.mask)):
                 got, ref = embed(from_mask(n, g.mask)), per_graph.embed(from_mask(n, g.mask))
@@ -402,7 +410,7 @@ def test_step5_defects_separate_qe_from_non_qe():
     0.02 (least 0.0849, 0.0574 and 0.0205 at n = 5, 6, 7)."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        outcomes = _step5_stack(graphs)
+        outcomes = _step5_stack(graphs, *stacked(graphs))
         qe = [o.defect for g, o in zip(graphs, outcomes) if not o.lifted and is_cnd_exact(g)]
         non_qe = [o.defect for g, o in zip(graphs, outcomes) if not is_cnd_exact(g)]
         assert max(qe) <= 1e-13, n
@@ -649,7 +657,7 @@ def test_class_masks_are_read_only_and_graphs_fresh():
             masks[0] = 1
         assert np.array_equal(masks, _class_masks.__wrapped__(n)), n
     graphs = enumerate_connected(6)
-    prime_stack(graphs)
+    prime_stack(graphs, np.array([g.adj for g in graphs]))
     values = [qec_value(g) for g in graphs]
     for g in graphs:  # spoil every memo
         g._dist = np.zeros((6, 6), dtype=np.int64)
@@ -662,3 +670,11 @@ def test_class_masks_are_read_only_and_graphs_fresh():
         assert g._cert == CanonicalCert(6, g.mask)
     assert [g.mask for g in again] == _class_masks(6).tolist()
     assert [qec_value(g) for g in again] == values
+    for n in range(1, 8):  # every invariant the constructor checks, unchecked here
+        for g in enumerate_connected(n):
+            assert g.adj.dtype == bool and g.adj.shape == (n, n) and not g.adj.flags.writeable
+            with pytest.raises(ValueError):
+                g.adj[0, 0] = True
+            assert np.array_equal(g.adj, g.adj.T) and not g.adj.diagonal().any()
+            assert pack_mask(g.adj) == g.mask and g == Graph(g.adj)
+            assert g.edge_count == np.count_nonzero(g.adj) // 2

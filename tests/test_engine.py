@@ -201,7 +201,7 @@ def test_stacked_values_against_eigvalsh():
 
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        prime_stack(graphs)
+        prime_stack(graphs, np.array([g.adj for g in graphs]))
         diff = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
         q = np.linalg.qr(diff)[0]
         for g in graphs:
@@ -219,7 +219,7 @@ def test_stacked_values_equal_unbatched_solves_bitwise():
     do not depend on how the sweep is stacked."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        prime_stack(graphs)
+        prime_stack(graphs, np.array([g.adj for g in graphs]))
         q = _hyperplane_basis(n)
         for g in graphs:
             m = q.T @ g._dist.astype(float) @ q

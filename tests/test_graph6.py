@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +14,12 @@ from qec.errors import (
     BadLengthError,
     CatalogParseError,
     OrderTooLargeError,
+    QecError,
     TrailingGarbageError,
 )
-from qec.graph6 import identify, load_catalog, parse_graph6, to_graph6
+from qec.graph6 import Catalog, CatalogEntry, identify, load_catalog, parse_graph6, to_graph6
 from qec.graphs import (
+    MAX_ORDER,
     build_family,
     complete,
     cycle,
@@ -24,6 +28,93 @@ from qec.graphs import (
     multipartite,
     path,
 )
+
+
+def reference_parse_graph6(text):
+    """graph6 decoding bit by bit: the reference for the table-driven codec."""
+    record = text.strip()
+    if record.startswith(">>graph6<<"):
+        record = record[len(">>graph6<<"):]
+    if not record:
+        raise BadLengthError("empty graph6 record")
+    first = ord(record[0])
+    if first == 126:
+        raise OrderTooLargeError("multi-byte order encoding")
+    if not 63 <= first <= 125:
+        raise BadHeaderError("invalid order byte")
+    n = first - 63
+    if n < 1:
+        raise BadHeaderError("zero vertices")
+    if n > MAX_ORDER:
+        raise OrderTooLargeError("order too large")
+    body = record[1:]
+    nbits = n_bits(n)
+    need = (nbits + 5) // 6
+    if len(body) < need:
+        raise BadLengthError("short payload")
+    if len(body) > need:
+        raise TrailingGarbageError("extra bytes")
+    mask = 0
+    for k, ch in enumerate(body):
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise BadLengthError("invalid payload byte")
+        for b in range(6):
+            t = 6 * k + b
+            bit = (val >> (5 - b)) & 1
+            if t < nbits:
+                mask |= bit << t
+            elif bit:
+                raise TrailingGarbageError("nonzero padding bits")
+    return from_mask(n, mask)
+
+
+def reference_to_graph6(g):
+    """graph6 encoding bit by bit: the reference for the table-driven codec."""
+    nbits = n_bits(g.n)
+    out = [chr(63 + g.n)]
+    for k in range((nbits + 5) // 6):
+        val = 0
+        for b in range(6):
+            t = 6 * k + b
+            if t < nbits and (g.mask >> t) & 1:
+                val |= 1 << (5 - b)
+        out.append(chr(63 + val))
+    return "".join(out)
+
+
+def test_codec_matches_bit_by_bit_reference():
+    """Every mask on up to 5 vertices and 300 seeded random masks on each of
+    6..10 vertices encode and decode as the bit-by-bit reference does; every
+    nonzero padding pattern is rejected by both."""
+    rng = random.Random(66)
+    cases = [(n, mask) for n in range(1, 6) for mask in range(1 << n_bits(n))]
+    cases += [(n, rng.getrandbits(n_bits(n))) for n in range(6, 11) for _ in range(300)]
+    for n, mask in cases:
+        g = from_mask(n, mask)
+        text = to_graph6(g)
+        assert text == reference_to_graph6(g), (n, mask)
+        assert parse_graph6(text) == reference_parse_graph6(text) == g
+    for n in range(2, 11):
+        text = to_graph6(from_mask(n, (1 << n_bits(n)) - 1))
+        for pad in range(1, 1 << (-n_bits(n) % 6)):
+            bad = text[:-1] + chr(ord(text[-1]) + pad)
+            for parse in (parse_graph6, reference_parse_graph6):
+                with pytest.raises(TrailingGarbageError):
+                    parse(bad)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except QecError as exc:
+        return type(exc)
+
+
+@given(st.integers(55, 130), st.text(st.characters(min_codepoint=55, max_codepoint=135), max_size=9))
+def test_parse_errors_match_reference(order, body):
+    text = chr(order) + body
+    assert _parse_outcome(parse_graph6, text) == _parse_outcome(reference_parse_graph6, text)
 
 
 def test_parse_hand_encoded_records():
@@ -93,6 +184,21 @@ def test_identify_small_graph_not_in_six_vertex_catalog(tmp_path):
     f.write_text("G6-19 EhEG\n", encoding="ascii")
     catalog = load_catalog(f)
     assert identify(build_family(complete(3)), catalog) is None
+
+
+def test_catalog_indexes_once_first_id_wins():
+    """`by_cert` is built once per catalog, the same mapping on every call,
+    and a repeated certificate keeps its first id."""
+    c6, k3 = build_family(cycle(6)), build_family(complete(3))
+    entries = [CatalogEntry(ident, to_graph6(g), canonical_cert(g))
+               for ident, g in (("A", c6), ("B", k3), ("C", relabel(c6, [2, 4, 0, 5, 1, 3])))]
+    catalog = Catalog(entries)
+    index = catalog.by_cert()
+    assert index == {canonical_cert(c6): "A", canonical_cert(k3): "B"}
+    assert catalog.by_cert() is index
+    assert identify(relabel(c6, [5, 4, 3, 2, 1, 0]), catalog) == "A"
+    assert identify(k3, catalog) == "B"
+    assert identify(build_family(complete(4)), catalog) is None
 
 
 def test_catalog_parse_error_line_number(tmp_path):

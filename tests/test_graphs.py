@@ -19,6 +19,7 @@ from qec.errors import (
 )
 from qec.graphs import (
     FamilySpec,
+    Graph,
     build_family,
     complement,
     complete,
@@ -81,6 +82,20 @@ def test_from_mask_keeps_its_mask(monkeypatch):
         graphs.append(g)
     monkeypatch.undo()
     assert [pack_mask(g.adj) for g in graphs] == [mask for _, mask in cases]
+
+
+def test_from_mask_checks_order_and_mask_and_builds_read_only_graphs():
+    for n, mask in ((0, 0), (11, 0), (12, 1)):
+        with pytest.raises(OrderTooLargeError):
+            from_mask(n, mask)
+    for n, mask in ((3, 8), (3, -1), (1, 1)):
+        with pytest.raises(BadParamsError):
+            from_mask(n, mask)
+    rng = random.Random(9)
+    for n in range(1, 11):
+        g = from_mask(n, rng.getrandbits(n_bits(n)))
+        assert not g.adj.flags.writeable and g.adj.shape == (n, n)
+        assert g == Graph(g.adj) and g.edge_count == np.count_nonzero(g.adj) // 2
 
 
 def test_pickle_rebuilds_read_only_without_caches():

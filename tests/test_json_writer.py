@@ -1,0 +1,115 @@
+"""The report writer `qec.cli._dump_json` against the json module.
+
+The writer must give exactly the bytes of
+`json.dumps(payload, sort_keys=True, separators=(", ", ": "), indent=1)`,
+and raise TypeError wherever that call does.
+"""
+
+import contextlib
+import io
+import json
+import math
+from enum import Enum, IntEnum
+
+from hypothesis import given, strategies as st
+
+import qec.cli
+from qec.classify import enumerate_connected
+from qec.cli import _dump_json, main
+from qec.graph6 import to_graph6
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True, separators=(", ", ": "), indent=1)
+
+
+class Tag(str, Enum):
+    PLAIN = "QE"
+    ESCAPED = 'é "\\\n\x00 '
+
+
+class Level(IntEnum):
+    LOW = -3
+    HIGH = 1 << 70
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(1 << 200), 1 << 200), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), st.text(),
+    st.characters(max_codepoint=0x1F), st.sampled_from(list(Tag)), st.sampled_from(list(Level)),
+    st.builds(Name, st.text()), st.builds(Count, st.integers()), st.builds(Ratio, st.floats()),
+)
+# keys json writes, each dict's keys of one comparable kind
+STR_KEYS = st.one_of(st.text(), st.sampled_from(list(Tag)), st.builds(Name, st.text()))
+NUMBER_KEYS = st.one_of(st.integers(-(1 << 70), 1 << 70), st.floats(), st.booleans(),
+                        st.sampled_from(list(Level)))
+# values json cannot write, and keys it rejects or cannot sort
+UNWRITABLE = st.one_of(st.builds(object), st.frozensets(st.integers(), max_size=2),
+                       st.binary(max_size=2), st.complex_numbers(max_magnitude=4))
+TUPLE_KEYS = st.tuples(st.integers(0, 2))
+ANY_KEYS = st.one_of(STR_KEYS, NUMBER_KEYS, st.none(), TUPLE_KEYS)
+
+
+def payloads(leaves, key_kinds):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        *(st.dictionaries(keys, inner, max_size=4) for keys in key_kinds)), max_leaves=24)
+
+
+def outcome(write, payload):
+    try:
+        return write(payload)
+    except TypeError:
+        return TypeError
+
+
+def test_writer_special_values():
+    payload = {"a": [-0.0, math.nan, math.inf, -math.inf, 1e300, 2 ** 80, True, False, None],
+               "b": {}, "c": [], "d": [[], {}, [{}]], "é": Tag.ESCAPED, "n": Level.HIGH}
+    assert _dump_json(payload) == dumps(payload)
+    assert '"a": [\n  -0.0, \n  NaN, \n  Infinity, \n  -Infinity' in _dump_json(payload)
+    for bad in ({(0,): 1}, {"a": 1, 2: 3}, [{"a": {1j}}]):
+        assert outcome(_dump_json, bad) is outcome(dumps, bad) is TypeError
+
+
+@given(payloads(SCALARS, (STR_KEYS, NUMBER_KEYS, st.none())))
+def test_writer_equals_json_dumps(payload):
+    assert _dump_json(payload) == dumps(payload)
+
+
+@given(payloads(SCALARS | UNWRITABLE, (STR_KEYS, ANY_KEYS, TUPLE_KEYS)))
+def test_writer_raises_type_error_where_json_does(payload):
+    assert outcome(_dump_json, payload) == outcome(dumps, payload)
+
+
+def test_cli_json_reports_equal_json_dumps(monkeypatch):
+    """`compute --json --exact` and `classify --json` of every class on 2..6
+    vertices print exactly json.dumps of the payload the writer was given."""
+    payloads_seen = []
+
+    def recorded(payload):
+        payloads_seen.append(payload)
+        return _dump_json(payload)
+
+    monkeypatch.setattr(qec.cli, "_dump_json", recorded)
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for argv in (["compute", to_graph6(g), "--json", "--exact"],
+                         ["classify", to_graph6(g), "--json"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                assert out.getvalue() == dumps(payloads_seen[-1]) + "\n", argv
+    assert len(payloads_seen) == 2 * (1 + 2 + 6 + 21 + 112)
