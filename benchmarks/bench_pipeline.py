@@ -47,7 +47,10 @@ Layers:
   exact_tests_n7          (psd, rank) of the 853 order-7 distance matrices, BFS
                           excluded: one engine._psd_rank_stack call where it
                           exists, else engine._psd_rank per matrix
-  find_pendant_edge_n7    graphs.find_pendant_edge over the 853 order-7 classes
+  find_pendant_edge_n7    the pendant search over the 853 order-7 classes: one
+                          graphs.pendant_stack call over their adjacency
+                          stack where it exists, else graphs.find_pendant_edge
+                          per graph
   regular_join_split_n7   classify._regular_join_split over the same classes;
                           both with neighbor_masks() filled first, as
                           prime_stack fills it in a sweep
@@ -67,6 +70,13 @@ Layers:
                           the exact-QE graphs, per graph; timed after the
                           classify_all rows, on primed fresh graphs, after an
                           untimed call
+  sieve_n7                sieve steps 1-6 and the records of the 853 order-7
+                          classes, from the stacked inputs of a sweep (graphs,
+                          adjacency, distances, exact verdicts, witnesses and
+                          star splits, built untimed): one classify._run_sieve
+                          and one classify._records call where they take
+                          stacks, else classify._sieve_inputs and
+                          classify._record per graph; after an untimed call
 Single graphs, each the mean over its graphs of the best of 9 calls, every
 call on a graph rebuilt from its mask (so it pays its BFS and exact test):
   classify_per_graph      classify over 200 seeded random connected graphs on
@@ -112,7 +122,8 @@ def _prime_stack(engine, graphs):
         engine.prime_stack(graphs)
         return None
     adj = numpy.stack([g.adj for g in graphs])
-    return adj, engine.prime_stack(graphs, adj)
+    primed = engine.prime_stack(graphs, adj)  # the distance stack, first where a tuple
+    return adj, primed[0] if isinstance(primed, tuple) else primed
 
 
 def _run_stacked(kernel, graphs, stacks):
@@ -122,6 +133,30 @@ def _run_stacked(kernel, graphs, stacks):
     if next(iter(inspect.signature(kernel).parameters)) == "graphs":
         return kernel(graphs, *stacks)
     return kernel(*stacks)
+
+
+def _time_sieve(classify, engine) -> float | None:
+    """Seconds of sieve steps 1-6 and the records over the order-7 classes,
+    from a sweep's stacked inputs built untimed; None in trees whose sweep
+    has neither the stacked sieve nor `_sieve_inputs`."""
+    if not hasattr(classify, "_records") and not hasattr(classify, "_sieve_inputs"):
+        return None
+    graphs, adj = classify._class_graphs(7)
+    primed = engine.prime_stack(graphs, adj)
+    dist = primed[0] if isinstance(primed, tuple) else primed
+    exact = numpy.array([engine.is_cnd_exact(g) for g in graphs])
+    found = iter(classify._witness_stack(adj[~exact], dist[~exact]))
+    witnesses = [None if psd else next(found) for psd in exact.tolist()]
+    splits = classify._split_stack(adj, dist)
+    if hasattr(classify, "_records"):
+        t0 = time.perf_counter()
+        sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
+        classify._records(graphs, [g._cert for g in graphs], exact, witnesses, primed[2], sieve)
+        return time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sieves = classify._sieve_inputs(graphs, adj, dist, exact.tolist(), witnesses, splits)
+    [classify._record(*args) for args in zip(graphs, exact.tolist(), witnesses, sieves)]
+    return time.perf_counter() - t0
 
 
 def _measure() -> dict[str, float]:
@@ -206,9 +241,13 @@ def _measure() -> dict[str, float]:
         graphs = [from_mask(7, mask) for mask in masks]
         for g in graphs:
             g.neighbor_masks()
+        adj = numpy.stack([g.adj for g in graphs])
         t0 = time.perf_counter()
-        for g in graphs:
-            layer(g)
+        if name == "find_pendant_edge_n7" and hasattr(graphs_module, "pendant_stack"):
+            graphs_module.pendant_stack(adj)
+        else:
+            for g in graphs:
+                layer(g)
         out[name] = time.perf_counter() - t0
     table = getattr(classify_module, "_non_qe_table", None)
     if table is not None:
@@ -241,6 +280,10 @@ def _measure() -> dict[str, float]:
                     verify_embedding(embed(g), graphs_module.distance_matrix(g))
         if timed:
             out["sieve_step5_n7"] = time.perf_counter() - t0
+    for timed in (False, True):
+        sieve_s = _time_sieve(classify_module, engine)
+        if timed and sieve_s is not None:
+            out["sieve_n7"] = sieve_s
     rng = random.Random(57)
     picks: dict[str, list[tuple[int, int]]] = {"classify": [], "embed": []}
     while len(picks["embed"]) < 200:

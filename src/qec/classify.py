@@ -2,12 +2,15 @@
 
 The authoritative verdict is always the exact integer test; a non-QE graph
 is *primary* when no proper isometrically embedded connected induced
-subgraph is non-QE.  `sieve_trace` replays a six-step decision pipeline
-(products, witnesses, families, regular joins, embeddings, direct
-computation) and reports the first rule that decides a graph; `classify`
-checks that its verdict agrees, and that QEC > 0 exactly for non-QE graphs.
-The witness search, the star split and step 5 are stacked kernels: a sweep
-runs each once, a single graph as a stack of one.
+subgraph is non-QE.  The sieve, a six-step decision pipeline (products,
+witnesses, families, regular joins, embeddings, direct computation), gives
+every graph of a stack its deciding step and verdict in one pass
+(`_run_sieve`); `sieve_trace` writes one graph's steps from what decided
+it.  `classify` and `classify_all` build their records from the stacked
+arrays and check over the whole stack that the sieve agrees with the exact
+verdict, and that QEC > 0 exactly for non-QE graphs.  The witness search,
+the star split, step 5 and the sieve are stacked: a sweep runs each once,
+a single graph as a stack of one.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ from .graphs import (
     compose,
     distance_matrix,
     distance_stack,
-    find_pendant_edge,
     _from_masks,
     from_mask,
     induced_subgraph,
     is_connected,
+    pendant_stack,
     set_bits,
 )
 
@@ -108,13 +111,13 @@ def _subset_pairs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _witness_candidates(n: int) -> np.ndarray:
-    """Bitsets of the sets of 5..n-1 vertices by size, then in `combinations`
-    order."""
-    bits = np.array([sum(1 << v for v in s) for size in range(5, n)
-                     for s in combinations(range(n), size)], dtype=np.int16)
+def _witness_candidates(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The sets of 5..n-1 vertices by size, then in `combinations` order: as
+    read-only bitsets, and as the vertex tuples a witness search returns."""
+    sets = tuple(s for size in range(5, n) for s in combinations(range(n), size))
+    bits = np.array([sum(1 << v for v in s) for s in sets], dtype=np.int16)
     bits.setflags(write=False)
-    return bits
+    return bits, sets
 
 
 def _isometric(adj: np.ndarray, dist: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
@@ -161,12 +164,12 @@ def _witness_stack(adj: np.ndarray, dist: np.ndarray) -> list[Witness]:
     n = adj.shape[-1]
     if not len(adj) or n < 6:
         return [None] * len(adj)
-    subsets = _witness_candidates(n)
+    subsets, sets = _witness_candidates(n)
     hit = _isometric(adj, dist, subsets, n_bits(n - 1))
     gi, si = np.nonzero(hit)
     hit[gi, si] = ~_blocks_qe(adj, dist, gi, subsets[si])
-    first = subsets[hit.argmax(axis=1)].tolist()
-    return [tuple(set_bits(s)) if any_ else None for s, any_ in zip(first, hit.any(axis=1))]
+    first = hit.argmax(axis=1).tolist()
+    return [sets[s] if any_ else None for s, any_ in zip(first, hit.any(axis=1).tolist())]
 
 
 def non_qe_witness(g: Graph) -> Witness:
@@ -282,8 +285,8 @@ def _non_qe_table(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
-    """Certificates of Cartesian products of two smaller QE graphs, whose
-    verdicts are `_non_qe_table` reads."""
+    """Certificates, ascending, of Cartesian products of two smaller QE
+    graphs, whose verdicts are `_non_qe_table` reads."""
     found: dict[CanonicalCert, tuple[int, int]] = {}
     for a in range(2, n):
         if n % a or a > n // a:
@@ -295,12 +298,13 @@ def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
             for g2 in right:
                 prod = compose("cartesian", g1, g2)
                 found.setdefault(canonical_cert(prod), (a, b))
-    return found
+    return dict(sorted(found.items()))
 
 
 @lru_cache(maxsize=None)
 def _family_index(n: int) -> dict[CanonicalCert, FamilySpec]:
-    """Certificate -> family spec for every closed-form family on n vertices."""
+    """Certificate -> family spec for every closed-form family on n vertices,
+    certificates ascending."""
     index: dict[CanonicalCert, FamilySpec] = {}
 
     def put(spec: FamilySpec) -> None:
@@ -318,7 +322,7 @@ def _family_index(n: int) -> dict[CanonicalCert, FamilySpec]:
         put(FamilySpec("wedge", (n - 1, m)))
     if n >= 5:
         put(FamilySpec("knp4", (n,)))
-    return index
+    return dict(sorted(index.items()))
 
 
 def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -375,157 +379,159 @@ class Step5(NamedTuple):
     defect: float
 
 
-def _step5_stack(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
-    """Step 5 of each graph of a stack (graphs, adjacency, distances) of one
-    order, from no exact test of the graph: graphs with a pendant witness
-    (a, b, a', b') whose remainder G - {a', b'} is QE, a `_blocks_qe` read of
-    that isometric block, are lifted in one stack (`_pendant_lifts`); every
-    other graph gets its Gram embedding in one more."""
-    if not graphs:
+def _step5_stack(adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
+    """Step 5 of each graph of a stack (adjacency, distances) of one order,
+    from no exact test of the graph: graphs with a pendant witness
+    (a, b, a', b') (`pendant_stack`) whose remainder G - {a', b'} is QE, a
+    `_blocks_qe` read of that isometric block, are lifted in one stack
+    (`_pendant_lifts`); every other graph gets its Gram embedding in one more."""
+    if not len(adj):
         return []
-    n = graphs[0].n
-    pendants = [find_pendant_edge(g) for g in graphs]
-    at = np.array([i for i, p in enumerate(pendants) if p is not None], dtype=np.int64)
-    lifted = np.zeros(len(graphs), dtype=bool)
+    n = adj.shape[-1]
+    pendants = pendant_stack(adj)
+    at = np.flatnonzero(pendants[:, 0] >= 0)
+    lifted = np.zeros(len(adj), dtype=bool)
     if len(at):
-        rest = np.array([(1 << n) - 1 - (1 << pendants[i][2]) - (1 << pendants[i][3])
-                         for i in at.tolist()], dtype=np.int64)
-        lifted[at] = _blocks_qe(adj, dist, at, rest)
-    defects = np.empty(len(graphs))
+        lifted[at] = _blocks_qe(adj, dist, at, (1 << n) - 1 - (1 << pendants[at, 2]) - (1 << pendants[at, 3]))
+    defects = np.empty(len(adj))
     lift, other = np.flatnonzero(lifted), np.flatnonzero(~lifted)
     if len(lift):
-        defects[lift] = _pendant_lifts(dist[lift], [pendants[i] for i in lift.tolist()])
+        defects[lift] = _pendant_lifts(dist[lift], pendants[lift])
     if len(other):
         defects[other] = _gram_defects(dist[other])
     return [Step5(*outcome) for outcome in zip(lifted.tolist(), defects.tolist())]
 
 
-Head = tuple[list[tuple[str, str]], Verdict | None]  # steps 1-4 and their verdict
+VERDICTS = tuple(Verdict)  # a stack's verdicts index it: QE 0, primary 1, non-primary 2
+_PASSED = ("not a nontrivial product of QE graphs", "no isometric non-QE proper subgraph",
+           "no closed-form family match", "not a join of two regular graphs",
+           "no pendant edge, no embedding")  # the trace of the steps before the deciding one
 
 
-def _sieve_head(g: Graph, exact: bool, witness: Witness, split: Split) -> Head:
-    """Steps 1-4 of the sieve, given g's exact verdict (read only by the
-    boundary labels of steps 3 and 4), witness and star split: the steps
-    taken and the verdict, None when none of them decides."""
-    steps: list[tuple[str, str]] = []
+class Sieve(NamedTuple):
+    """Each graph's deciding step (1-6) and verdict (into VERDICTS), and by graph
+    what decided it past a star split or witness: cartesian factor orders,
+    family spec and value, join part orders and value, step-5 outcome or QEC."""
 
-    if split is not None:
-        v, n1, n2 = split
-        steps.append(("step1", f"star product of QE factors ({n1}+{n2} glued at {v}) -> QE"))
-        return steps, Verdict.QE
-    cart = _qe_cartesian_products(g.n).get(canonical_cert(g))
-    if cart is not None:
-        steps.append(("step1", f"cartesian product of QE factors ({cart[0]}x{cart[1]}) -> QE"))
-        return steps, Verdict.QE
-    steps.append(("step1", "not a nontrivial product of QE graphs"))
+    step: np.ndarray
+    verdict: np.ndarray
+    detail: dict[int, object]
 
-    if witness is not None:
-        steps.append(("step2", f"isometric non-QE subgraph on {set(witness)} -> non-QE, non-primary"))
-        return steps, Verdict.NON_QE_NON_PRIMARY
-    steps.append(("step2", "no isometric non-QE proper subgraph"))
 
-    spec = _family_index(g.n).get(canonical_cert(g))
-    if spec is not None:
+def _cert_hits(index: dict[CanonicalCert, object], certs: np.ndarray, todo: np.ndarray) -> dict:
+    """Graph -> entry of `index` (certificates ascending) at its certificate
+    bits, over the graphs `todo`: one search, with 2^62 above every mask."""
+    if not index or not len(todo):
+        return {}
+    bits = np.array([cert.bits for cert in index] + [1 << 62])
+    at = np.searchsorted(bits, certs[todo])
+    hit = bits[at] == certs[todo]
+    entries = list(index.values())
+    return {i: entries[k] for i, k in zip(todo[hit].tolist(), at[hit].tolist())}
+
+
+def _run_sieve(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, certs: np.ndarray,
+               exact: np.ndarray, witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
+    """The sieve over a stack (graphs, adjacency, distances) of one order, given
+    their certificate bits, exact verdicts (read only by the boundary labels of
+    steps 3 and 4), witnesses and star splits.  Steps 1-4 decide the stack at
+    once (star split, QE cartesian product, witness, family, regular join);
+    one `_step5_stack` embeds the rest, and step 6 reads their `qec_value`."""
+    n = adj.shape[-1]
+    step = np.where([split is None for split in splits], 0, 1)
+    verdict = np.zeros(len(step), dtype=np.int64)
+    detail: dict[int, object] = _cert_hits(_qe_cartesian_products(n), certs, np.flatnonzero(step == 0))
+    step[list(detail)] = 1
+    witnessed = (step == 0) & [witness is not None for witness in witnesses]
+    step[witnessed], verdict[witnessed] = 2, 2
+    if step.all():  # a stack decided by its splits and witnesses
+        return Sieve(step, verdict, detail)
+    for i, spec in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
         value = formula_value(spec)
-        verdict, label = _sign_verdict(value, exact)
-        steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
-        return steps, verdict
-    steps.append(("step3", "no closed-form family match"))
-
-    join = _regular_join_split(g)
-    if join is not None:
-        g1, g2 = join
-        value = qec_join_regular(g1, g2)
-        verdict, label = _sign_verdict(value, exact)
-        steps.append(("step4", f"join of regular parts ({g1.n}+{g2.n}), formula {value:.12g} -> {label}"))
-        return steps, verdict
-    steps.append(("step4", "not a join of two regular graphs"))
-    return steps, None
-
-
-def _sieve_inputs(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray,
-                  exact: Sequence[bool], witnesses: Sequence[Witness],
-                  splits: Sequence[Split]) -> list[tuple[Head, Step5 | None]]:
-    """Steps 1-4 of each graph of a stack (graphs, adjacency, distances) of one
-    order, and the step-5 outcome of those they leave open, from one `_step5_stack`."""
-    heads = [_sieve_head(*args) for args in zip(graphs, exact, witnesses, splits)]
-    at = [i for i, (_, verdict) in enumerate(heads) if verdict is None]
-    outcomes = iter(_step5_stack([graphs[i] for i in at], adj[at], dist[at]))
-    return [(head, None if head[1] is not None else next(outcomes)) for head in heads]
+        step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
+    # step 4 splits only graphs whose complement (squared, with loops, to reach) is disconnected
+    todo = np.flatnonzero(step == 0)
+    reach = ~adj[todo]
+    for _ in range(n.bit_length() if len(todo) else 0):
+        reach = reach @ reach
+    for i in todo[~reach[:, 0].all(axis=1)].tolist():
+        join = _regular_join_split(graphs[i])
+        if join is not None:
+            value = qec_join_regular(*join)
+            verdict[i] = VERDICTS.index(_sign_verdict(value, exact[i])[0])
+            step[i], detail[i] = 4, (join[0].n, join[1].n, value)
+    todo = np.flatnonzero(step == 0)
+    for i, outcome in zip(todo.tolist(), _step5_stack(adj[todo], dist[todo])):
+        if outcome.lifted or outcome.defect <= DEFECT_TOL:
+            step[i], detail[i] = 5, outcome
+        else:  # decided by the number alone; step 2 has ruled out a witness, so non-QE here is primary
+            value = qec_value(graphs[i])
+            step[i], verdict[i], detail[i] = 6, value > BOUNDARY_TOL, value
+    return Sieve(step, verdict, detail)
 
 
-def _sieve_of_one(g: Graph, exact: bool, witness: Witness) -> tuple[Head, Step5 | None]:
-    """`_sieve_inputs` of g alone, a stack of one."""
+def _sieve_of_one(g: Graph, exact: bool, witness: Witness) -> tuple[Split, Sieve]:
+    """g's star split and `_run_sieve` of g alone, a stack of one."""
     adj, dist = g.adj[None], distance_matrix(g)[None]
-    return _sieve_inputs([g], adj, dist, [exact], [witness], _split_stack(adj, dist))[0]
-
-
-def _run_sieve(g: Graph, head: Head, step5: Step5 | None):
-    """(steps, verdict, deciding step) of g from its steps 1-4 and, when they
-    leave it open, its step-5 outcome (`_sieve_inputs`)."""
-    steps, verdict = head
-    if verdict is not None:
-        return steps, verdict, steps[-1][0]
-    steps = list(steps)
-    if step5.lifted:
-        steps.append(("step5", "pendant edge: lifted embedding verified, QEC = 0 -> QE"))
-        return steps, Verdict.QE, "step5"
-    if step5.defect <= DEFECT_TOL:
-        steps.append(("step5", f"explicit embedding constructed (defect {step5.defect:.3g}) -> QE"))
-        return steps, Verdict.QE, "step5"
-    steps.append(("step5", "no pendant edge, no embedding"))
-
-    # decided by the number alone; step 2 has ruled out a witness, so
-    # non-QE here is primary
-    value = qec_value(g)
-    verdict = Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
-    steps.append(("step6", f"direct computation: QEC = {value:.12g} -> {verdict.value}"))
-    return steps, verdict, "step6"
+    splits = _split_stack(adj, dist)
+    return splits[0], _run_sieve([g], adj, dist, np.array([canonical_cert(g).bits]),
+                                 np.array([exact]), [witness], splits)
 
 
 def sieve_trace(g: Graph) -> list[tuple[str, str]]:
-    """Replay the decision pipeline; the last entry is the deciding rule."""
+    """Replay the decision pipeline; the last entry is the deciding rule,
+    written from what decided it, after the steps it passed."""
     if not 2 <= g.n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"sieve supports 2..{ENUM_MAX_ORDER} vertices, got {g.n}")
     if not is_connected(g):
         raise DisconnectedError("sieve requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    return _run_sieve(g, *_sieve_of_one(g, exact, witness))[0]
+    split, sieve = _sieve_of_one(g, exact, witness)
+    step, info = int(sieve.step[0]), sieve.detail.get(0)
+    if split is not None:
+        text = f"star product of QE factors ({split[1]}+{split[2]} glued at {split[0]}) -> QE"
+    elif step == 1:
+        text = f"cartesian product of QE factors ({info[0]}x{info[1]}) -> QE"
+    elif step == 2:
+        text = f"isometric non-QE subgraph on {set(witness)} -> non-QE, non-primary"
+    elif step == 3:
+        text = f"matches family {info[0]}, closed form {info[1]:.12g} -> {_sign_verdict(info[1], exact)[1]}"
+    elif step == 4:
+        text = (f"join of regular parts ({info[0]}+{info[1]}), formula {info[2]:.12g} -> "
+                f"{_sign_verdict(info[2], exact)[1]}")
+    elif step == 5 and info.lifted:
+        text = "pendant edge: lifted embedding verified, QEC = 0 -> QE"
+    elif step == 5:
+        text = f"explicit embedding constructed (defect {info.defect:.3g}) -> QE"
+    else:
+        text = f"direct computation: QEC = {info:.12g} -> {VERDICTS[sieve.verdict[0]].value}"
+    return [(f"step{k}", passed) for k, passed in enumerate(_PASSED[:step - 1], 1)] + [(f"step{step}", text)]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def _record(g: Graph, exact: bool, witness: Witness,
-            sieve: tuple[Head, Step5 | None] | None) -> ClassificationRecord:
-    """g's record from its exact verdict, witness and, up to ENUM_MAX_ORDER
-    vertices, sieve inputs (`_sieve_inputs`); checks the sieve and the sign
-    of QEC against the exact verdict."""
-    if exact:
-        verdict = Verdict.QE
-    elif witness is not None:
-        verdict = Verdict.NON_QE_NON_PRIMARY
-    else:
-        verdict = Verdict.NON_QE_PRIMARY
-    step = None
-    if sieve is not None:
-        _, sieve_verdict, step = _run_sieve(g, *sieve)
-        if sieve_verdict != verdict:
-            raise AssertionError(
-                f"sieve verdict {sieve_verdict} disagrees with exact verdict {verdict}")
-    value = qec_value(g)
-    if (value > 0) != (verdict is not Verdict.QE):
-        raise AssertionError(f"QEC {value!r} contradicts exact verdict {verdict}")
-    return ClassificationRecord(
-        graph=g,
-        cert=canonical_cert(g),
-        qec_value=value,
-        verdict=verdict,
-        witness=witness,
-        sieve_step=step,
-    )
+def _records(graphs: Sequence[Graph], certs: Sequence[CanonicalCert], exact: np.ndarray,
+             witnesses: Sequence[Witness], values: np.ndarray,
+             sieve: Sieve | None) -> list[ClassificationRecord]:
+    """Records of a stack from its certificates, exact verdicts, witnesses,
+    QEC values and, up to ENUM_MAX_ORDER vertices, sieve; checks the sieve
+    and the sign of QEC against the exact verdicts over the whole stack and
+    raises AssertionError at the first graph that breaks either."""
+    verdict = np.where(exact, 0, np.where([w is not None for w in witnesses], 2, 1))
+    if sieve is not None and (sieve.verdict != verdict).any():
+        i = int((sieve.verdict != verdict).argmax())
+        raise AssertionError(f"sieve verdict {VERDICTS[sieve.verdict[i]].value} disagrees with "
+                             f"exact verdict {VERDICTS[verdict[i]].value} of {certs[i]}")
+    if ((values > 0) != (verdict != 0)).any():
+        i = int(((values > 0) != (verdict != 0)).argmax())
+        raise AssertionError(f"QEC {values.tolist()[i]!r} contradicts exact verdict "
+                             f"{VERDICTS[verdict[i]].value} of {certs[i]}")
+    steps = [None] * len(graphs) if sieve is None else [f"step{k}" for k in sieve.step.tolist()]
+    return [ClassificationRecord(*fields) for fields in zip(
+        graphs, certs, values.tolist(), [VERDICTS[v] for v in verdict.tolist()], witnesses, steps)]
 
 
 def classify(g: Graph) -> ClassificationRecord:
@@ -537,8 +543,9 @@ def classify(g: Graph) -> ClassificationRecord:
         raise DisconnectedError("classification requires a connected graph")
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    sieve = _sieve_of_one(g, exact, witness) if g.n <= ENUM_MAX_ORDER else None
-    return _record(g, exact, witness, sieve)
+    sieve = _sieve_of_one(g, exact, witness)[1] if g.n <= ENUM_MAX_ORDER else None
+    return _records([g], [canonical_cert(g)], np.array([exact]), [witness],
+                    np.array([qec_value(g)]), sieve)[0]
 
 
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
@@ -547,25 +554,21 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord
     as one stack: one batched BFS, eigensolve and exact elimination
     (`prime_stack`), whose distance stack each later kernel reads with the
     adjacency, one witness search over the non-QE graphs, one star-split
-    search over all and one step 5 over those that reach it.  `workers` must
-    be 1: the sweep runs in this process."""
+    search and one sieve (`_run_sieve`) over all, keyed by the class masks,
+    and one check of the records.  `workers` must be 1: the sweep runs in
+    this process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     graphs, adj = _class_graphs(n)
-    dist = prime_stack(graphs, adj)
-    exact = [is_cnd_exact(g) for g in graphs]
-    non_qe = [i for i, psd in enumerate(exact) if not psd]
-    found = iter(_witness_stack(adj[non_qe], dist[non_qe]))
-    witnesses = [None if psd else next(found) for psd in exact]
-    sieves = _sieve_inputs(graphs, adj, dist, exact, witnesses, _split_stack(adj, dist))
-    records = [_record(*args) for args in zip(graphs, exact, witnesses, sieves)]
-    summary = Summary(
-        qe=sum(r.verdict is Verdict.QE for r in records),
-        non_primary=sum(r.verdict is Verdict.NON_QE_NON_PRIMARY for r in records),
-        primary=sum(r.verdict is Verdict.NON_QE_PRIMARY for r in records),
-    )
+    dist, exact, values = prime_stack(graphs, adj)
+    found = iter(_witness_stack(adj[~exact], dist[~exact]))
+    witnesses = [None if psd else next(found) for psd in exact.tolist()]
+    sieve = _run_sieve(graphs, adj, dist, _class_masks(n), exact, witnesses, _split_stack(adj, dist))
+    records = _records(graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
+    counts = np.bincount(sieve.verdict, minlength=len(VERDICTS))  # the exact verdicts, checked
+    summary = Summary(qe=int(counts[0]), non_primary=int(counts[2]), primary=int(counts[1]))
     return records, summary
 
 

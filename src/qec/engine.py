@@ -67,17 +67,20 @@ def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return jacobi_eigh(0.5 * (m + m.transpose(0, 2, 1)))
 
 
-def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> np.ndarray:
+def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill the bitset, distance, eigenvalue and exact-test memos of connected
     graphs of one order n >= 2 from their adjacency stack with one product,
     one batched BFS, one batched eigensolve and one stacked elimination
-    (`_psd_rank_stack`); returns the distance stack, which the memos view."""
+    (`_psd_rank_stack`); returns the distance stack, which the memos view,
+    the exact verdicts and the `qec_value`s, read from the same memos."""
     rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
     dist = distance_stack(adj)
-    tops = _projected_eigh(dist)[0][:, 0].tolist()
-    for g, r, d, top, psd in zip(graphs, rows, dist, tops, _psd_rank_stack(dist)):
+    tops = _projected_eigh(dist)[0][:, 0]
+    exact = _psd_rank_stack(dist)
+    for g, r, d, top, psd in zip(graphs, rows, dist, tops.tolist(), exact):
         g._rows, g._dist, g._top, g._psd = tuple(r), d, top, psd
-    return dist
+    psd, rank = np.array(exact, dtype=np.int64).reshape(-1, 2).T
+    return dist, psd == 1, np.where(psd & (rank < adj.shape[-1] - 1), 0.0, tops)
 
 
 def qec_value(g: Graph) -> float:

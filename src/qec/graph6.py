@@ -117,7 +117,7 @@ def load_catalog(path) -> Catalog:
                 raise CatalogParseError(lineno, f"expected 'id g6' or 'g6', got {len(tokens)} fields")
             try:
                 g = parse_graph6(g6)
-            except Graph6Error as exc:
+            except (Graph6Error, OrderTooLargeError) as exc:
                 raise CatalogParseError(lineno, f"bad graph6 record {g6!r}: {exc}") from exc
             if ident is None:
                 ident = f"G{g.n}-{lineno}"

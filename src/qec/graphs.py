@@ -385,15 +385,28 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> Graph:
     return Graph(g.adj[np.ix_(idx, idx)])
 
 
+def pendant_stack(adj: np.ndarray) -> np.ndarray:
+    """`find_pendant_edge` of each graph of a stack (N, n, n) of adjacency
+    matrices: rows (a, b, a', b'), or -1s where there is none.  A witness is
+    fixed by a' of degree 2 and the neighbour a of it: b' is its other
+    neighbour and b that of b'; the least key (a, b, a') wins."""
+    count, n = adj.shape[:2]
+    rows, deg2 = adj @ (1 << np.arange(n)), adj.sum(axis=2) == 2
+    low = rows & -rows
+    # a[g, a', k]: neighbour k of a' (frexp's exponent of 2^v is v + 1; of 0, 0)
+    a = np.frexp(np.stack([low, rows ^ low], axis=2))[1] - 1
+    g, ap, bp = np.arange(count)[:, None, None], np.arange(n)[:, None], a[..., ::-1]
+    b = np.frexp(rows[g, bp] & ~(1 << ap))[1] - 1
+    key = np.where(deg2[:, :, None] & deg2[g, bp] & adj[g, a, b], (a * n + b) * n + ap, n ** 3)
+    key, bp = key.reshape(count, 2 * n), bp.reshape(count, 2 * n)
+    first = np.arange(count), key.argmin(axis=1)
+    best = key[first]  # n^3: no witness
+    out = np.stack([best // (n * n), best // n % n, best % n, bp[first]], axis=1)
+    return np.where(best[:, None] < n ** 3, out, -1)
+
+
 def find_pendant_edge(g: Graph) -> tuple[int, int, int, int] | None:
-    """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2,
-    by walks over the adjacency bitsets."""
-    rows = g.neighbor_masks()
-    deg2 = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 2)
-    for a, row in enumerate(rows):
-        for b in set_bits(row) if row & deg2 else ():
-            for ap in set_bits(row & deg2 & ~(1 << b)):
-                far = rows[ap] & rows[b] & deg2 & ~(1 << a)  # a' has one other neighbour
-                if far:
-                    return (a, b, ap, far.bit_length() - 1)
-    return None
+    """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2;
+    g is a stack of one."""
+    witness = pendant_stack(g.adj[None])[0].tolist()
+    return None if witness[0] < 0 else tuple(witness)

@@ -1,5 +1,6 @@
-"""Per-graph witness search, star split and sieve step 5: the reference
-for the stacked kernels of `qec.classify` and `qec.embedding`.
+"""Per-graph witness search, star split, pendant search and sieve: the
+reference for the stacked kernels of `qec.classify`, `qec.graphs` and
+`qec.embedding`.
 
 Each search walks one graph's vertex subsets in Python, the order the
 kernels must reproduce: witnesses by size, then in `combinations` order;
@@ -8,7 +9,8 @@ below seven vertices read the library's verdict tables (checked against a
 numpy oracle in `test_classify.py`); larger ones are eliminated alone.
 Step 5 embeds one graph at a time: a pendant remainder is built as an
 induced subgraph with its own BFS and exact test, and a graph is embedded
-when its exact verdict says QE.
+when its exact verdict says QE.  The sieve decides one graph at a time by
+certificate-dict lookups and writes every step's text as it goes.
 """
 
 from __future__ import annotations
@@ -20,15 +22,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qec.bits import pair_list
-from qec.classify import ENUM_MAX_ORDER, Step5, _non_qe_table, _run_sieve, _sieve_head
-from qec.embedding import RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, is_cnd_exact
+from qec.canon import canonical_cert
+from qec.classify import (
+    BOUNDARY_TOL,
+    ENUM_MAX_ORDER,
+    Step5,
+    Verdict,
+    _family_index,
+    _non_qe_table,
+    _qe_cartesian_products,
+    _regular_join_split,
+    _sign_verdict,
+)
+from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
+from qec.engine import _psd_rank, is_cnd_exact, qec_value
 from qec.errors import NotQEError
+from qec.formulas import formula_value, qec_join_regular
 from qec.graphs import (
     Graph,
     component_masks,
     distance_matrix,
-    find_pendant_edge,
     induced_subgraph,
     set_bits,
 )
@@ -86,6 +99,20 @@ def star_qe_split(g: Graph) -> tuple[int, int, int] | None:
             side, other = set_bits(comp | cut), set_bits(every & ~comp)
             if qe_slice(d, rows, side) and qe_slice(d, rows, other):
                 return (v, len(side), len(other))
+    return None
+
+
+def find_pendant_edge(g: Graph) -> tuple[int, int, int, int] | None:
+    """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2,
+    by walks over the adjacency bitsets."""
+    rows = g.neighbor_masks()
+    deg2 = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 2)
+    for a, row in enumerate(rows):
+        for b in set_bits(row) if row & deg2 else ():
+            for ap in set_bits(row & deg2 & ~(1 << b)):
+                far = rows[ap] & rows[b] & deg2 & ~(1 << a)  # a' has one other neighbour
+                if far:
+                    return (a, b, ap, far.bit_length() - 1)
     return None
 
 
@@ -167,9 +194,71 @@ def step5(g: Graph, exact: bool) -> Step5:
     return Step5(False, math.inf)
 
 
-def sieve_trace(g: Graph) -> list[tuple[str, str]]:
-    """The sieve's steps, with the witness, split and step 5 found per graph."""
+Head = tuple[list[tuple[str, str]], Verdict | None]  # steps 1-4 and their verdict
+
+
+def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
+    """Steps 1-4 of the sieve, given g's exact verdict (read only by the
+    boundary labels of steps 3 and 4), witness and star split: the steps
+    taken and the verdict, None when none of them decides."""
+    steps: list[tuple[str, str]] = []
+
+    if split is not None:
+        v, n1, n2 = split
+        steps.append(("step1", f"star product of QE factors ({n1}+{n2} glued at {v}) -> QE"))
+        return steps, Verdict.QE
+    cart = _qe_cartesian_products(g.n).get(canonical_cert(g))
+    if cart is not None:
+        steps.append(("step1", f"cartesian product of QE factors ({cart[0]}x{cart[1]}) -> QE"))
+        return steps, Verdict.QE
+    steps.append(("step1", "not a nontrivial product of QE graphs"))
+
+    if witness is not None:
+        steps.append(("step2", f"isometric non-QE subgraph on {set(witness)} -> non-QE, non-primary"))
+        return steps, Verdict.NON_QE_NON_PRIMARY
+    steps.append(("step2", "no isometric non-QE proper subgraph"))
+
+    spec = _family_index(g.n).get(canonical_cert(g))
+    if spec is not None:
+        value = formula_value(spec)
+        verdict, label = _sign_verdict(value, exact)
+        steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
+        return steps, verdict
+    steps.append(("step3", "no closed-form family match"))
+
+    join = _regular_join_split(g)
+    if join is not None:
+        g1, g2 = join
+        value = qec_join_regular(g1, g2)
+        verdict, label = _sign_verdict(value, exact)
+        steps.append(("step4", f"join of regular parts ({g1.n}+{g2.n}), formula {value:.12g} -> {label}"))
+        return steps, verdict
+    steps.append(("step4", "not a join of two regular graphs"))
+    return steps, None
+
+
+def sieve(g: Graph) -> tuple[list[tuple[str, str]], Verdict, str]:
+    """(steps, verdict, deciding step) of g, with the witness, split and
+    step 5 found per graph."""
     exact = is_cnd_exact(g)
     witness = None if exact else non_qe_witness(g)
-    head = _sieve_head(g, exact, witness, star_qe_split(g))
-    return _run_sieve(g, head, step5(g, exact) if head[1] is None else None)[0]
+    steps, verdict = sieve_head(g, exact, witness, star_qe_split(g))
+    if verdict is not None:
+        return steps, verdict, steps[-1][0]
+    outcome = step5(g, exact)
+    if outcome.lifted:
+        steps.append(("step5", "pendant edge: lifted embedding verified, QEC = 0 -> QE"))
+        return steps, Verdict.QE, "step5"
+    if outcome.defect <= DEFECT_TOL:
+        steps.append(("step5", f"explicit embedding constructed (defect {outcome.defect:.3g}) -> QE"))
+        return steps, Verdict.QE, "step5"
+    steps.append(("step5", "no pendant edge, no embedding"))
+    value = qec_value(g)
+    verdict = Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
+    steps.append(("step6", f"direct computation: QEC = {value:.12g} -> {verdict.value}"))
+    return steps, verdict, "step6"
+
+
+def sieve_trace(g: Graph) -> list[tuple[str, str]]:
+    """The sieve's steps, with the witness, split and step 5 found per graph."""
+    return sieve(g)[0]

@@ -11,14 +11,16 @@ from aliases import known_graphs
 from constructions import add_apex, is_isomorphic
 from isometry import is_isometric_subgraph
 from qec.bits import n_bits, pack_mask
-from qec.canon import CanonicalCert
+from qec.canon import CanonicalCert, canonical_cert
 from qec.classify import (
+    VERDICTS,
     Step5,
     Verdict,
     _class_masks,
     _isometric,
     _non_qe_table,
     _regular_join_split,
+    _run_sieve,
     _split_stack,
     _step5_stack,
     _witness_stack,
@@ -388,10 +390,10 @@ def test_step5_kernel_matches_per_graph_reference():
         for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
                       rng.sample(range(len(stack)), len(stack))):
             again = [from_mask(n, stack[k].mask) for k in order]
-            assert _step5_stack(again, *stacked(again)) == [want[k] for k in order], n
+            assert _step5_stack(*stacked(again)) == [want[k] for k in order], n
         for g, outcome in zip(stack, want):
             one = [from_mask(n, g.mask)]
-            assert _step5_stack(one, *stacked(one)) == [outcome]
+            assert _step5_stack(*stacked(one)) == [outcome]
             assert pendant_rule(from_mask(n, g.mask)) == (0.0 if outcome.lifted else None)
             if is_cnd_exact(from_mask(n, g.mask)):
                 got, ref = embed(from_mask(n, g.mask)), per_graph.embed(from_mask(n, g.mask))
@@ -410,7 +412,7 @@ def test_step5_defects_separate_qe_from_non_qe():
     0.02 (least 0.0849, 0.0574 and 0.0205 at n = 5, 6, 7)."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        outcomes = _step5_stack(graphs, *stacked(graphs))
+        outcomes = _step5_stack(*stacked(graphs))
         qe = [o.defect for g, o in zip(graphs, outcomes) if not o.lifted and is_cnd_exact(g)]
         non_qe = [o.defect for g, o in zip(graphs, outcomes) if not is_cnd_exact(g)]
         assert max(qe) <= 1e-13, n
@@ -420,12 +422,66 @@ def test_step5_defects_separate_qe_from_non_qe():
 
 
 def test_trace_prints_the_reference_sieve(capsys):
-    for n in range(2, 7):
+    for n in range(2, 8):
         for g in enumerate_connected(n):
             assert main(["trace", to_graph6(g)]) == 0
             want = [f"{step}: {outcome}" for step, outcome
                     in per_graph.sieve_trace(from_mask(n, g.mask))]
             assert capsys.readouterr().out.splitlines() == want, to_graph6(g)
+
+
+def _random_connected(rng, n):
+    """A G(n, p) graph, p uniform in 0.2..0.9, drawn until connected; its
+    labels are those of the draw, not canonical ones."""
+    while True:
+        p = rng.uniform(0.2, 0.9)
+        g = from_mask(n, sum(1 << t for t in range(n_bits(n)) if rng.random() < p))
+        if is_connected(g):
+            return g
+
+
+def test_stacked_sieve_matches_per_graph_reference():
+    """`_run_sieve` over a stack against the per-graph sieve of
+    tests/per_graph.py, which looks certificates up in dicts and finds the
+    witness, split and step 5 per graph: the deciding step and the verdict of
+    every class on 2..7 vertices, one stack per order keyed by the class
+    masks, and of 200 seeded random connected graphs on each of 4..7
+    vertices, keyed by their certificates, as a stack and reversed."""
+    rng = random.Random(15)
+    stacks = [(enumerate_connected(n), _class_masks(n)) for n in range(2, 8)]
+    for n in range(4, 8):
+        graphs = [_random_connected(rng, n) for _ in range(200)]
+        stacks.append((graphs, np.array([canonical_cert(g).bits for g in graphs])))
+    seen = set()
+    for graphs, certs in stacks:
+        n = graphs[0].n
+        want = [per_graph.sieve(from_mask(n, g.mask))[1:] for g in graphs]
+        for order in (list(range(len(graphs))), list(range(len(graphs)))[::-1]):
+            again = [from_mask(n, graphs[k].mask) for k in order]
+            adj, dist = stacked(again)
+            exact = np.array([is_cnd_exact(g) for g in again])
+            witnesses = [None if e else w for e, w in zip(exact, _witness_stack(adj, dist))]
+            sieve = _run_sieve(again, adj, dist, certs[order], exact, witnesses, _split_stack(adj, dist))
+            got = [(VERDICTS[v], f"step{k}") for v, k in zip(sieve.verdict.tolist(), sieve.step.tolist())]
+            assert got == [want[k] for k in order], n
+        seen.update(step for _, step in want)
+    assert seen == {f"step{k}" for k in range(1, 7)}
+
+
+def test_sweep_raises_when_the_sieve_disagrees(monkeypatch):
+    """The sweep checks the sieve against the exact verdicts: with every step-5
+    outcome turned into a verified pendant lift, the primaries that step 6
+    decides come out QE, and classify_all raises, naming the first of them."""
+    first = next(r for r in classify_all(6)[0] if r.sieve_step == "step6")
+    module = sys.modules["qec.classify"]
+    step5 = module._step5_stack
+    monkeypatch.setattr(module, "_step5_stack",
+                        lambda adj, dist: [Step5(True, 0.0) for _ in step5(adj, dist)])
+    with pytest.raises(AssertionError, match=f"sieve verdict QE disagrees with exact verdict "
+                                             f"NonQePrimary of {first.cert}"):
+        classify_all(6)
+    with pytest.raises(AssertionError, match="sieve verdict QE disagrees"):
+        classify_all(7)
 
 
 def test_five_vertex_primary_values():

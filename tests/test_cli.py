@@ -133,6 +133,14 @@ def test_identify(tmp_path, capsys):
     assert out.strip() == "unknown"
 
 
+def test_identify_catalog_with_over_large_order_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "catalog.g6"
+    f.write_text("A Bw\nB J????????????\n", encoding="ascii")
+    code, out, err = run(capsys, "identify", "C~", "--catalog", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: bad graph6 record 'J????????????': order 11 exceeds supported maximum 10\n"
+
+
 def test_trace(capsys):
     code, out, _ = run(capsys, "trace", to_graph6(build_family(cycle(6))))
     assert code == 0

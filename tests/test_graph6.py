@@ -209,6 +209,16 @@ def test_catalog_parse_error_line_number(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("record", ["J????????????", "~??~"])
+def test_catalog_over_large_order_names_its_line(tmp_path, record):
+    f = tmp_path / "catalog.g6"
+    f.write_text(f"A Bw\n\nB {record}\n", encoding="ascii")
+    with pytest.raises(CatalogParseError) as err:
+        load_catalog(f)
+    assert err.value.line == 3
+    assert str(err.value).startswith(f"line 3: bad graph6 record {record!r}: ")
+
+
 def test_catalog_too_many_fields(tmp_path):
     f = tmp_path / "catalog.g6"
     f.write_text("G6-1 Bw extra\n", encoding="ascii")

@@ -35,9 +35,11 @@ from qec.graphs import (
     knp4,
     multipartite,
     path,
+    pendant_stack,
     wedge,
 )
 from qec.bits import n_bits
+import per_graph
 
 
 def floyd_warshall(g):
@@ -401,6 +403,30 @@ def oracle_graphs(nx):
             h.add_edges_from((u, v) for u in range(k) for v in range(k, n))
             graphs.append(relabeled(h))
     return graphs
+
+
+def test_pendant_stack_matches_per_graph_walk():
+    """`pendant_stack` against the bitset walk of tests/per_graph.py on every
+    class on 1..7 vertices, one stack per order, and on 500 seeded random
+    graphs on each of 4, 5, 8, 9 and 10 vertices (G(n, p), p uniform in
+    0.1..0.7, connected or not), as a stack, reversed, and graph by graph
+    through `find_pendant_edge`, a stack of one."""
+    rng = random.Random(20261019)
+    stacks = [enumerate_connected(n) for n in range(1, 8)]
+    for n in (4, 5, 8, 9, 10):
+        stacks.append([from_mask(n, sum(1 << t for t in range(n_bits(n)) if rng.random() < p))
+                       for p in (rng.uniform(0.1, 0.7) for _ in range(500))])
+    found = {}
+    for graphs in stacks:
+        n = graphs[0].n
+        want = [per_graph.find_pendant_edge(g) for g in graphs]
+        for order in (list(range(len(graphs))), list(range(len(graphs)))[::-1]):
+            got = pendant_stack(np.array([graphs[k].adj for k in order]))
+            assert got.shape == (len(graphs), 4) and got.dtype == np.int64
+            assert [None if row[0] < 0 else tuple(row) for row in got.tolist()] == [want[k] for k in order], n
+        assert [find_pendant_edge(g) for g in graphs] == want, n
+        found[n] = found.get(n, 0) + sum(w is not None for w in want)
+    assert found[7] == 56 and min(found[n] for n in (4, 5, 8, 9, 10)) >= 10, found
 
 
 def test_find_pendant_edge_against_networkx():
