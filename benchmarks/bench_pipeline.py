@@ -90,12 +90,16 @@ sweep does, and time a second call, on fresh copies, after an untimed first
 call has built the verdict tables and subset indexes.  Where the stacked
 kernels take adjacency and distance stacks, they get the ones the priming
 built, as in a sweep; older trees pass graph lists.
+Each row (and the single-graph rows as a group) starts after
+`gc.collect(); gc.freeze()`, as perfbench does before timing, so a
+collection of what earlier rows left behind lands in no timed row.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import inspect
 import io
@@ -113,6 +117,15 @@ import numpy
 
 HERE = Path(__file__).resolve().parents[1]
 MASKS_PER_ORDER = 200
+
+
+def _start() -> float:
+    """perf_counter after a full collection that freezes every object alive
+    (as perfbench does before timing), so no collection of objects that
+    earlier rows left behind lands in the row about to be timed."""
+    gc.collect()
+    gc.freeze()
+    return time.perf_counter()
 
 
 def _prime_stack(engine, graphs):
@@ -149,11 +162,11 @@ def _time_sieve(classify, engine) -> float | None:
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
     splits = classify._split_stack(adj, dist)
     if hasattr(classify, "_records"):
-        t0 = time.perf_counter()
+        t0 = _start()
         sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
         classify._records(graphs, [g._cert for g in graphs], exact, witnesses, primed[2], sieve)
         return time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t0 = _start()
     sieves = classify._sieve_inputs(graphs, adj, dist, exact.tolist(), witnesses, splits)
     [classify._record(*args) for args in zip(graphs, exact.tolist(), witnesses, sieves)]
     return time.perf_counter() - t0
@@ -170,10 +183,10 @@ def _measure() -> dict[str, float]:
     from qec.kernels import min_permuted_mask, orbit_min_mark
 
     out: dict[str, float] = {}
-    t0 = time.perf_counter()
+    t0 = _start()
     masks = [g.mask for g in enumerate_connected(7)]
     out["enumerate_connected_n7"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t0 = _start()
     enumerate_connected(7)
     out["graphs_from_masks_n7"] = time.perf_counter() - t0
     if len(masks) != 853:
@@ -201,7 +214,7 @@ def _measure() -> dict[str, float]:
         for timed in (False, True):
             graphs = [from_mask(n, mask) for mask in chosen]
             stacks = _prime_stack(engine, graphs)
-            t0 = time.perf_counter()
+            t0 = _start()
             if stacked[kind] is not None:
                 _run_stacked(stacked[kind], graphs, stacks)
             else:
@@ -210,7 +223,7 @@ def _measure() -> dict[str, float]:
             if timed:
                 out[name] = time.perf_counter() - t0
     graphs = [from_mask(7, mask) for mask in masks]
-    t0 = time.perf_counter()
+    t0 = _start()
     if hasattr(graphs_module, "distance_stack"):
         graphs_module.distance_stack(numpy.stack([g.adj for g in graphs]))
     else:
@@ -218,7 +231,7 @@ def _measure() -> dict[str, float]:
             graphs_module.distance_matrix(g)
     out["distance_stack_n7"] = time.perf_counter() - t0
     graphs = [from_mask(7, mask) for mask in masks]
-    t0 = time.perf_counter()
+    t0 = _start()
     if hasattr(engine, "prime_stack"):
         _prime_stack(engine, graphs)
         values = [engine.qec_value(g) for g in graphs]
@@ -228,7 +241,7 @@ def _measure() -> dict[str, float]:
     if sum(value > 0 for value in values) != 401:
         raise SystemExit("expected 401 positive order-7 QEC values")
     dist = graphs_module.distance_stack(numpy.stack([from_mask(7, mask).adj for mask in masks]))
-    t0 = time.perf_counter()
+    t0 = _start()
     if hasattr(engine, "_psd_rank_stack"):
         verdicts = engine._psd_rank_stack(dist)
     else:
@@ -242,7 +255,7 @@ def _measure() -> dict[str, float]:
         for g in graphs:
             g.neighbor_masks()
         adj = numpy.stack([g.adj for g in graphs])
-        t0 = time.perf_counter()
+        t0 = _start()
         if name == "find_pendant_edge_n7" and hasattr(graphs_module, "pendant_stack"):
             graphs_module.pendant_stack(adj)
         else:
@@ -251,15 +264,15 @@ def _measure() -> dict[str, float]:
         out[name] = time.perf_counter() - t0
     table = getattr(classify_module, "_non_qe_table", None)
     if table is not None:
-        t0 = time.perf_counter()
+        t0 = _start()
         table.__wrapped__(6)
         out["non_qe_table_k6"] = time.perf_counter() - t0
     for n in (5, 6, 7):
-        t0 = time.perf_counter()
+        t0 = _start()
         records, summary = classify_all(n, workers=1)
         out[f"classify_all_n{n}"] = time.perf_counter() - t0
     cli = importlib.import_module("qec.cli")
-    t0 = time.perf_counter()
+    t0 = _start()
     dicts = [cli._record_dict(r) for r in records]
     cli._dump_json(cli._report("enumerate n=7", dicts, dict(zip(
         ("qe", "non_primary", "primary"), summary))))
@@ -271,7 +284,7 @@ def _measure() -> dict[str, float]:
     for timed in (False, True):
         graphs = [from_mask(7, mask) for mask in step5]
         stacks = _prime_stack(engine, graphs)
-        t0 = time.perf_counter()
+        t0 = _start()
         if stacked_step5 is not None:
             _run_stacked(stacked_step5, graphs, stacks)
         else:
@@ -294,6 +307,7 @@ def _measure() -> dict[str, float]:
                 picks["classify"].append((n, g.mask))
             if is_cnd_exact(g):
                 picks["embed"].append((n, g.mask))
+    _start()
     for name, layer in (("classify", classify), ("embed", embed)):
         total = 0.0
         for n, mask in picks[name]:
@@ -308,7 +322,7 @@ def _measure() -> dict[str, float]:
         rng = random.Random(n)
         masks = [rng.getrandbits(n_bits(n)) for _ in range(MASKS_PER_ORDER)]
         table = perm_table(n)
-        t0 = time.perf_counter()
+        t0 = _start()
         for mask in masks:
             min_permuted_mask(mask, table)
         out[f"min_permuted_mask_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
@@ -319,7 +333,7 @@ def _measure() -> dict[str, float]:
             orbit_table = perm_powers(n) if n == 7 else numpy.ldexp(1.0, table)
         seen = numpy.ones(1 << n_bits(n), dtype=numpy.uint8)  # every page touched
         seen[:] = 0
-        t0 = time.perf_counter()
+        t0 = _start()
         for mask in masks:
             orbit_min_mark(mask, orbit_table, seen)
         out[f"orbit_min_mark_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
@@ -336,7 +350,7 @@ def _measure_op() -> dict[str, float]:
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["enumerate", "--n", "7", "--out", str(Path(tmp) / "n7.json")]
         for name in ("enum7_op_cold", "enum7_op_warm"):
-            t0 = time.perf_counter()
+            t0 = _start()
             classify_all(7, workers=1)
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:

@@ -302,13 +302,13 @@ def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _family_index(n: int) -> dict[CanonicalCert, FamilySpec]:
-    """Certificate -> family spec for every closed-form family on n vertices,
-    certificates ascending."""
-    index: dict[CanonicalCert, FamilySpec] = {}
+def _family_index(n: int) -> dict[CanonicalCert, tuple[FamilySpec, float]]:
+    """Certificate -> (family spec, closed-form value) for every closed-form
+    family on n vertices, certificates ascending; the values are computed here."""
+    index: dict[CanonicalCert, tuple[FamilySpec, float]] = {}
 
     def put(spec: FamilySpec) -> None:
-        index.setdefault(canonical_cert(build_family(spec)), spec)
+        index.setdefault(canonical_cert(build_family(spec)), (spec, formula_value(spec)))
 
     if n >= 2:
         put(FamilySpec("complete", (n,)))
@@ -446,8 +446,7 @@ def _run_sieve(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, certs
     step[witnessed], verdict[witnessed] = 2, 2
     if step.all():  # a stack decided by its splits and witnesses
         return Sieve(step, verdict, detail)
-    for i, spec in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
-        value = formula_value(spec)
+    for i, (spec, value) in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
         step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
     # step 4 splits only graphs whose complement (squared, with loops, to reach) is disconnected
     todo = np.flatnonzero(step == 0)
@@ -576,7 +575,5 @@ def closed_form_matches(g: Graph) -> list[tuple[FamilySpec, float, str]]:
     """Closed-form families isomorphic to g, with value and exact expression."""
     if g.n < 2:
         return []
-    spec = _family_index(g.n).get(canonical_cert(g))
-    if spec is None:
-        return []
-    return [(spec, formula_value(spec), qec_formula_exact(spec))]
+    entry = _family_index(g.n).get(canonical_cert(g))
+    return [] if entry is None else [(*entry, qec_formula_exact(entry[0]))]

@@ -13,6 +13,7 @@ import csv
 import io
 import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -130,9 +131,16 @@ def _dump_json(payload: dict) -> str:
 
 def _json_text(value, newline: str) -> str:
     """json's text of `value` on a line that `newline` starts; an item whose
-    type is a key of _JSON_SCALARS is written without a call of its own."""
+    type is a key of _JSON_SCALARS is written without a call of its own, and
+    a dict of str keys is one format of its values into its shape's text."""
     inner = newline + " "
     if isinstance(value, dict):
+        keys = tuple(value)
+        if (shape := keys and isinstance(keys[0], str) and _json_shape(keys, newline)):
+            values = tuple(value.values())
+            texts = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+                     for item in map(values.__getitem__, shape[0])]
+            return shape[1] % tuple(texts)
         items = [(encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
                  + (write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner))
                  for key, item in sorted(value.items())]
@@ -145,6 +153,21 @@ def _json_text(value, newline: str) -> str:
         if isinstance(value, kind):
             return write(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=None)
+def _json_shape(keys: tuple, newline: str) -> tuple[tuple[int, ...], str] | None:
+    """The positions of `keys` in json's order and the text on a `newline` line of
+    a dict with those keys, its values' texts as %s; None, for json's own path,
+    unless the keys are all str and distinct (json sorts equal keys by value)."""
+    if not all(isinstance(key, str) for key in keys):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    if any(a >= b for a, b in zip(ranked, ranked[1:])):
+        return None
+    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ranked]
+    return tuple(order), "{" + newline + " " + (", " + newline + " ").join(fields) + newline + "}"
 
 
 def _json_key(key) -> str:

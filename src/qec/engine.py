@@ -8,10 +8,11 @@ sit on the QEC = 0 boundary where a floating-point sign test is fragile:
 with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
 when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
 M is PSD and singular.  Fraction-free integer elimination gives both facts.
-A sweep solves the projected matrices of all its graphs in one batched call
-and eliminates all their M in one int64 stack (`prime_stack`); a single graph
-is eliminated alone on Python ints.  `qec_value` is the value alone, `qec`
-adds diagnostics.
+A sweep solves the projected matrices of all its graphs in one batched
+values-only call and eliminates all their M in one int64 stack
+(`prime_stack`); a single graph is eliminated alone on Python ints.
+`qec_value` is the value alone, from no eigenvector; `qec` reads it and
+adds diagnostics, solving eigenvectors for the maximizer only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import OrderOneError
 from .graphs import Graph, distance_matrix, distance_stack
-from .kernels import jacobi_eigh
+from .kernels import eigvalsh, jacobi_eigh
 
 
 @dataclass(frozen=True)
@@ -59,23 +60,23 @@ def _hyperplane_basis(n: int) -> np.ndarray:
     return q
 
 
-def _projected_eigh(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenpairs of Q^T D Q for each D in a stack (N, n, n), n >= 2;
-    each matrix is treated alone, so its values do not depend on the stack."""
+def _projected(d: np.ndarray) -> np.ndarray:
+    """Q^T D Q, symmetrized, for each D in a stack (N, n, n), n >= 2; each
+    matrix is treated alone, so its eigenvalues do not depend on the stack."""
     q = _hyperplane_basis(d.shape[-1])
     m = q.T @ d.astype(float) @ q
-    return jacobi_eigh(0.5 * (m + m.transpose(0, 2, 1)))
+    return 0.5 * (m + m.transpose(0, 2, 1))
 
 
 def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill the bitset, distance, eigenvalue and exact-test memos of connected
     graphs of one order n >= 2 from their adjacency stack with one product,
-    one batched BFS, one batched eigensolve and one stacked elimination
-    (`_psd_rank_stack`); returns the distance stack, which the memos view,
-    the exact verdicts and the `qec_value`s, read from the same memos."""
+    one batched BFS, one values-only batched eigensolve and one stacked
+    elimination (`_psd_rank_stack`); returns the distance stack, which the
+    memos view, the exact verdicts and the `qec_value`s, read from the same memos."""
     rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
     dist = distance_stack(adj)
-    tops = _projected_eigh(dist)[0][:, 0]
+    tops = eigvalsh(_projected(dist))[:, 0]
     exact = _psd_rank_stack(dist)
     for g, r, d, top, psd in zip(graphs, rows, dist, tops.tolist(), exact):
         g._rows, g._dist, g._top, g._psd = tuple(r), d, top, psd
@@ -89,22 +90,18 @@ def qec_value(g: Graph) -> float:
     if g.n < 2:
         raise OrderOneError("QEC is undefined on a single vertex")
     if g._top is None:
-        g._top = float(_projected_eigh(distance_matrix(g)[None])[0][0, 0])
+        g._top = float(eigvalsh(_projected(distance_matrix(g)[None]))[0, 0])
     psd, rank = _graph_psd_rank(g)
     return 0.0 if psd and rank < g.n - 1 else g._top
 
 
 def qec(g: Graph) -> QecReport:
     """QEC of a connected graph on at least two vertices, with diagnostics;
-    the value is `qec_value`'s."""
-    if g.n < 2:
-        raise OrderOneError("QEC is undefined on a single vertex")
+    the value is `qec_value`'s, the maximizer a top eigenvector of Q^T D Q."""
+    value = qec_value(g)
     d = distance_matrix(g).astype(float)
     n = g.n
-    w, vecs = _projected_eigh(d[None])
-    g._top = float(w[0, 0])
-    value = qec_value(g)
-    f = _hyperplane_basis(n) @ vecs[0, :, 0]
+    f = _hyperplane_basis(n) @ jacobi_eigh(_projected(d[None]))[1][0, :, 0]
     pivot = int(np.argmax(np.abs(f)))
     if f[pivot] < 0:
         f = -f
@@ -113,13 +110,14 @@ def qec(g: Graph) -> QecReport:
     df = d @ f
     mu = float(2.0 / n * (ones @ df))
     residual = float(np.linalg.norm(df - value * f - 0.5 * mu * ones))
-    spectrum = jacobi_eigh(d)[0]
+    spectrum = eigvalsh(d)
     return QecReport(value=value, f=f, mu=mu, residual=residual,
                      lambda1=float(spectrum[0]), lambda2=float(spectrum[1]))
 
 
 def adjacency_min_eigenvalue(g: Graph) -> float:
-    """Smallest adjacency eigenvalue (graph may be disconnected)."""
+    """Smallest adjacency eigenvalue (graph may be disconnected); by `jacobi_eigh`,
+    whose last bits `qec trace` prints where a step-4 formula is 0."""
     w = jacobi_eigh(g.adj.astype(float))[0]
     return float(w[-1])
 

@@ -6,8 +6,8 @@ implementation for run reports; it is always "numpy".
 - ``orbit_min_mark`` and ``min_permuted_mask``: relabeled masks, by one
   product with a float64 power table for orbit collapse, and bit by bit over
   an int8 bit-target table for certificates;
-- ``jacobi_eigh``: LAPACK's symmetric eigensolver, eigenvalues descending,
-  on one matrix or a stack.
+- ``jacobi_eigh`` and ``eigvalsh``: LAPACK's symmetric eigensolver with and
+  without eigenvectors, eigenvalues descending, on one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -103,3 +103,9 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("jacobi_eigh expects a square matrix or a stack of them")
     w, v = np.linalg.eigh(a)
     return w[..., ::-1], v[..., ::-1]
+
+
+def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues (descending) of a symmetric matrix, or of each matrix in a
+    stack (..., n, n): ``numpy.linalg.eigvalsh`` (LAPACK), no eigenvectors."""
+    return np.linalg.eigvalsh(np.asarray(matrix, dtype=np.float64))[..., ::-1]

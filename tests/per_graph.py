@@ -218,9 +218,9 @@ def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
         return steps, Verdict.NON_QE_NON_PRIMARY
     steps.append(("step2", "no isometric non-QE proper subgraph"))
 
-    spec = _family_index(g.n).get(canonical_cert(g))
-    if spec is not None:
-        value = formula_value(spec)
+    entry = _family_index(g.n).get(canonical_cert(g))
+    if entry is not None:
+        spec, value = entry[0], formula_value(entry[0])  # the value afresh, not the index's
         verdict, label = _sign_verdict(value, exact)
         steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
         return steps, verdict

@@ -17,6 +17,7 @@ from qec.classify import (
     Step5,
     Verdict,
     _class_masks,
+    _family_index,
     _isometric,
     _non_qe_table,
     _regular_join_split,
@@ -40,6 +41,7 @@ from qec.errors import (
     NotQEError,
     OrderTooLargeError,
 )
+from qec.formulas import formula_value
 from qec.graph6 import parse_graph6, to_graph6
 from qec.graphs import (
     Graph,
@@ -261,9 +263,11 @@ def test_classify_all_order6():
 
 
 def record_fields(r):
-    """Every field of a record, the QEC value bit for bit."""
-    return (r.graph.n, r.graph.mask, r.cert, r.qec_value.hex(), r.verdict,
-            r.witness, r.sieve_step)
+    """Every field of a record, the QEC value bit for bit, and the value `qec`
+    reports for a fresh copy of its graph (one value path)."""
+    fresh = from_mask(r.graph.n, r.graph.mask)
+    return (r.graph.n, r.graph.mask, r.cert, r.qec_value.hex(), qec(fresh).value.hex(),
+            r.verdict, r.witness, r.sieve_step)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -655,8 +659,8 @@ def test_enumerate_connected_order7_count():
 
 def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     """Only the class masks outlive a sweep: a second classify_all(7) marks no
-    orbit but runs its own stacked eigensolve and elimination over all 853
-    classes, on graphs of its own, and returns equal records."""
+    orbit but runs its own stacked values-only eigensolve and elimination over
+    all 853 classes, on graphs of its own, and returns equal records."""
     first, _ = classify_all(7)
     engine, kernels = sys.modules["qec.engine"], sys.modules["qec.kernels"]
     orbits, eliminated, solved = [], [], []
@@ -668,12 +672,12 @@ def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     stack = counted(engine._psd_rank_stack, eliminated)
     monkeypatch.setattr(engine, "_psd_rank_stack", stack)
     monkeypatch.setattr(sys.modules["qec.classify"], "_psd_rank_stack", stack)
-    monkeypatch.setattr(engine, "_projected_eigh", counted(engine._projected_eigh, solved))
+    monkeypatch.setattr(engine, "eigvalsh", counted(engine.eigvalsh, solved))
     second, _ = classify_all(7)
     monkeypatch.undo()
     assert orbits == []
     assert [d.shape for d in eliminated] == [(853, 7, 7)]
-    assert [d.shape for d in solved] == [(853, 7, 7)]
+    assert [m.shape for m in solved] == [(853, 6, 6)]  # Q^T D Q of the (853, 7, 7) distances
     assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}
     assert hash(tuple(second)) == hash(tuple(first)) and second == first
 
@@ -703,6 +707,29 @@ def test_warm_sweep_decides_step5_in_two_eigensolves(monkeypatch):
     assert [d.shape for d in stacked] == [(853, 7, 7)]
     assert [d.shape for d in solved] == [(20, 5, 5), (144, 7, 7)]
     assert sum(r.sieve_step == "step5" for r in records) == 154
+
+
+def test_warm_sweep_and_report_evaluate_no_closed_form(monkeypatch, capsys):
+    """Each closed form is evaluated as its family index is built: after a
+    warm-up, classify_all(7) and `qec enumerate --n 7` (whose records list
+    their closed forms) call formula_value zero times."""
+    classify_all(7)
+    assert main(["enumerate", "--n", "7"]) == 0
+    calls = []
+    for name in ("qec.classify", "qec.cli", "qec.formulas"):
+        monkeypatch.setattr(sys.modules[name], "formula_value", lambda spec: calls.append(spec) or formula_value(spec))
+    records, _ = classify_all(7)
+    assert main(["enumerate", "--n", "7"]) == 0
+    monkeypatch.undo()
+    assert calls == []
+    assert sum(r.sieve_step == "step3" for r in records) == 12
+    assert capsys.readouterr().out.count('"family": ') == 2 * len(_family_index(7)) == 2 * 21
+
+
+def test_family_index_values_are_fresh_closed_forms():
+    for n in range(2, 8):
+        for spec, value in _family_index(n).values():
+            assert value.hex() == formula_value(spec).hex(), spec
 
 
 def test_class_masks_are_read_only_and_graphs_fresh():

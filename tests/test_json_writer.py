@@ -37,6 +37,14 @@ class Name(str):
     pass
 
 
+class Salted(str):
+    """Equal to its plain str but hashed apart: a dict may hold both, which
+    json orders by their values."""
+
+    def __hash__(self):
+        return hash(("salted", str(self)))
+
+
 class Count(int):
     pass
 
@@ -51,20 +59,37 @@ SCALARS = st.one_of(
     st.characters(max_codepoint=0x1F), st.sampled_from(list(Tag)), st.sampled_from(list(Level)),
     st.builds(Name, st.text()), st.builds(Count, st.integers()), st.builds(Ratio, st.floats()),
 )
-# keys json writes, each dict's keys of one comparable kind
-STR_KEYS = st.one_of(st.text(), st.sampled_from(list(Tag)), st.builds(Name, st.text()))
+# keys json writes, each dict's keys of one comparable kind; % in keys, as
+# the writer formats a dict of str keys into a text made once per key shape
+PERCENT_KEYS = st.one_of(st.sampled_from(["%", "%s", "%%", "%(a)s", "%d"]), st.text("%sa(", max_size=4))
+STR_KEYS = st.one_of(st.text(), st.sampled_from(list(Tag)), st.builds(Name, st.text()), PERCENT_KEYS)
+# one key set in every insertion order, each key plain or an equal str subclass
+SHAPE = ("%", "%s", "%%", "id", "qec")
+SHAPE_KEYS = st.permutations(SHAPE).flatmap(
+    lambda keys: st.tuples(*(st.sampled_from([key, Name(key)]) for key in keys)))
 NUMBER_KEYS = st.one_of(st.integers(-(1 << 70), 1 << 70), st.floats(), st.booleans(),
                         st.sampled_from(list(Level)))
 # values json cannot write, and keys it rejects or cannot sort
 UNWRITABLE = st.one_of(st.builds(object), st.frozensets(st.integers(), max_size=2),
                        st.binary(max_size=2), st.complex_numbers(max_magnitude=4))
 TUPLE_KEYS = st.tuples(st.integers(0, 2))
+# keys json sorts with their values where a plain str and an equal Salted meet
+SALTED_KEYS = st.one_of(st.text(max_size=1), st.builds(Salted, st.text(max_size=1)))
 ANY_KEYS = st.one_of(STR_KEYS, NUMBER_KEYS, st.none(), TUPLE_KEYS)
 
 
+def shaped(values):
+    """Dicts of the key set SHAPE."""
+    return st.builds(lambda keys, items: dict(zip(keys, items)), SHAPE_KEYS,
+                     st.tuples(*[values] * len(SHAPE)))
+
+
 def payloads(leaves, key_kinds):
+    """Nested payloads; a SHAPE dict may hold another at its first key, one
+    shape at two depths."""
     return st.recursive(leaves, lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.lists(inner, max_size=4), st.tuples(inner, inner), shaped(inner),
+        st.builds(lambda outer, nested: {**outer, next(iter(outer)): nested}, shaped(inner), shaped(inner)),
         *(st.dictionaries(keys, inner, max_size=4) for keys in key_kinds)), max_leaves=24)
 
 
@@ -89,14 +114,15 @@ def test_writer_equals_json_dumps(payload):
     assert _dump_json(payload) == dumps(payload)
 
 
-@given(payloads(SCALARS | UNWRITABLE, (STR_KEYS, ANY_KEYS, TUPLE_KEYS)))
+@given(payloads(SCALARS | UNWRITABLE, (STR_KEYS, ANY_KEYS, TUPLE_KEYS, SALTED_KEYS)))
 def test_writer_raises_type_error_where_json_does(payload):
     assert outcome(_dump_json, payload) == outcome(dumps, payload)
 
 
 def test_cli_json_reports_equal_json_dumps(monkeypatch):
     """`compute --json --exact` and `classify --json` of every class on 2..6
-    vertices print exactly json.dumps of the payload the writer was given."""
+    vertices print exactly json.dumps of the payload the writer was given,
+    and both payloads carry the same QEC."""
     payloads_seen = []
 
     def recorded(payload):
@@ -112,4 +138,6 @@ def test_cli_json_reports_equal_json_dumps(monkeypatch):
                 with contextlib.redirect_stdout(out):
                     assert main(argv) == 0
                 assert out.getvalue() == dumps(payloads_seen[-1]) + "\n", argv
+            computed, classified = (p["records"][0] for p in payloads_seen[-2:])
+            assert computed["qec"] == classified["qec"], to_graph6(g)
     assert len(payloads_seen) == 2 * (1 + 2 + 6 + 21 + 112)

@@ -134,3 +134,17 @@ def test_jacobi_stack_equals_per_matrix_calls():
             wk, vk = kernels.jacobi_eigh(a[k])
             assert w[k].tobytes() == wk.tobytes()
             assert v[k].tobytes() == vk.tobytes()
+
+
+def test_eigvalsh_is_jacobi_eigh_without_vectors():
+    """Values-only solves: descending, within rounding of jacobi_eigh's values,
+    and a stack's values are those of each matrix alone, bit for bit."""
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 6, 9):
+        a = rng.standard_normal((40, n, n))
+        a = a + a.transpose(0, 2, 1)
+        w = kernels.eigvalsh(a)
+        assert w.shape == (40, n) and (np.diff(w, axis=1) <= 0).all()
+        assert np.allclose(w, kernels.jacobi_eigh(a)[0], atol=1e-12)
+        for k in range(len(a)):
+            assert w[k].tobytes() == kernels.eigvalsh(a[k]).tobytes()
