@@ -35,6 +35,10 @@ Layers:
   non_qe_witness_n8       the same over a seeded stack of 2,000 random
                           connected 8-vertex graphs (G(8, p), p uniform in
                           0.2..0.9), which have blocks of 7 vertices
+  blocks_qe_n7            the exact verdicts of the 7,892 isometric blocks that
+                          the witness search over the 401 non-QE order-7 classes
+                          decides: one classify._blocks_qe call, after an
+                          untimed one; absent from trees without it
   star_qe_split_n7        the star split over all 853 order-7 classes: one
                           classify._split_stack call where it exists, else
                           _star_qe_split per graph
@@ -222,6 +226,17 @@ def _measure() -> dict[str, float]:
                     per_graph[kind](g)
             if timed:
                 out[name] = time.perf_counter() - t0
+    if hasattr(classify_module, "_blocks_qe"):
+        adj, dist = _prime_stack(engine, [from_mask(7, mask) for mask in non_qe])
+        subsets = classify_module._witness_candidates(7)[0]
+        gi, si = numpy.nonzero(classify_module._isometric(adj, dist, subsets, n_bits(6)))
+        if len(gi) != 7892:
+            raise SystemExit(f"the order-7 witness search decides {len(gi)} blocks, expected 7892")
+        for timed in (False, True):
+            t0 = _start()
+            classify_module._blocks_qe(adj, dist, gi, subsets[si])
+            if timed:
+                out["blocks_qe_n7"] = time.perf_counter() - t0
     graphs = [from_mask(7, mask) for mask in masks]
     t0 = _start()
     if hasattr(graphs_module, "distance_stack"):

@@ -137,19 +137,46 @@ def _isometric(adj: np.ndarray, dist: np.ndarray, subsets: np.ndarray, width: in
     return (toward[:, _subset_pairs(n)[subsets, :width]] & subsets[:, None]).all(axis=2)
 
 
+@lru_cache(maxsize=None)
+def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the vertex bitsets S of a graph on n vertices: the
+    order of S (2^n int8), and (2^n, bytes of a mask, 256) int16 sub-masks.
+    At (S, k, b): the bits of S's own labeled mask, in graph6 pair order, that
+    byte k of a graph's packed mask holds when its value is b (mask bit t is
+    bit t % 8 of byte t // 8); zero where S has ENUM_MAX_ORDER or more vertices."""
+    members = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    orders = members.sum(axis=1)
+    u, v = pair_rows_cols(n)
+    inside = members[:, u] & members[:, v] & (orders < ENUM_MAX_ORDER)[:, None]
+    weight = np.zeros((1 << n, -(-n_bits(n) // 8) * 8), dtype=np.int32)
+    weight[:, :n_bits(n)] = inside << np.maximum(inside.cumsum(axis=1) - 1, 0)
+    parts = weight.reshape(-1, 8) @ (np.arange(256) >> np.arange(8)[:, None] & 1).astype(np.int32)
+    orders, parts = orders.astype(np.int8), parts.astype(np.int16).reshape(1 << n, -1, 256)
+    orders.setflags(write=False)
+    parts.setflags(write=False)
+    return orders, parts
+
+
 def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
                blocks: np.ndarray) -> np.ndarray:
     """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of
     the graphs `which` of a stack.  Up to four vertices they are QE; below
-    ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled mask; from there on
-    (order 8 and up), one `_psd_rank_stack` per size over the slices d[S, S]."""
+    ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled mask, summed from
+    one `_block_tables` read per byte of the graph's packed mask; from there
+    on (order 8 and up), one `_psd_rank_stack` per size over the slices d[S, S]."""
     n = adj.shape[-1]
-    sizes = (blocks[:, None] >> np.arange(n) & 1).sum(axis=1)
-    pos = _subset_pairs(n)[blocks, :n_bits(min(n - 1, ENUM_MAX_ORDER - 1))]
-    masks = adj.reshape(len(adj), -1)[which[:, None], pos] @ (1 << np.arange(pos.shape[1]))
+    orders, parts = _block_tables(n)
+    u, v = pair_rows_cols(n)
+    # row k: byte k of each graph's packed mask, as an offset into an (S, k) table row
+    reads = np.packbits(adj[:, u, v], axis=1, bitorder="little").T + np.arange(0, parts[0].size, 256)[:, None]
+    start = blocks.astype(np.intp) * parts[0].size
+    masks = sum(parts.reshape(-1)[start + row[which]] for row in reads)
+    sizes = orders[blocks]
     qe = np.ones(len(blocks), dtype=bool)
-    for k in set(sizes.tolist()) & set(range(5, n)):
+    for k in range(5, n):
         at = np.flatnonzero(sizes == k)
+        if not len(at):
+            continue
         if k < ENUM_MAX_ORDER:
             qe[at] = _non_qe_table(k)[masks[at]] == 0
         else:

@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .classify import (
     ClassificationRecord,
+    _family_index,
     classify,
     classify_all,
     closed_form_matches,
@@ -83,7 +84,7 @@ def _read_graph(arg: str) -> Graph:
 
 
 def _record_dict(rec: ClassificationRecord, ident: str | None = None) -> dict:
-    matches = closed_form_matches(rec.graph)
+    matches = closed_form_matches(rec.graph) if rec.cert in _family_index(rec.graph.n) else []
     return {
         "id": ident,
         "graph6": to_graph6(rec.graph),
@@ -131,8 +132,9 @@ def _dump_json(payload: dict) -> str:
 
 def _json_text(value, newline: str) -> str:
     """json's text of `value` on a line that `newline` starts; an item whose
-    type is a key of _JSON_SCALARS is written without a call of its own, and
-    a dict of str keys is one format of its values into its shape's text."""
+    type is a key of _JSON_SCALARS is written without a call of its own, a
+    dict of str keys is one format of its values into its shape's text, and
+    a list of two or more such dicts on one key tuple is written by column."""
     inner = newline + " "
     if isinstance(value, dict):
         keys = tuple(value)
@@ -146,13 +148,34 @@ def _json_text(value, newline: str) -> str:
                  for key, item in sorted(value.items())]
         return "{" + inner + (", " + inner).join(items) + newline + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
-                 for item in value]
+        if (len(value) >= 2 and type(value[0]) is dict and (keys := tuple(value[0]))
+                and isinstance(keys[0], str) and (shape := _json_shape(keys, inner))
+                and all(type(row) is dict and tuple(row) == keys for row in value)):
+            items = _json_rows(value, shape, inner + " ")
+        else:
+            items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+                     for item in value]
         return "[" + inner + (", " + inner).join(items) + newline + "]" if items else "[]"
     for kind, write in _JSON_SCALARS.items():  # subclasses, and scalars at the top
         if isinstance(value, kind):
             return write(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_rows(rows: list, shape: tuple[tuple[int, ...], str], inner: str) -> list[str]:
+    """The texts of same-shape dicts `rows` (one key tuple) whose values go on
+    `inner` lines, written by column: a column of one scalar type through its
+    writer in one map, any other cell by cell; then one format per row."""
+    columns = list(zip(*[row.values() for row in rows]))
+    texts = []
+    for column in map(columns.__getitem__, shape[0]):
+        kinds = set(map(type, column))
+        if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
+            texts.append(map(write, column))
+        else:
+            texts.append([write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+                          for item in column])
+    return [shape[1] % row for row in zip(*texts)]
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from .graphs import MAX_ORDER, Graph, from_mask
 _HEADER = ">>graph6<<"
 # a payload byte's six bits, reversed: mask bit 6k + b is bit 5 - b of byte k
 _REV6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_CHARS = tuple(chr(63 + rev) for rev in _REV6)  # the payload character of six mask bits
 
 
 def parse_graph6(text: str) -> Graph:
@@ -65,8 +66,7 @@ def parse_graph6(text: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     """Encode a graph; parse_graph6(to_graph6(g)) reproduces g exactly."""
     mask = g.mask
-    return chr(63 + g.n) + "".join([chr(63 + _REV6[mask >> t & 63])
-                                    for t in range(0, n_bits(g.n), 6)])
+    return chr(63 + g.n) + "".join([_CHARS[mask >> t & 63] for t in range(0, n_bits(g.n), 6)])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ kernels must reproduce: witnesses by size, then in `combinations` order;
 splits by cut vertex, then by the least vertex of the component.  Blocks
 below seven vertices read the library's verdict tables (checked against a
 numpy oracle in `test_classify.py`); larger ones are eliminated alone.
+`blocks_qe` decides a stack's blocks by gathering each block's pairs from
+the adjacency and packing them with one integer product, the reference for
+the table reads of `qec.classify._blocks_qe`.
 Step 5 embeds one graph at a time: a pendant remainder is built as an
 induced subgraph with its own BFS and exact test, and a graph is embedded
 when its exact verdict says QE.  The sieve decides one graph at a time by
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qec.bits import pair_list
+from qec.bits import n_bits, pair_list
 from qec.canon import canonical_cert
 from qec.classify import (
     BOUNDARY_TOL,
@@ -33,9 +36,10 @@ from qec.classify import (
     _qe_cartesian_products,
     _regular_join_split,
     _sign_verdict,
+    _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, is_cnd_exact, qec_value
+from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError
 from qec.formulas import formula_value, qec_join_regular
 from qec.graphs import (
@@ -59,6 +63,30 @@ def qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> boo
     for t, (i, j) in enumerate(pair_list(k)):
         mask |= (rows[vertices[j]] >> vertices[i] & 1) << t
     return not _non_qe_table(k)[mask]
+
+
+def blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
+              blocks: np.ndarray) -> np.ndarray:
+    """Exact QE verdicts of the isometric blocks `blocks` (vertex bitsets) of
+    the graphs `which` of a stack (adjacency, distances): each block's order
+    by shifting its bitset, its labeled mask by one gather of its pairs
+    (`_subset_pairs`) and one product with the bit weights; below
+    ENUM_MAX_ORDER a `_non_qe_table` read, from there on one elimination per
+    size over the slices d[S, S]."""
+    n = adj.shape[-1]
+    sizes = (blocks[:, None] >> np.arange(n) & 1).sum(axis=1)
+    pos = _subset_pairs(n)[blocks, :n_bits(min(n - 1, ENUM_MAX_ORDER - 1))]
+    masks = adj.reshape(len(adj), -1)[which[:, None], pos] @ (1 << np.arange(pos.shape[1]))
+    qe = np.ones(len(blocks), dtype=bool)
+    for k in set(sizes.tolist()) & set(range(5, n)):
+        at = np.flatnonzero(sizes == k)
+        if k < ENUM_MAX_ORDER:
+            qe[at] = _non_qe_table(k)[masks[at]] == 0
+        else:
+            verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
+            d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]
+            qe[at] = [psd for psd, _ in _psd_rank_stack(d)]
+    return qe
 
 
 def isometry_rule(g: Graph) -> Callable[[int], bool]:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qec.classify import (
     VERDICTS,
     Step5,
     Verdict,
+    _block_tables,
+    _blocks_qe,
     _class_masks,
     _family_index,
     _isometric,
@@ -367,6 +370,64 @@ def test_stacked_kernels_match_per_graph_reference():
         big_witness += sum(w is not None and len(w) >= 7 for w in witnesses)
         big_block += sum(s is not None and max(s[1:]) >= 7 for s in splits)
     assert big_witness >= 40 and big_block >= 40, (big_witness, big_block)
+
+
+def _recorded_blocks(monkeypatch, run):
+    """Every (adjacency, distances, graphs, blocks) that `run()` passes to
+    classify._blocks_qe."""
+    calls = []
+    module = sys.modules["qec.classify"]
+    blocks_qe = module._blocks_qe
+    monkeypatch.setattr(module, "_blocks_qe", lambda *args: calls.append(args) or blocks_qe(*args))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_block_tables_match_per_graph_packing(monkeypatch):
+    """`_blocks_qe`, which reads each block's order and labeled mask from
+    `_block_tables`, against the gather-and-pack reference of
+    tests/per_graph.py: on every (graph, block) of the witness, star-split
+    and step-5 calls of classify_all(n), n = 2..7, and of the stacked kernels
+    over kernel_stacks()'s 8-10-vertex stacks (which hold blocks of 7 or
+    more vertices), each call's stack whole and each of its graphs as a
+    stack of one with its own blocks."""
+    calls = []
+    for n in range(2, 8):
+        calls += _recorded_blocks(monkeypatch, lambda: classify_all(n))
+    for stack in kernel_stacks()[-3:]:
+        stacks = stacked(stack)
+        calls += _recorded_blocks(monkeypatch, lambda: (
+            _witness_stack(*stacks), _split_stack(*stacks), _step5_stack(*stacks)))
+    sizes, counts, singles = Counter(), Counter(), 0
+    for adj, dist, which, blocks in calls:
+        counts[adj.shape[-1]] += len(blocks)
+        want = per_graph.blocks_qe(adj, dist, which, blocks)
+        assert np.array_equal(_blocks_qe(adj, dist, which, blocks), want)
+        sizes.update((adj.shape[-1], bin(b).count("1")) for b in blocks.tolist())
+        for i in np.unique(which).tolist():
+            at = np.flatnonzero(which == i)
+            one = _blocks_qe(adj[i:i + 1], dist[i:i + 1], np.zeros(len(at), dtype=np.intp), blocks[at])
+            assert np.array_equal(one, want[at])
+            singles += 1
+    assert counts[7] == 7892 + 2496 + 20 and singles > 401 + 853 + 20
+    for n in (8, 9, 10):
+        assert sizes[n, 7] and sizes[n, n - 1], (n, sizes)
+
+
+def test_block_tables_are_read_only_and_small():
+    """The tables hold each bitset's order and, below ENUM_MAX_ORDER vertices,
+    its sub-masks as int16: at most 0.3 MB up to 7 vertices, 4 MB at 10."""
+    for n in range(1, 11):
+        orders, parts = _block_tables(n)
+        assert orders.dtype == np.int8 and parts.dtype == np.int16
+        assert parts.shape == (1 << n, -(-n_bits(n) // 8), 256)
+        for table in (orders, parts):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.reshape(-1)[0] = 1
+        assert orders.nbytes + parts.nbytes <= (0.3e6 if n <= 7 else 4e6), n
+        assert orders.tolist() == [bin(s).count("1") for s in range(1 << n)]
 
 
 def _reference_step5(g):

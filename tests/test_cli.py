@@ -189,6 +189,16 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert _fresh_import(show) == "False"
 
 
+def test_cli_import_builds_no_table():
+    """Every table is built on first use: `import qec.cli` fills no cache of
+    the library, the block tables of the witness search included."""
+    show = ("import sys, qec.cli; print(sorted(f'{name}.{key}' for name, module in sys.modules.items()"
+            " if name.startswith('qec') for key, fn in vars(module).items()"
+            " if getattr(fn, '__module__', None) == name and hasattr(fn, 'cache_info')"
+            " and fn.cache_info().currsize))")
+    assert _fresh_import(show) == "[]"
+
+
 def test_sign_invariant_breach_exits_3(capsys, monkeypatch):
     # a QE graph (C4) given a positive QEC breaks the sign invariant
     monkeypatch.setattr(sys.modules["qec.classify"], "qec_value", lambda g: 1e-16)

@@ -93,6 +93,36 @@ def payloads(leaves, key_kinds):
         *(st.dictionaries(keys, inner, max_size=4) for keys in key_kinds)), max_leaves=24)
 
 
+# lists of two or more dicts on one key set, which the writer writes by column
+ROW_KEYS = st.one_of(st.sampled_from(SHAPE), PERCENT_KEYS, SALTED_KEYS, st.builds(Name, st.text(max_size=2)))
+ONE_TYPE = (st.booleans(), st.integers(-(1 << 70), 1 << 70), st.floats(), st.none(), st.text(max_size=3))
+COLUMNS = (*ONE_TYPE, st.one_of(*ONE_TYPE))  # cells of one scalar type, or of all together
+
+
+@st.composite
+def same_shape_lists(draw, cells, distinct):
+    """Lists of 2-5 dicts on one key set (Name and Salted keys, % in keys),
+    `distinct` as str or not: each column all of one scalar type, or of
+    bool/int/float/None/str together, or of `cells`; each row in the first
+    row's key order or in another."""
+    keys = draw(st.lists(ROW_KEYS, min_size=1, max_size=5, unique_by=str if distinct else None))
+    count = draw(st.integers(2, 5))
+    columns = [draw(st.lists(draw(st.sampled_from(COLUMNS + (cells,))), min_size=count, max_size=count))
+               for _ in keys]
+    first = list(range(len(keys)))
+    orders = [draw(st.one_of(st.just(first), st.just(first), st.permutations(first))) for _ in range(count)]
+    return [{keys[i]: columns[i][row] for i in order} for row, order in enumerate(orders)]
+
+
+def same_shape_payloads(leaves, distinct):
+    """Same-shape lists at any depth, nested lists and dicts in their columns;
+    keys that are equal as str (a plain one and a Salted one, which json
+    sorts by their values) only where `distinct` is false."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        same_shape_lists(inner, distinct), st.lists(inner, max_size=3),
+        st.dictionaries(STR_KEYS, inner, max_size=3)), max_leaves=30)
+
+
 def outcome(write, payload):
     try:
         return write(payload)
@@ -116,6 +146,35 @@ def test_writer_equals_json_dumps(payload):
 
 @given(payloads(SCALARS | UNWRITABLE, (STR_KEYS, ANY_KEYS, TUPLE_KEYS, SALTED_KEYS)))
 def test_writer_raises_type_error_where_json_does(payload):
+    assert outcome(_dump_json, payload) == outcome(dumps, payload)
+
+
+def test_writer_same_shape_lists_by_column(monkeypatch):
+    """A list of two or more dicts on one key tuple is written by column, also
+    when a column mixes bool, int, float, None and str (True == 1 == 1.0)."""
+    columns = []
+    rows = qec.cli._json_rows
+    monkeypatch.setattr(qec.cli, "_json_rows", lambda *args: columns.append(args[0]) or rows(*args))
+    mixed = [{"a": True, "b": 1, "c": [1, {"x": None}]}, {"a": 1, "b": 1.0, "c": []},
+             {"a": 1.0, "b": None, "c": {"d": [{"e": 1}, {"e": 2}]}}, {"a": None, "b": "1", "c": "%s"}]
+    same = [{Name("%s"): 1.5, "%": -0.0}, {"%s": math.nan, Name("%"): math.inf}]
+    other = [{"a": 1, "b": 2}, {"b": 2, "a": 1}]  # another key order: written dict by dict
+    unlike = [{"a": 1}, ["a"]], [{"a": 1}, "a"], [{"a": 1, "b": 2}, ("a", "b")]  # rows iterating as the keys
+    for payload in (mixed, same, other, {"rows": mixed}, [mixed, same], *unlike):
+        assert _dump_json(payload) == dumps(payload)
+    assert [len(rows) for rows in columns] == [4, 2, 2, 4, 2, 4, 2, 2] and columns[1] is mixed[2]["c"]["d"]
+    salted = [{"a": 1, Salted("a"): 2}, {"a": 1, Salted("a"): 2}]  # no shape: json sorts by value
+    assert _dump_json(salted) == dumps(salted)
+    assert outcome(_dump_json, [{"a": 1}, {"a": 1j}]) is TypeError
+
+
+@given(same_shape_payloads(SCALARS, distinct=True))
+def test_writer_same_shape_lists_equal_json_dumps(payload):
+    assert _dump_json(payload) == dumps(payload)
+
+
+@given(same_shape_payloads(SCALARS | UNWRITABLE, distinct=False))
+def test_writer_same_shape_lists_raise_type_error_where_json_does(payload):
     assert outcome(_dump_json, payload) == outcome(dumps, payload)
 
 
