@@ -48,16 +48,20 @@ Layers:
   qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
                           zero test included: engine.prime_stack plus
                           qec_value where they exist, else qec(g).value
-  exact_tests_n7          (psd, rank) of the 853 order-7 distance matrices, BFS
+  psd_rank_stack_n7       (psd, rank) of the 853 order-7 distance matrices, BFS
                           excluded: one engine._psd_rank_stack call where it
                           exists, else engine._psd_rank per matrix
   find_pendant_edge_n7    the pendant search over the 853 order-7 classes: one
                           graphs.pendant_stack call over their adjacency
                           stack where it exists, else graphs.find_pendant_edge
                           per graph
-  regular_join_split_n7   classify._regular_join_split over the same classes;
-                          both with neighbor_masks() filled first, as
-                          prime_stack fills it in a sweep
+  step4_n7                sieve step 4 over the 168 order-7 classes that reach
+                          it (step 4, 5 or 6 in classify_all(7)): one
+                          classify._join_stack call where it exists, else the
+                          complement reachability pass over their stack and
+                          classify._regular_join_split with
+                          formulas.qec_join_regular per graph whose complement
+                          is disconnected; after an untimed call
   non_qe_table_k6         the first call of _non_qe_table(6), build included:
                           the exact test of its 112 classes, and in trees
                           without a class-mask cache enumerate_connected(6)
@@ -87,8 +91,10 @@ call on a graph rebuilt from its mask (so it pays its BFS and exact test):
                           5 to 7 vertices (G(n, p), p uniform in 0.2..0.9)
   embed_per_graph         embed over 200 seeded random connected QE graphs
                           drawn the same way
-The witness, split, distance, value, exact, pendant and join layers run on
-graphs rebuilt from their masks, so no memo filled while picking them is reused.
+The witness, split, distance, value, exact, pendant and step-4 layers run on
+graphs rebuilt from their masks, so no memo filled while picking them is reused;
+the pendant and per-graph step-4 layers get neighbor_masks() filled first, as
+prime_stack fills it in a sweep.
 The witness and split layers prime their graphs with engine.prime_stack, as a
 sweep does, and time a second call, on fresh copies, after an untimed first
 call has built the verdict tables and subset indexes.  Where the stacked
@@ -176,6 +182,25 @@ def _time_sieve(classify, engine) -> float | None:
     return time.perf_counter() - t0
 
 
+def _step4(classify, graphs, adj) -> None:
+    """Sieve step 4 of graphs of order n with adjacency stack adj: stacked where
+    the tree has classify._join_stack; else, as the per-graph sieve step 4 ran,
+    the complement's reachability over the stack, then a regular join split
+    and its formula per graph whose complement is disconnected."""
+    if hasattr(classify, "_join_stack"):
+        classify._join_stack(adj)
+        return
+    from qec.formulas import qec_join_regular
+
+    reach = ~adj
+    for _ in range(adj.shape[-1].bit_length()):
+        reach = reach @ reach
+    for i in numpy.flatnonzero(~reach[:, 0].all(axis=1)).tolist():
+        join = classify._regular_join_split(graphs[i])
+        if join is not None:
+            qec_join_regular(*join)
+
+
 def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
@@ -261,22 +286,33 @@ def _measure() -> dict[str, float]:
         verdicts = engine._psd_rank_stack(dist)
     else:
         verdicts = [engine._psd_rank(d) for d in dist]
-    out["exact_tests_n7"] = time.perf_counter() - t0
+    out["psd_rank_stack_n7"] = time.perf_counter() - t0
     if sum(not psd for psd, _ in verdicts) != 401:
         raise SystemExit("expected 401 non-QE order-7 exact tests")
-    for name, layer in (("find_pendant_edge_n7", graphs_module.find_pendant_edge),
-                        ("regular_join_split_n7", classify_module._regular_join_split)):
-        graphs = [from_mask(7, mask) for mask in masks]
+    graphs = [from_mask(7, mask) for mask in masks]
+    for g in graphs:
+        g.neighbor_masks()
+    adj = numpy.stack([g.adj for g in graphs])
+    t0 = _start()
+    if hasattr(graphs_module, "pendant_stack"):
+        graphs_module.pendant_stack(adj)
+    else:
+        for g in graphs:
+            graphs_module.find_pendant_edge(g)
+    out["find_pendant_edge_n7"] = time.perf_counter() - t0
+    step4 = [mask for mask in masks if classify_module.classify(from_mask(7, mask)).sieve_step
+             in ("step4", "step5", "step6")]
+    if len(step4) != 168:
+        raise SystemExit(f"{len(step4)} order-7 classes reach sieve step 4, expected 168")
+    for timed in (False, True):
+        graphs = [from_mask(7, mask) for mask in step4]
         for g in graphs:
             g.neighbor_masks()
         adj = numpy.stack([g.adj for g in graphs])
         t0 = _start()
-        if name == "find_pendant_edge_n7" and hasattr(graphs_module, "pendant_stack"):
-            graphs_module.pendant_stack(adj)
-        else:
-            for g in graphs:
-                layer(g)
-        out[name] = time.perf_counter() - t0
+        _step4(classify_module, graphs, adj)
+        if timed:
+            out["step4_n7"] = time.perf_counter() - t0
     table = getattr(classify_module, "_non_qe_table", None)
     if table is not None:
         t0 = _start()

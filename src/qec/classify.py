@@ -44,12 +44,12 @@ from .errors import (
     OrderOneError,
     OrderTooLargeError,
 )
-from .formulas import formula_value, qec_formula_exact, qec_join_regular
-from .graphs import (
+from .formulas import formula_value, qec_formula_exact, regular_join_value
+# `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
+from .graphs import (  # noqa: F401
     FamilySpec,
     Graph,
     build_family,
-    component_masks,
     compose,
     distance_matrix,
     distance_stack,
@@ -58,7 +58,6 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     pendant_stack,
-    set_bits,
 )
 
 ENUM_MAX_ORDER = 7
@@ -79,6 +78,7 @@ class Summary(NamedTuple):
 
 Witness = tuple[int, ...] | None  # a least isometric non-QE subgraph's vertices
 Split = tuple[int, int, int] | None  # cut vertex v and the two QE parts' orders
+Join = tuple[int, int, float] | None  # two regular parts' orders and the join formula's value
 
 
 @dataclass(frozen=True)
@@ -273,11 +273,19 @@ def _class_masks(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _class_certs(n: int) -> tuple[CanonicalCert, ...]:
+    """The certificates of the classes on n vertices, the `_class_masks(n)`
+    in order: frozen values, made once per process and shared by every sweep."""
+    return tuple(CanonicalCert(n, mask) for mask in _class_masks(n).tolist())
+
+
 def _class_graphs(n: int) -> tuple[list[Graph], np.ndarray]:
-    """`enumerate_connected(n)` and the adjacency stack the graphs are views of."""
+    """`enumerate_connected(n)` and the adjacency stack the graphs are views of,
+    each graph holding its class's certificate."""
     graphs, adj = _from_masks(n, _class_masks(n).tolist())
-    for g in graphs:
-        g._cert = CanonicalCert(n, g._mask)
+    for g, cert in zip(graphs, _class_certs(n)):
+        g._cert = cert
     return graphs, adj
 
 
@@ -363,24 +371,64 @@ def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _regular_on(rows: Sequence[int], side: int) -> bool:
-    """Is the subgraph induced on the vertex bitset `side` regular?"""
-    return len({(rows[v] & side).bit_count() for v in set_bits(side)}) == 1
+@lru_cache(maxsize=None)
+def _join_sides(n: int) -> np.ndarray:
+    """Read-only (2^(n-1) - 1, n) int64 0/1 rows: the complement components
+    (by least vertex) on one side of a join, component 0 with each
+    `combinations` of components 1..n-1, by size, up to n - 2 of them.  A
+    graph with c < n components, the rest empty, meets its own sides in the
+    same order, each before the repeats that add empty components."""
+    picks = [(0,) + chosen for size in range(n - 1) for chosen in combinations(range(1, n), size)]
+    sides = np.zeros((len(picks), n), dtype=np.int64)
+    for row, pick in zip(sides, picks):
+        row[list(pick)] = 1
+    sides.setflags(write=False)
+    return sides
 
 
-def _regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
-    """Split g = G1 + G2 (graph join) with both parts regular, if possible.
-    Each part is a union of components of the complement, found on bitsets."""
-    rows = g.neighbor_masks()
-    every = (1 << g.n) - 1
-    comps = component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
-    for size in range(len(comps) - 1):
-        for chosen in combinations(comps[1:], size):
-            side = comps[0] | sum(chosen)
-            if _regular_on(rows, side) and _regular_on(rows, every & ~side):
-                return (induced_subgraph(g, set_bits(side)),
-                        induced_subgraph(g, set_bits(every & ~side)))
-    return None
+def _join_stack(adj: np.ndarray) -> list[Join]:
+    """Sieve step 4 of each graph of a stack (N, n, n): a split g = G1 + G2
+    (graph join) with both parts regular, as (n1, n2, value of the join
+    formula), or None.  Each part is a union of components of the complement:
+    G1 the first side of `_join_sides` with both parts regular.  Every vertex
+    of a part is adjacent to all of the other, so a part is regular exactly
+    when g's degrees are constant on it, that is, when it lies in the bitset
+    of vertices whose degree is its least vertex's.  The parts' least
+    adjacency eigenvalues come from one `jacobi_eigh` per part order."""
+    count, n = adj.shape[:2]
+    joins: list[Join] = [None] * count
+    reach = (~adj).astype(np.float32)  # the complement with loops, squared until it reaches
+    for _ in range(n.bit_length() if count else 0):
+        reach = np.minimum(reach @ reach, 1)
+    split = np.flatnonzero(reach[:, 0].min(axis=1) == 0)
+    if not len(split):
+        return joins
+    one, every = 1 << np.arange(n), (1 << n) - 1
+    comp = (reach[split] @ one).astype(np.int64)  # each vertex's component, as a bitset
+    gi, vi = np.nonzero(comp & -comp == one)  # the components' least vertices
+    comps = np.zeros(comp.shape, dtype=np.int64)  # each graph's components by least vertex, then 0s
+    comps[gi, np.arange(len(gi)) - np.searchsorted(gi, gi)] = comp[gi, vi]
+    deg = adj[split].sum(axis=2)
+    same = (deg[:, :, None] == deg[:, None, :]) @ one  # at (g, u): the vertices of u's degree
+    side = comps @ _join_sides(n).T  # each holds vertex 0
+    rest = every - side
+    least = np.frexp(rest & -rest)[1] - 1
+    ok = (rest != 0) & (side & ~same[:, :1] == 0) & (rest & ~same[np.arange(len(split))[:, None], least] == 0)
+    hit = np.flatnonzero(ok.any(axis=1))
+    first = side[hit, ok[hit].argmax(axis=1)]
+    parts, hit = np.concatenate([first, every - first]), np.concatenate([hit, hit])
+    owner, orders = split[hit], ((parts[:, None] & one) != 0).sum(axis=1)
+    degree = deg[hit, np.frexp(parts & -parts)[1] - 1] - n + orders  # inside the part
+    low = np.empty(len(parts))
+    for k in set(orders.tolist()):
+        at = np.flatnonzero(orders == k)
+        verts = np.nonzero(parts[at, None] & one)[1].reshape(-1, k)
+        sub = adj[owner[at, None, None], verts[:, :, None], verts[:, None, :]]
+        low[at] = kernels.jacobi_eigh(sub.astype(float))[0][:, -1]
+    for i, n1, n2, r1, r2, low1, low2 in zip(owner.tolist(), *orders.reshape(2, -1).tolist(),
+                                             *degree.reshape(2, -1).tolist(), *low.reshape(2, -1).tolist()):
+        joins[i] = (n1, n2, regular_join_value(n1, r1, low1, n2, r2, low2))
+    return joins
 
 
 def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
@@ -475,17 +523,10 @@ def _run_sieve(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, certs
         return Sieve(step, verdict, detail)
     for i, (spec, value) in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
         step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
-    # step 4 splits only graphs whose complement (squared, with loops, to reach) is disconnected
     todo = np.flatnonzero(step == 0)
-    reach = ~adj[todo]
-    for _ in range(n.bit_length() if len(todo) else 0):
-        reach = reach @ reach
-    for i in todo[~reach[:, 0].all(axis=1)].tolist():
-        join = _regular_join_split(graphs[i])
+    for i, join in zip(todo.tolist(), _join_stack(adj[todo])):
         if join is not None:
-            value = qec_join_regular(*join)
-            verdict[i] = VERDICTS.index(_sign_verdict(value, exact[i])[0])
-            step[i], detail[i] = 4, (join[0].n, join[1].n, value)
+            step[i], verdict[i], detail[i] = 4, VERDICTS.index(_sign_verdict(join[2], exact[i])[0]), join
     todo = np.flatnonzero(step == 0)
     for i, outcome in zip(todo.tolist(), _step5_stack(adj[todo], dist[todo])):
         if outcome.lifted or outcome.defect <= DEFECT_TOL:
@@ -592,7 +633,7 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord
     found = iter(_witness_stack(adj[~exact], dist[~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
     sieve = _run_sieve(graphs, adj, dist, _class_masks(n), exact, witnesses, _split_stack(adj, dist))
-    records = _records(graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
+    records = _records(graphs, _class_certs(n), exact, witnesses, values, sieve)
     counts = np.bincount(sieve.verdict, minlength=len(VERDICTS))  # the exact verdicts, checked
     summary = Summary(qe=int(counts[0]), non_primary=int(counts[2]), primary=int(counts[1]))
     return records, summary

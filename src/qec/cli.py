@@ -118,6 +118,7 @@ def _report(input_desc: str, records: list[dict], summary: dict | None = None) -
 
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INT_ONLY = {int}
 # json's text of each scalar type; bool ahead of int for isinstance
 _JSON_SCALARS = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
                  int: int.__repr__, type(None): lambda v: "null",
@@ -165,16 +166,20 @@ def _json_text(value, newline: str) -> str:
 def _json_rows(rows: list, shape: tuple[tuple[int, ...], str], inner: str) -> list[str]:
     """The texts of same-shape dicts `rows` (one key tuple) whose values go on
     `inner` lines, written by column: a column of one scalar type through its
-    writer in one map, any other cell by cell; then one format per row."""
+    writer in one map, any other cell by cell, a list of plain ints (none
+    bool) joined in place; then one format per row."""
     columns = list(zip(*[row.values() for row in rows]))
+    comma = ", " + inner + " "  # between the items of a list cell
     texts = []
     for column in map(columns.__getitem__, shape[0]):
         kinds = set(map(type, column))
         if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
             texts.append(map(write, column))
         else:
-            texts.append([write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
-                          for item in column])
+            texts.append([write(item) if (write := _JSON_SCALARS.get(type(item)))
+                          else ("[" + comma[2:] + comma.join(map(int.__repr__, item)) + inner + "]" if item else "[]")
+                          if type(item) is list and {*map(type, item)} <= _INT_ONLY
+                          else _json_text(item, inner) for item in column])
     return [shape[1] % row for row in zip(*texts)]
 
 

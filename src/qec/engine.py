@@ -163,12 +163,15 @@ def _psd_rank_stack(dist: np.ndarray) -> list[tuple[bool, int]]:
     """`_psd_rank` of each matrix in a stack (N, n, n), same pivots, one int64
     Bareiss step at a time over the whole stack.
 
-    The update (p m - m[:, c] m[r, :]) // prev zeroes the pivot row and
-    column, so eliminated rows and columns stay zero and a finished (zero)
-    matrix stays fixed with p = 1.  Each entry is a minor of M, at most the
-    Hadamard bound B (the product of M's row norms, each at least 1), so both
-    products stay within B^2: matrices with B^2 >= 2^62, or an entry of M at
-    2^24 or more, go to `_psd_rank`.  At n <= 7, B^2 < 2^59.
+    Each step finds every matrix's pivot (r, c) by one flat argmax of the
+    active block, or on its diagonal while it may be PSD, and keeps the block
+    without row r and column c, updated in place to (p m - m[:, c] m[r, :]) // prev.
+    The rows and columns left keep their order, so each later pivot is the
+    one `_psd_rank` picks; a finished (zero) block stays zero with p = 1, and
+    the first step divides by nothing.  Each entry is a minor of M, at most
+    the Hadamard bound B (the product of M's row norms, each at least 1), so
+    both products stay within B^2: matrices with B^2 >= 2^62, or an entry of
+    M at 2^24 or more, go to `_psd_rank`.  At n <= 7, B^2 < 2^59.
     """
     m = -np.diff(np.diff(dist, axis=1), axis=2)
     ok = (np.abs(m) < 1 << 24).all(axis=(1, 2))
@@ -178,25 +181,36 @@ def _psd_rank_stack(dist: np.ndarray) -> list[tuple[bool, int]]:
         bound *= np.where(ok, s, 1)
     m = m[ok]
     count, k = len(m), m.shape[-1]
-    at = np.arange(count)
     psd, rank, prev = np.ones(count, dtype=bool), np.zeros(count, dtype=np.int64), 1
-    for _ in range(k):
-        diag = np.diagonal(m, axis1=1, axis2=2)
+    for size in range(k, 0, -1):  # m: (count, size, size), C order
+        flat, start = m.reshape(-1), np.arange(0, count * size * size, size * size)
+        block = m.reshape(count, size * size)
+        diag = block[:, ::size + 1]
         psd &= (diag >= 0).all(axis=1)
-        on_diag = psd & (diag > 0).any(axis=1)
-        nonzero = (m != 0).reshape(count, k * k)
-        live = nonzero.any(axis=1)
+        positive = diag > 0
+        on_diag = psd & positive.any(axis=1)
+        first = (block != 0).argmax(axis=1)
+        live = flat[start + first] != 0
         if not live.any():
             break
         psd &= on_diag | ~live
         rank += live
-        first = nonzero.argmax(axis=1)
-        r = np.where(on_diag, (diag > 0).argmax(axis=1), first // k)
-        c = np.where(on_diag, r, first % k)
-        p = np.where(live, m[at, r, c], 1)[:, None, None]
-        m = (p * m - m[at, :, c][:, :, None] * m[at, r, :][:, None, :]) // prev
-        prev = p
+        r, c = np.divmod(first, size)
+        np.copyto(r, positive.argmax(axis=1), where=on_diag)
+        np.copyto(c, r, where=on_diag)
+        p = np.where(live, flat[start + r * size + c], 1)[:, None, None]
+        keep = np.arange(size - 1)
+        rows = start[:, None] + (keep + (keep >= r[:, None])) * size  # flat row starts, r left out
+        cols = keep + (keep >= c[:, None])
+        sub = flat[rows[:, :, None] + cols[:, None, :]]
+        sub *= p
+        sub -= flat[rows + c[:, None]][:, :, None] * flat[(start + r * size)[:, None] + cols][:, None, :]
+        if size < k:
+            sub //= prev
+        m, prev = sub, p
     stacked = zip(psd.tolist(), rank.tolist())
+    if ok.all():
+        return list(stacked)
     return [next(stacked) if fits else _psd_rank(d) for d, fits in zip(dist, ok.tolist())]
 
 

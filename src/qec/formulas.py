@@ -113,13 +113,15 @@ def formula_value(spec: FamilySpec) -> float:
 
 def qec_join_regular(g1: Graph, g2: Graph) -> float:
     """QEC of the join of two regular graphs (either may be disconnected)."""
-    r1 = _regularity(g1)
-    r2 = _regularity(g2)
-    n1, n2 = g1.n, g2.n
+    return regular_join_value(g1.n, _regularity(g1), adjacency_min_eigenvalue(g1),
+                              g2.n, _regularity(g2), adjacency_min_eigenvalue(g2))
+
+
+def regular_join_value(n1: int, r1: int, low1: float, n2: int, r2: int, low2: float) -> float:
+    """QEC of the join of an r1-regular graph on n1 vertices with an r2-regular
+    one on n2, given their smallest adjacency eigenvalues low1 and low2."""
     cross = (2.0 * n1 * n2 - r1 * n2 - r2 * n1) / (n1 + n2)
-    return -2.0 + max(-adjacency_min_eigenvalue(g1),
-                      -adjacency_min_eigenvalue(g2),
-                      cross)
+    return -2.0 + max(-low1, -low2, cross)
 
 
 def _regularity(g: Graph) -> int:

@@ -142,39 +142,23 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.neighbor_masks(), 1) == (1 << g.n) - 1
 
 
-def set_bits(mask: int) -> list[int]:
-    """Vertices of the bitset `mask`, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def component_masks(rows: Sequence[int], todo: int) -> list[int]:
-    """Components of the vertex bitset `todo` as bitsets, by least vertex;
-    `rows` are adjacency bitsets with no edge leaving `todo`."""
-    comps = []
-    while todo:
-        comps.append(_reach(rows, todo & -todo))
-        todo &= ~comps[-1]
-    return comps
-
-
 def distance_stack(adj: np.ndarray) -> np.ndarray:
-    """Read-only distance matrices of a stack (N, n, n) of adjacency matrices,
-    by BFS from every source at once: reach grows by reach @ adj per step,
-    and d(s, v) counts the steps before v is in reach of s."""
-    reach = np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape).copy()
-    dist = np.zeros(adj.shape, dtype=np.int64)
+    """Read-only int64 distance matrices of a stack (N, n, n) of adjacency
+    matrices, by BFS from every source at once: reach grows by one float32
+    product with adj + I per step (BLAS; every entry counts at most n paths,
+    so float32 is exact), and d(s, v) counts the steps before v is in reach of s."""
+    eye = np.eye(adj.shape[-1], dtype=np.float32)
+    step = adj + eye  # one edge, or stay
+    reach, dist = step, 2 - step - eye  # after steps 0 and 1
     while True:
-        dist += ~reach
-        grown = reach | (reach @ adj)
+        grown = np.minimum(reach @ step, 1)
         if np.array_equal(grown, reach):
             break
+        dist += 1 - grown
         reach = grown
     if not reach.all():
         raise DisconnectedError("distance matrix requires a connected graph")
+    dist = dist.astype(np.int64)
     dist.setflags(write=False)
     return dist
 

@@ -10,6 +10,9 @@ numpy oracle in `test_classify.py`); larger ones are eliminated alone.
 `blocks_qe` decides a stack's blocks by gathering each block's pairs from
 the adjacency and packing them with one integer product, the reference for
 the table reads of `qec.classify._blocks_qe`.
+Step 4 splits one graph at a time: the complement's components on bitsets,
+each side's regularity by popcounts, and the parts built as induced
+subgraphs whose eigenvalues `qec_join_regular` solves one at a time.
 Step 5 embeds one graph at a time: a pendant remainder is built as an
 induced subgraph with its own BFS and exact test, and a graph is embedded
 when its exact verdict says QE.  The sieve decides one graph at a time by
@@ -34,7 +37,6 @@ from qec.classify import (
     _family_index,
     _non_qe_table,
     _qe_cartesian_products,
-    _regular_join_split,
     _sign_verdict,
     _subset_pairs,
 )
@@ -42,13 +44,26 @@ from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
 from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError
 from qec.formulas import formula_value, qec_join_regular
-from qec.graphs import (
-    Graph,
-    component_masks,
-    distance_matrix,
-    induced_subgraph,
-    set_bits,
-)
+from qec.graphs import Graph, _reach, distance_matrix, induced_subgraph
+
+
+def set_bits(mask: int) -> list[int]:
+    """Vertices of the bitset `mask`, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def component_masks(rows: Sequence[int], todo: int) -> list[int]:
+    """Components of the vertex bitset `todo` as bitsets, by least vertex;
+    `rows` are adjacency bitsets with no edge leaving `todo`."""
+    comps = []
+    while todo:
+        comps.append(_reach(rows, todo & -todo))
+        todo &= ~comps[-1]
+    return comps
 
 
 def qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> bool:
@@ -225,6 +240,33 @@ def step5(g: Graph, exact: bool) -> Step5:
 Head = tuple[list[tuple[str, str]], Verdict | None]  # steps 1-4 and their verdict
 
 
+def _regular_on(rows: Sequence[int], side: int) -> bool:
+    """Is the subgraph induced on the vertex bitset `side` regular?"""
+    return len({(rows[v] & side).bit_count() for v in set_bits(side)}) == 1
+
+
+def regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
+    """Split g = G1 + G2 (graph join) with both parts regular, if possible.
+    Each part is a union of components of the complement, found on bitsets."""
+    rows = g.neighbor_masks()
+    every = (1 << g.n) - 1
+    comps = component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
+    for size in range(len(comps) - 1):
+        for chosen in combinations(comps[1:], size):
+            side = comps[0] | sum(chosen)
+            if _regular_on(rows, side) and _regular_on(rows, every & ~side):
+                return (induced_subgraph(g, set_bits(side)),
+                        induced_subgraph(g, set_bits(every & ~side)))
+    return None
+
+
+def step4(g: Graph) -> tuple[int, int, float] | None:
+    """Step 4 of g: the orders of its regular join parts (`regular_join_split`)
+    and the join formula's value, or None."""
+    join = regular_join_split(g)
+    return None if join is None else (join[0].n, join[1].n, qec_join_regular(*join))
+
+
 def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
     """Steps 1-4 of the sieve, given g's exact verdict (read only by the
     boundary labels of steps 3 and 4), witness and star split: the steps
@@ -254,12 +296,11 @@ def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
         return steps, verdict
     steps.append(("step3", "no closed-form family match"))
 
-    join = _regular_join_split(g)
+    join = step4(g)
     if join is not None:
-        g1, g2 = join
-        value = qec_join_regular(g1, g2)
+        n1, n2, value = join
         verdict, label = _sign_verdict(value, exact)
-        steps.append(("step4", f"join of regular parts ({g1.n}+{g2.n}), formula {value:.12g} -> {label}"))
+        steps.append(("step4", f"join of regular parts ({n1}+{n2}), formula {value:.12g} -> {label}"))
         return steps, verdict
     steps.append(("step4", "not a join of two regular graphs"))
     return steps, None

@@ -19,11 +19,12 @@ from qec.classify import (
     Verdict,
     _block_tables,
     _blocks_qe,
+    _class_certs,
     _class_masks,
     _family_index,
     _isometric,
+    _join_stack,
     _non_qe_table,
-    _regular_join_split,
     _run_sieve,
     _split_stack,
     _step5_stack,
@@ -193,9 +194,19 @@ def test_witness_is_first_isometric_non_qe_subset_order8():
     assert min(sizes.values()) >= 3, sizes
 
 
+def _join_oracle(nx, h, side, rest):
+    """QEC of the join h = h[side] + h[rest] of two regular graphs, from
+    networkx degrees and numpy eigvalsh of the parts' adjacency matrices."""
+    (n1, r1, low1), (n2, r2, low2) = [
+        (len(part), max(dict(h.subgraph(part).degree()).values()),
+         np.linalg.eigvalsh(nx.to_numpy_array(h, nodelist=part)).min()) for part in (side, rest)]
+    return -2.0 + max(-low1, -low2, (2.0 * n1 * n2 - r1 * n2 - r2 * n1) / (n1 + n2))
+
+
 def test_regular_join_split_against_networkx():
     # networkx only on the oracle side: components of the complement by least
-    # vertex, unions containing the first tried by size, regularity by degrees
+    # vertex, unions containing the first tried by size, regularity by degrees;
+    # the per-graph reference and the stacked step 4, each graph a stack of one
     nx = pytest.importorskip("networkx")
     from test_graphs import oracle_graphs
 
@@ -210,14 +221,100 @@ def test_regular_join_split_against_networkx():
             if nx.is_regular(h.subgraph(side)) and nx.is_regular(h.subgraph(rest)):
                 want = (side, rest)
                 break
-        got = _regular_join_split(from_edges(h.number_of_nodes(), h.edges()))
+        g = from_edges(h.number_of_nodes(), h.edges())
+        got, stacked = per_graph.regular_join_split(g), _join_stack(g.adj[None])[0]
         if want is None:
-            assert got is None
+            assert got is None and stacked is None
             continue
         for part, vertices in zip(got, want):
             assert np.array_equal(part.adj, nx.to_numpy_array(h, nodelist=vertices) > 0)
+        assert stacked[:2] == (len(want[0]), len(want[1]))
+        assert abs(stacked[2] - _join_oracle(nx, h, *want)) < 1e-9
         found += h.number_of_nodes() >= 8
     assert found >= 120
+
+
+def _random_join(rng, n):
+    """A random graph on n vertices whose complement is disconnected: 2..4
+    groups, a random graph inside each and every edge between them, then
+    randomly relabeled.  A group's complement may split further, so some
+    graphs have three or more complement components."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+    groups = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+    group_of = {v: k for k, group in enumerate(groups) for v in group}
+    density = rng.choice((0.0, 0.3, 0.6, 1.0, rng.random()))
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if group_of[u] != group_of[v] or rng.random() < density]
+    label = rng.sample(range(n), n)
+    return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_join_stack_matches_per_graph_reference():
+    """`_join_stack` against the per-graph step 4 of tests/per_graph.py (the
+    sides by `combinations` of complement components, each part an induced
+    subgraph solved alone): the same part orders and a `.hex()`-equal value,
+    on every class on 4..7 vertices that reaches step 4 and on 150 seeded
+    random joins on each of 5..7 vertices (`_random_join`), each set as one
+    stack, reversed, and each graph as a stack of one."""
+    rng = random.Random(19)
+    sets = [[r.graph for r in classify_all(n)[0] if r.sieve_step in ("step4", "step5", "step6")]
+            for n in range(4, 8)]
+    assert [len(graphs) for graphs in sets] == [0, 2, 25, 168]
+    sets += [[_random_join(rng, n) for _ in range(150)] for n in range(5, 8)]
+    joins, many, later = 0, 0, 0
+    for graphs in filter(None, sets):
+        n = graphs[0].n
+        want = [per_graph.step4(from_mask(n, g.mask)) for g in graphs]
+        want = [None if w is None else (w[0], w[1], w[2].hex()) for w in want]
+
+        def run(stack):
+            got = _join_stack(np.array([g.adj for g in stack]))
+            return [None if j is None else (j[0], j[1], j[2].hex()) for j in got]
+
+        assert run(graphs) == want, n
+        assert run(graphs[::-1]) == want[::-1], n
+        assert [run([g])[0] for g in graphs] == want, n
+        for g, w in zip(graphs, want):
+            rows = g.neighbor_masks()
+            every = (1 << n) - 1
+            comps = per_graph.component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
+            many += len(comps) >= 3 and w is not None
+            later += len(comps) >= 3 and w is not None and w[0] != bin(comps[0]).count("1")
+        joins += sum(w is not None for w in want)
+    assert sum(w is not None for w in map(per_graph.step4, sets[3])) == 4  # n = 7: step 4 decides 4
+    assert joins >= 300 and many >= 250 and later >= 80, (joins, many, later)
+
+
+def test_warm_sweep_builds_no_join_part(monkeypatch):
+    """A warm classify_all(7) decides step 4 over its stack: no part is built
+    as an induced subgraph and no part's adjacency eigenvalue is solved alone."""
+    classify_all(7)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for module in ("qec", "qec.graphs", "qec.classify", "qec.embedding", "qec.engine", "qec.formulas"):
+        for name in ("induced_subgraph", "adjacency_min_eigenvalue"):
+            if hasattr(sys.modules[module], name):
+                monkeypatch.setattr(sys.modules[module], name, counted(name, getattr(sys.modules[module], name)))
+    records, _ = classify_all(7)
+    monkeypatch.undo()
+    assert calls == []
+    assert sum(r.sieve_step == "step4" for r in records) == 4
+
+
+def test_trace_of_the_step4_classes(capsys):
+    """The four order-7 classes that step 4 decides trace their parts and the
+    join formula's value, its floating-point noise where the value is 0."""
+    want = {"FsnV?": "(1+6), formula 4.4408920985e-16 -> QE (boundary, exact test decides)",
+            "Ftvn_": "(1+6), formula 8.881784197e-16 -> QE (boundary, exact test decides)",
+            "F~zn_": "(3+4), formula -0.142857142857 -> QE",
+            "F}vn_": "(2+5), formula -0.38196601125 -> QE"}
+    assert {to_graph6(r.graph) for r in classify_all(7)[0] if r.sieve_step == "step4"} == set(want)
+    for text, join in want.items():
+        assert main(["trace", text]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"step4: join of regular parts {join}"
 
 
 def test_witness_k42():
@@ -785,6 +882,18 @@ def test_warm_sweep_and_report_evaluate_no_closed_form(monkeypatch, capsys):
     assert calls == []
     assert sum(r.sieve_step == "step3" for r in records) == 12
     assert capsys.readouterr().out.count('"family": ') == 2 * len(_family_index(7)) == 2 * 21
+
+
+def test_class_certificates_are_made_once_and_shared():
+    """The certificates of an order's classes are one tuple per process, in
+    class-mask order; the fresh graphs and records of every sweep share it."""
+    for n in range(1, 8):
+        certs = _class_certs(n)
+        assert type(certs) is tuple and certs == tuple(CanonicalCert(n, m) for m in _class_masks(n).tolist())
+    first, second = classify_all(7)[0], classify_all(7)[0]
+    assert all(a.cert is b.cert is cert for a, b, cert in zip(first, second, _class_certs(7)))
+    assert all(r.graph._cert is r.cert for r in second)
+    assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}
 
 
 def test_family_index_values_are_fresh_closed_forms():

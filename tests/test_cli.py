@@ -191,7 +191,8 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 def test_cli_import_builds_no_table():
     """Every table is built on first use: `import qec.cli` fills no cache of
-    the library, the block tables of the witness search included."""
+    the library, the block tables of the witness search and the class
+    certificates included."""
     show = ("import sys, qec.cli; print(sorted(f'{name}.{key}' for name, module in sys.modules.items()"
             " if name.startswith('qec') for key, fn in vars(module).items()"
             " if getattr(fn, '__module__', None) == name and hasattr(fn, 'cache_info')"

@@ -176,12 +176,20 @@ def test_distance_matrix_matches_floyd_warshall_random_order7():
 
 
 def test_distance_stack_against_floyd_warshall():
-    for n in range(1, 8):
-        graphs = enumerate_connected(n)
+    """Every class on 1..7 vertices, one stack per order, the seeded 8..10-vertex
+    stacks of test_classify.kernel_stacks() and the path on 10 vertices, whose
+    diameter 9 is the longest BFS of the order cap."""
+    from test_classify import kernel_stacks
+
+    stacks = [enumerate_connected(n) for n in range(1, 8)] + kernel_stacks()[-3:]
+    stacks.append([build_family(path(10))])
+    for graphs in stacks:
+        n = graphs[0].n
         dist = distance_stack(np.stack([g.adj for g in graphs]))
-        assert dist.shape == (len(graphs), n, n) and not dist.flags.writeable
+        assert dist.shape == (len(graphs), n, n) and dist.dtype == np.int64 and not dist.flags.writeable
         for g, d in zip(graphs, dist):
             assert np.array_equal(d, floyd_warshall(g))
+    assert dist.max() == 9
 
 
 def test_distance_stack_rejects_disconnected():

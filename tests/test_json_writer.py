@@ -168,6 +168,18 @@ def test_writer_same_shape_lists_by_column(monkeypatch):
     assert outcome(_dump_json, [{"a": 1}, {"a": 1j}]) is TypeError
 
 
+def test_writer_list_cells_of_plain_ints():
+    """A column of lists (the report's witness and closed-form columns) is
+    written cell by cell: an empty list, or one of plain ints, is joined in
+    place; one that holds True, an int subclass or a float beside 1 takes
+    json's general path."""
+    rows = [{"w": [1, 2, 3], "c": []}, {"w": [True, 1], "c": [1]}, {"w": None, "c": [Count(1), 1]},
+            {"w": [1.0, 1], "c": [[1], 1]}, {"w": [], "c": [-(1 << 80), Level.LOW, 0]}]
+    for payload in (rows, {"records": rows}, [rows, rows]):
+        assert _dump_json(payload) == dumps(payload)
+    assert '"w": [\n   true, \n   1\n  ]' in _dump_json(rows)
+
+
 @given(same_shape_payloads(SCALARS, distinct=True))
 def test_writer_same_shape_lists_equal_json_dumps(payload):
     assert _dump_json(payload) == dumps(payload)
