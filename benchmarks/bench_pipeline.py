@@ -21,14 +21,21 @@ Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   graphs_from_masks_n7    enumerate_connected(7) again: the 853 graphs built
                           from the cached class masks
-  min_permuted_mask_n{7,8}_per_call
-                          mean over 200 seeded random masks, table built first
+  canonical_cert_n{7,8,9,10}_per_call
+                          canon.canonical_cert of a graph built from each of
+                          200 seeded random masks (3 at n = 9 and 2 at n = 10,
+                          where older trees take seconds a certificate), mean
+                          per call, after an untimed call has built the tables
+  family_index_n9         classify._family_index(9) uncached, through
+                          __wrapped__: the certificates of the 38 closed-form
+                          family members on 9 vertices and their values, after
+                          the certificate rows
   orbit_min_mark_n{7,8}_per_call
-                          the same masks through orbit_min_mark into one
-                          pre-faulted bitmap (256 MiB at n = 8), with
-                          perm_table where the tree has no canon.perm_powers,
-                          else the float64 power table: perm_powers(7), and
-                          at n = 8 one built here, which the library never caches
+                          the n = 7 and 8 masks of the certificate rows through
+                          orbit_min_mark into one pre-faulted bitmap (256 MiB
+                          at n = 8), with the float64 power table of every
+                          relabeling: canon.perm_powers(7), and at n = 8 one
+                          built here, as the library's covers 7! of the 8!
   non_qe_witness_n7       the witness search over the 401 non-QE order-7
                           classes: one classify._witness_stack call where it
                           exists, else non_qe_witness per graph
@@ -113,6 +120,7 @@ import gc
 import importlib
 import inspect
 import io
+import itertools
 import json
 import os
 import platform
@@ -126,7 +134,7 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parents[1]
-MASKS_PER_ORDER = 200
+MASKS_PER_ORDER = {7: 200, 8: 200, 9: 3, 10: 2}
 
 
 def _start() -> float:
@@ -204,12 +212,12 @@ def _step4(classify, graphs, adj) -> None:
 def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
-    from qec.canon import perm_table
-    from qec.classify import classify, classify_all, enumerate_connected
+    from qec.canon import canonical_cert, perm_powers
+    from qec.classify import _family_index, classify, classify_all, enumerate_connected
     from qec.embedding import embed, pendant_rule, verify_embedding
     from qec.engine import is_cnd_exact
     from qec.graphs import from_mask, is_connected
-    from qec.kernels import min_permuted_mask, orbit_min_mark
+    from qec.kernels import orbit_min_mark
 
     out: dict[str, float] = {}
     t0 = _start()
@@ -369,27 +377,39 @@ def _measure() -> dict[str, float]:
                 best_s = min(best_s, time.perf_counter() - t0)
             total += best_s
         out[f"{name}_per_graph"] = total / len(picks[name])
-    for n in (7, 8):
+    cert_masks = {}
+    for n, count in MASKS_PER_ORDER.items():
         rng = random.Random(n)
-        masks = [rng.getrandbits(n_bits(n)) for _ in range(MASKS_PER_ORDER)]
-        table = perm_table(n)
+        cert_masks[n] = [rng.getrandbits(n_bits(n)) for _ in range(count)]
+        canonical_cert(from_mask(n, 0))
         t0 = _start()
-        for mask in masks:
-            min_permuted_mask(mask, table)
-        out[f"min_permuted_mask_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
-        perm_powers = getattr(importlib.import_module("qec.canon"), "perm_powers", None)
-        if perm_powers is None:
-            orbit_table = table
-        else:
-            orbit_table = perm_powers(n) if n == 7 else numpy.ldexp(1.0, table)
+        for mask in cert_masks[n]:
+            canonical_cert(from_mask(n, mask))
+        out[f"canonical_cert_n{n}_per_call"] = (time.perf_counter() - t0) / count
+    t0 = _start()
+    _family_index.__wrapped__(9)
+    out["family_index_n9"] = time.perf_counter() - t0
+    for n in (7, 8):
+        orbit_table = perm_powers(n) if n == 7 else _full_powers(n)
         seen = numpy.ones(1 << n_bits(n), dtype=numpy.uint8)  # every page touched
         seen[:] = 0
         t0 = _start()
-        for mask in masks:
+        for mask in cert_masks[n]:
             orbit_min_mark(mask, orbit_table, seen)
-        out[f"orbit_min_mark_n{n}_per_call"] = (time.perf_counter() - t0) / len(masks)
+        out[f"orbit_min_mark_n{n}_per_call"] = (time.perf_counter() - t0) / len(cert_masks[n])
         del seen
     return out
+
+
+def _full_powers(n: int) -> numpy.ndarray:
+    """float64 (n(n-1)/2, n!) table: column p holds 2.0 ** the bit each vertex
+    pair moves to under the p-th relabeling of n vertices, pairs in graph6's
+    column-major order, so pair (i, j), i < j, is bit j(j-1)/2 + i."""
+    perms = numpy.array(list(itertools.permutations(range(n))))
+    ii, jj = numpy.array([(i, j) for j in range(n) for i in range(j)]).T
+    a, b = perms[:, ii], perms[:, jj]
+    lo, hi = numpy.minimum(a, b), numpy.maximum(a, b)
+    return numpy.ascontiguousarray(numpy.ldexp(1.0, hi * (hi - 1) // 2 + lo).T)
 
 
 def _measure_op() -> dict[str, float]:

@@ -103,9 +103,13 @@ def load_catalog(path) -> Catalog:
     warnings: list[str] = []
     seen_ids: set[str] = set()
     seen_certs: dict[CanonicalCert, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise CatalogParseError(
+                    lineno, f"non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}") from exc
             if not line:
                 continue
             tokens = line.split()

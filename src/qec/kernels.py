@@ -3,9 +3,9 @@ implementation for run reports; it is always "numpy".
 
 - ``connected_masks``: every connected labeled graph on n vertices, as a
   packed upper-triangle edge mask; unused, kept for the benchmark's tracer;
-- ``orbit_min_mark`` and ``min_permuted_mask``: relabeled masks, by one
-  product with a float64 power table for orbit collapse, and bit by bit over
-  an int8 bit-target table for certificates;
+- ``relabeled_masks``: a mask's relabelings, as one product of its bit row
+  with a float64 table of powers of two; orbit collapse (``orbit_min_mark``)
+  and certificates (``canon.canonical_cert``) both take their images from it;
 - ``jacobi_eigh`` and ``eigvalsh``: LAPACK's symmetric eigensolver with and
   without eigenvectors, eigenvalues descending, on one matrix or a stack.
 """
@@ -52,38 +52,25 @@ def connected_masks(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# permutation action on masks: orbit marking and canonical minimisation
+# permutation action on masks: one float64 product for orbits and certificates
 #
-# perm_tgt is a (B, P) int8 table: under relabeling p, bit s of the original
-# mask becomes bit perm_tgt[s, p] of the relabeled mask.
+# powers is a (B, P) float64 table: under relabeling p, bit s of a mask
+# becomes bit log2(powers[s, p]) of the relabeled mask.  A row of mask bits
+# times powers sums distinct powers of two below 2^45, so it is exact.
 
 
-def _images(mask: int, perm_tgt: np.ndarray) -> np.ndarray:
-    """The P relabeled masks of `mask`, one per column of perm_tgt."""
-    imgs = np.zeros(perm_tgt.shape[1], dtype=np.int64)
-    for s in range(perm_tgt.shape[0]):
-        if mask >> s & 1:
-            imgs += np.left_shift(1, perm_tgt[s], dtype=np.int64)  # numpy < 2 would shift in int8
-    return imgs
-
-
-def _power_images(mask: int, powers: np.ndarray) -> np.ndarray:
-    """`_images` as the bit row of `mask` times powers = 2.0 ** perm_tgt: exact
-    in float64, as each image is a sum of distinct powers of two below 2^53."""
-    bits = (mask >> np.arange(len(powers)) & 1).astype(np.float64)  # float: BLAS
-    return (bits @ powers).astype(np.int64)
+def relabeled_masks(mask: int, sources: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(..., P) relabelings of `mask` by one BLAS product: bit t of the mask
+    moved by a row of `sources` is bit row[t] of `mask`; each column of powers
+    then relabels it."""
+    return (np.int64(mask) >> sources & 1).astype(np.float64) @ powers
 
 
 def orbit_min_mark(mask: int, powers: np.ndarray, seen: np.ndarray) -> int:
     """Mark every relabeling of `mask` in `seen` and return the minimal one."""
-    imgs = _power_images(mask, powers)
+    imgs = relabeled_masks(mask, np.arange(len(powers)), powers).astype(np.int64)
     seen[imgs] = 1
     return int(imgs.min())
-
-
-def min_permuted_mask(mask: int, perm_tgt: np.ndarray) -> int:
-    """Minimum of `mask` under the relabelings in perm_tgt (and `mask` itself)."""
-    return int(min(mask, _images(mask, perm_tgt).min()))
 
 
 # ---------------------------------------------------------------------------

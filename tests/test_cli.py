@@ -10,7 +10,7 @@ from constructions import relabel
 import qec
 from qec.cli import main
 from qec.graph6 import to_graph6
-from qec.graphs import build_family, cycle, multipartite
+from qec.graphs import build_family, complete, compose, cycle, multipartite
 
 
 def run(capsys, *argv):
@@ -131,6 +131,26 @@ def test_identify(tmp_path, capsys):
     code, out, _ = run(capsys, "identify", "Bw", "--catalog", str(f))
     assert code == 0
     assert out.strip() == "unknown"
+
+
+def test_classify_json_lists_closed_forms_at_orders_9_and_10(capsys):
+    for g6, family, value in (("IhCGGC@_G", "cycle:10", 0.0), ("HhCGGC@", "path:9", None)):
+        code, out, _ = run(capsys, "classify", "--json", g6)
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        forms = {form["family"]: form["value"] for form in record["closed_forms"]}
+        assert family in forms
+        if value is not None:
+            assert forms[family] == value
+
+
+def test_identify_relabeled_order_10(tmp_path, capsys):
+    g = compose("cartesian", build_family(cycle(5)), build_family(complete(2)))
+    f = tmp_path / "catalog.g6"
+    f.write_text(f"C10 {to_graph6(build_family(cycle(10)))}\nprism {to_graph6(g)}\n", encoding="ascii")
+    shuffled = to_graph6(relabel(g, [7, 2, 9, 0, 5, 1, 8, 3, 6, 4]))
+    code, out, _ = run(capsys, "identify", shuffled, "--catalog", str(f))
+    assert (code, out.strip()) == (0, "prism")
 
 
 def test_identify_catalog_with_over_large_order_is_a_usage_error(tmp_path, capsys):

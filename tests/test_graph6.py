@@ -8,6 +8,7 @@ from constructions import relabel
 from qec.bits import n_bits
 from qec.canon import canonical_cert
 from qec.classify import enumerate_connected
+from qec.cli import main
 from qec.engine import is_cnd_exact
 from qec.errors import (
     BadHeaderError,
@@ -217,6 +218,17 @@ def test_catalog_over_large_order_names_its_line(tmp_path, record):
         load_catalog(f)
     assert err.value.line == 3
     assert str(err.value).startswith(f"line 3: bad graph6 record {record!r}: ")
+
+
+def test_catalog_non_ascii_byte_names_its_line(tmp_path, capsys):
+    f = tmp_path / "catalog.g6"
+    f.write_bytes(b"B Bw\r\na A\xe9\n")
+    with pytest.raises(CatalogParseError) as err:
+        load_catalog(f)
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: non-ASCII byte 0xe9 at column 4"
+    assert main(["identify", "Bw", "--catalog", str(f)]) == 1
+    assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xe9 at column 4\n"
 
 
 def test_catalog_too_many_fields(tmp_path):

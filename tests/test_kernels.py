@@ -7,8 +7,9 @@ import pytest
 from constructions import relabel
 from qec import kernels
 from qec.bits import n_bits
-from qec.canon import perm_powers, perm_table
+from qec.canon import perm_powers
 from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
+from relabelings import _images, min_permuted_mask, perm_table
 
 
 def test_active_backend_env():
@@ -33,16 +34,16 @@ def test_orbit_min_mark():
     # orbit size x automorphism order = n!
     orbit = int(seen.sum())
     assert orbit == 12  # 5!/|Aut(C5)| = 120/10
-    assert kernels.min_permuted_mask(g.mask, table) == least
+    assert min_permuted_mask(g.mask, table) == least
 
 
 def test_min_permuted_mask_is_invariant():
     table = perm_table(5)
     g = build_family(multipartite(3, 2))
-    base = kernels.min_permuted_mask(g.mask, table)
+    base = min_permuted_mask(g.mask, table)
     relabeled = relabel(g, [3, 0, 4, 1, 2]).mask
     assert relabeled != g.mask
-    assert kernels.min_permuted_mask(relabeled, table) == base
+    assert min_permuted_mask(relabeled, table) == base
 
 
 def _brute_force_orbit(n, mask):
@@ -70,7 +71,7 @@ def test_orbit_kernels_against_brute_force(n):
         least = kernels.orbit_min_mark(mask, perm_powers(n), seen)
         assert set(np.flatnonzero(seen).tolist()) == orbit
         assert least == min(orbit)
-        assert kernels.min_permuted_mask(mask, table) == min(orbit)
+        assert min_permuted_mask(mask, table) == min(orbit)
 
 
 def test_perm_powers_is_a_read_only_float64_power_table():
@@ -82,15 +83,16 @@ def test_perm_powers_is_a_read_only_float64_power_table():
 
 def test_power_images_exact_at_order_8():
     """Order 8 has 28 edge bits, beyond float32's 24: the float64 product must
-    give the int8 shift-and-add images bit for bit (power table built here;
-    the library caches none at this order)."""
+    give the int8 shift-and-add images bit for bit (the full 8! power table is
+    built here; the library's covers the 7! relabelings of vertices 0..6)."""
     table = perm_table(8)
     powers = np.ldexp(1.0, table)
     rng = random.Random(8)
     masks = [rng.getrandbits(28) for _ in range(50)] + [(1 << 28) - 1]
     masks += [1 << s for s in range(28)]
     for mask in masks:
-        assert np.array_equal(kernels._power_images(mask, powers), kernels._images(mask, table))
+        images = kernels.relabeled_masks(mask, np.arange(28), powers).astype(np.int64)
+        assert np.array_equal(images, _images(mask, table))
 
 
 def test_jacobi_against_numpy_eigh():
