@@ -76,8 +76,13 @@ Layers:
                           witness layer has filled the cache); absent from
                           trees without the table
   report_n7               the JSON report of `qec enumerate --n 7` from the
-                          records of classify_all(7): qec.cli._record_dict per
-                          record, then qec.cli._dump_json
+                          records of classify_all(7), written as the tree
+                          writes it: qec.cli._cmd_enumerate with its
+                          classify_all returning those records, the file
+                          written to a temporary directory
+  records_n7              classify._records over the 853 order-7 classes, from
+                          the stacked inputs and sieve of a sweep (built
+                          untimed, as for sieve_n7); after an untimed call
   sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
                           it (step 5 or 6 in classify_all(7)): one
                           classify._step5_stack call where it exists, else
@@ -166,19 +171,25 @@ def _run_stacked(kernel, graphs, stacks):
     return kernel(*stacks)
 
 
-def _time_sieve(classify, engine) -> float | None:
-    """Seconds of sieve steps 1-6 and the records over the order-7 classes,
-    from a sweep's stacked inputs built untimed; None in trees whose sweep
-    has neither the stacked sieve nor `_sieve_inputs`."""
-    if not hasattr(classify, "_records") and not hasattr(classify, "_sieve_inputs"):
-        return None
+def _sweep_inputs(classify, engine) -> tuple:
+    """The stacked inputs of the order-7 sieve: graphs, adjacency, distances,
+    what prime_stack returned, exact verdicts, witnesses and star splits."""
     graphs, adj = classify._class_graphs(7)
     primed = engine.prime_stack(graphs, adj)
     dist = primed[0] if isinstance(primed, tuple) else primed
     exact = numpy.array([engine.is_cnd_exact(g) for g in graphs])
     found = iter(classify._witness_stack(adj[~exact], dist[~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
-    splits = classify._split_stack(adj, dist)
+    return graphs, adj, dist, primed, exact, witnesses, classify._split_stack(adj, dist)
+
+
+def _time_sieve(classify, engine) -> float | None:
+    """Seconds of sieve steps 1-6 and the records over the order-7 classes,
+    from a sweep's stacked inputs built untimed; None in trees whose sweep
+    has neither the stacked sieve nor `_sieve_inputs`."""
+    if not hasattr(classify, "_records") and not hasattr(classify, "_sieve_inputs"):
+        return None
+    graphs, adj, dist, primed, exact, witnesses, splits = _sweep_inputs(classify, engine)
     if hasattr(classify, "_records"):
         t0 = _start()
         sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
@@ -187,6 +198,21 @@ def _time_sieve(classify, engine) -> float | None:
     t0 = _start()
     sieves = classify._sieve_inputs(graphs, adj, dist, exact.tolist(), witnesses, splits)
     [classify._record(*args) for args in zip(graphs, exact.tolist(), witnesses, sieves)]
+    return time.perf_counter() - t0
+
+
+def _time_records(classify, engine) -> float | None:
+    """Seconds of classify._records over the order-7 classes, from a sweep's
+    stacked inputs and sieve built untimed, after an untimed call; None in
+    trees without the stacked records."""
+    if not hasattr(classify, "_records"):
+        return None
+    graphs, adj, dist, primed, exact, witnesses, splits = _sweep_inputs(classify, engine)
+    sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
+    args = (graphs, [g._cert for g in graphs], exact, witnesses, primed[2], sieve)
+    classify._records(*args)
+    t0 = _start()
+    classify._records(*args)
     return time.perf_counter() - t0
 
 
@@ -331,11 +357,16 @@ def _measure() -> dict[str, float]:
         records, summary = classify_all(n, workers=1)
         out[f"classify_all_n{n}"] = time.perf_counter() - t0
     cli = importlib.import_module("qec.cli")
-    t0 = _start()
-    dicts = [cli._record_dict(r) for r in records]
-    cli._dump_json(cli._report("enumerate n=7", dicts, dict(zip(
-        ("qe", "non_primary", "primary"), summary))))
-    out["report_n7"] = time.perf_counter() - t0
+    sweep = cli.classify_all
+    cli.classify_all = lambda n, **kwargs: (records, summary)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            args = argparse.Namespace(n=7, format="json", out=str(Path(tmp) / "n7.json"))
+            t0 = _start()
+            cli._cmd_enumerate(args)
+            out["report_n7"] = time.perf_counter() - t0
+    finally:
+        cli.classify_all = sweep
     step5 = [r.graph.mask for r in records if r.sieve_step in ("step5", "step6")]
     if len(step5) != 164:
         raise SystemExit(f"{len(step5)} order-7 classes reach sieve step 5, expected 164")
@@ -356,6 +387,9 @@ def _measure() -> dict[str, float]:
         sieve_s = _time_sieve(classify_module, engine)
         if timed and sieve_s is not None:
             out["sieve_n7"] = sieve_s
+    records_s = _time_records(classify_module, engine)
+    if records_s is not None:
+        out["records_n7"] = records_s
     rng = random.Random(57)
     picks: dict[str, list[tuple[int, int]]] = {"classify": [], "embed": []}
     while len(picks["embed"]) < 200:

@@ -26,7 +26,7 @@ from .classify import (
 )
 from .embedding import Embedding, embed, gram_from_distance, pendant_rule, verify_embedding
 from .engine import QecReport, adjacency_min_eigenvalue, is_cnd_exact, qec
-from .formulas import qec_formula, qec_join_regular, qec_multipartite
+from .formulas import qec_formula, qec_multipartite
 from .graph6 import Catalog, CatalogEntry, identify, load_catalog, parse_graph6, to_graph6
 from .graphs import (
     FamilySpec,
@@ -73,7 +73,6 @@ __all__ = [
     "pendant_rule",
     "qec",
     "qec_formula",
-    "qec_join_regular",
     "qec_multipartite",
     "sieve_trace",
     "to_graph6",

@@ -15,7 +15,6 @@ a single graph as a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -44,7 +43,7 @@ from .errors import (
     OrderOneError,
     OrderTooLargeError,
 )
-from .formulas import formula_value, qec_formula_exact, regular_join_value
+from .formulas import formula_value, regular_join_value
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
 from .graphs import (  # noqa: F401
     FamilySpec,
@@ -81,8 +80,10 @@ Split = tuple[int, int, int] | None  # cut vertex v and the two QE parts' orders
 Join = tuple[int, int, float] | None  # two regular parts' orders and the join formula's value
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
+    """One graph's classification: the graph, its class's certificate, QEC,
+    exact verdict, witness (non-QE non-primary graphs) and deciding sieve step."""
+
     graph: Graph
     cert: CanonicalCert
     qec_value: float
@@ -143,7 +144,12 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     order of S (2^n int8), and (2^n, bytes of a mask, 256) int16 sub-masks.
     At (S, k, b): the bits of S's own labeled mask, in graph6 pair order, that
     byte k of a graph's packed mask holds when its value is b (mask bit t is
-    bit t % 8 of byte t // 8); zero where S has ENUM_MAX_ORDER or more vertices."""
+    bit t % 8 of byte t // 8); zero where S has ENUM_MAX_ORDER or more vertices.
+    Raises OverflowError if a sub-mask the tables hold would pass int16's 15 bits."""
+    largest = min(n, ENUM_MAX_ORDER - 1)
+    if n_bits(largest) > 15:
+        raise OverflowError(f"block tables of order {n} would hold {n_bits(largest)}-bit sub-masks of "
+                            f"{largest}-vertex blocks (ENUM_MAX_ORDER = {ENUM_MAX_ORDER}); int16 holds 15")
     members = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     orders = members.sum(axis=1)
     u, v = pair_rows_cols(n)
@@ -478,6 +484,7 @@ def _step5_stack(adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
 
 
 VERDICTS = tuple(Verdict)  # a stack's verdicts index it: QE 0, primary 1, non-primary 2
+_STEP_NAMES = tuple(f"step{k}" for k in range(7))  # a sieve step's name by its number, 1-6
 _PASSED = ("not a nontrivial product of QE graphs", "no isometric non-QE proper subgraph",
            "no closed-form family match", "not a join of two regular graphs",
            "no pendant edge, no embedding")  # the trace of the steps before the deciding one
@@ -596,9 +603,9 @@ def _records(graphs: Sequence[Graph], certs: Sequence[CanonicalCert], exact: np.
         i = int(((values > 0) != (verdict != 0)).argmax())
         raise AssertionError(f"QEC {values.tolist()[i]!r} contradicts exact verdict "
                              f"{VERDICTS[verdict[i]].value} of {certs[i]}")
-    steps = [None] * len(graphs) if sieve is None else [f"step{k}" for k in sieve.step.tolist()]
-    return [ClassificationRecord(*fields) for fields in zip(
-        graphs, certs, values.tolist(), [VERDICTS[v] for v in verdict.tolist()], witnesses, steps)]
+    steps = [None] * len(graphs) if sieve is None else list(map(_STEP_NAMES.__getitem__, sieve.step.tolist()))
+    return list(map(ClassificationRecord._make, zip(
+        graphs, certs, values.tolist(), map(VERDICTS.__getitem__, verdict.tolist()), witnesses, steps)))
 
 
 def classify(g: Graph) -> ClassificationRecord:
@@ -637,11 +644,3 @@ def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord
     counts = np.bincount(sieve.verdict, minlength=len(VERDICTS))  # the exact verdicts, checked
     summary = Summary(qe=int(counts[0]), non_primary=int(counts[2]), primary=int(counts[1]))
     return records, summary
-
-
-def closed_form_matches(g: Graph) -> list[tuple[FamilySpec, float, str]]:
-    """Closed-form families isomorphic to g, with value and exact expression."""
-    if g.n < 2:
-        return []
-    entry = _family_index(g.n).get(canonical_cert(g))
-    return [] if entry is None else [(*entry, qec_formula_exact(entry[0]))]

@@ -14,15 +14,19 @@ import io
 import os
 import sys
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .classify import (
     ClassificationRecord,
+    _cert_hits,
     _family_index,
     classify,
     classify_all,
-    closed_form_matches,
     sieve_trace,
 )
 from .embedding import embed, verify_embedding
@@ -43,7 +47,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .formulas import formula_value, qec_formula_exact
-from .graph6 import identify, load_catalog, parse_graph6, to_graph6
+from .graph6 import identify, load_catalog, parse_graph6, to_graph6, to_graph6_column
 from .graphs import FamilySpec, Graph, build_family, distance_matrix
 
 _USAGE_ERRORS = (Graph6Error, CatalogParseError, BadParamsError, OSError, ValueError)
@@ -83,25 +87,47 @@ def _read_graph(arg: str) -> Graph:
     return parse_graph6(text)
 
 
+class _Rows:
+    """Dicts on one key tuple, held by column: `columns` maps each key to its
+    values in row order.  `_json_text` writes it as the list of those dicts,
+    and `_records_csv` as CSV rows."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+
+def _record_rows(records: Sequence[ClassificationRecord], ident: str | None = None) -> _Rows:
+    """The report fields of one or more records of one order, by column: graph6
+    texts and edge counts from the packed masks in one pass, closed forms only
+    at the family members among the certificates, the rest column by column."""
+    graphs, certs, values, verdicts, witnesses, steps = zip(*records)
+    n = graphs[0].n
+    masks = [g.mask for g in graphs]
+    closed_forms = [[] for _ in graphs]
+    for i, (spec, value) in _cert_hits(_family_index(n), np.array([c.bits for c in certs], dtype=np.int64),
+                                       np.arange(len(certs))).items():
+        closed_forms[i] = [{"family": str(spec), "value": _round12(value), "exact": qec_formula_exact(spec)}]
+    return _Rows({
+        "id": [ident] * len(graphs),
+        "graph6": to_graph6_column(n, np.array(masks, dtype=np.int64)),
+        "n": [n] * len(graphs),
+        "edges": list(map(int.bit_count, masks)),
+        "qec": list(map(_round12, values)),
+        "verdict": list(map(str.__str__, verdicts)),  # a Verdict's value, as a plain str
+        "witness": [None if w is None else list(w) for w in witnesses],
+        "sieve_step": list(steps),
+        "closed_forms": closed_forms,
+    })
+
+
 def _record_dict(rec: ClassificationRecord, ident: str | None = None) -> dict:
-    matches = closed_form_matches(rec.graph) if rec.cert in _family_index(rec.graph.n) else []
-    return {
-        "id": ident,
-        "graph6": to_graph6(rec.graph),
-        "n": rec.graph.n,
-        "edges": rec.graph.edge_count,
-        "qec": _round12(rec.qec_value),
-        "verdict": rec.verdict.value,
-        "witness": list(rec.witness) if rec.witness is not None else None,
-        "sieve_step": rec.sieve_step,
-        "closed_forms": [
-            {"family": str(spec), "value": _round12(val), "exact": expr}
-            for spec, val, expr in matches
-        ],
-    }
+    """The report fields of one record: the one-row case of `_record_rows`."""
+    return {key: column[0] for key, column in _record_rows([rec], ident).columns.items()}
 
 
-def _report(input_desc: str, records: list[dict], summary: dict | None = None) -> dict:
+def _report(input_desc: str, records: list[dict] | _Rows, summary: dict | None = None) -> dict:
     if summary is None:
         verdicts = [r["verdict"] for r in records if r["verdict"]]
         summary = {
@@ -119,6 +145,7 @@ def _report(input_desc: str, records: list[dict], summary: dict | None = None) -
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _INT_ONLY = {int}
+_NONE_OR_LIST = {type(None), list}
 # json's text of each scalar type; bool ahead of int for isinstance
 _JSON_SCALARS = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
                  int: int.__repr__, type(None): lambda v: "null",
@@ -135,8 +162,12 @@ def _json_text(value, newline: str) -> str:
     """json's text of `value` on a line that `newline` starts; an item whose
     type is a key of _JSON_SCALARS is written without a call of its own, a
     dict of str keys is one format of its values into its shape's text, and
-    a list of two or more such dicts on one key tuple is written by column."""
+    a list of two or more such dicts on one key tuple, or _Rows, is written
+    by column."""
     inner = newline + " "
+    if type(value) is _Rows:
+        rows = _json_columns(list(value.columns.values()), _json_shape(tuple(value.columns), inner), inner)
+        return "[" + inner + rows + newline + "]" if rows else "[]"
     if isinstance(value, dict):
         keys = tuple(value)
         if (shape := keys and isinstance(keys[0], str) and _json_shape(keys, newline)):
@@ -152,10 +183,9 @@ def _json_text(value, newline: str) -> str:
         if (len(value) >= 2 and type(value[0]) is dict and (keys := tuple(value[0]))
                 and isinstance(keys[0], str) and (shape := _json_shape(keys, inner))
                 and all(type(row) is dict and tuple(row) == keys for row in value)):
-            items = _json_rows(value, shape, inner + " ")
-        else:
-            items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
-                     for item in value]
+            return "[" + inner + _json_rows(value, shape, inner) + newline + "]"
+        items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
+                 for item in value]
         return "[" + inner + (", " + inner).join(items) + newline + "]" if items else "[]"
     for kind, write in _JSON_SCALARS.items():  # subclasses, and scalars at the top
         if isinstance(value, kind):
@@ -163,24 +193,35 @@ def _json_text(value, newline: str) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _json_rows(rows: list, shape: tuple[tuple[int, ...], str], inner: str) -> list[str]:
-    """The texts of same-shape dicts `rows` (one key tuple) whose values go on
-    `inner` lines, written by column: a column of one scalar type through its
-    writer in one map, any other cell by cell, a list of plain ints (none
-    bool) joined in place; then one format per row."""
-    columns = list(zip(*[row.values() for row in rows]))
+def _json_rows(rows: list, shape: tuple[tuple[int, ...], str], newline: str) -> str:
+    """`_json_columns` of same-shape dicts `rows` (one key tuple)."""
+    return _json_columns(list(zip(*[row.values() for row in rows])), shape, newline)
+
+
+def _json_columns(columns: list, shape: tuple[tuple[int, ...], str], newline: str) -> str:
+    """json's text of the dicts of one key tuple, their `shape` on `newline`
+    lines, whose values by key are `columns`, comma-separated: a column of
+    one scalar type through its writer in one map, a column of None and lists
+    of plain ints (none bool) after one check of all their items, any other
+    cell by cell, a list of plain ints joined in place; then one format of
+    all rows."""
+    inner = newline + " "
     comma = ", " + inner + " "  # between the items of a list cell
+    head, tail = "[" + comma[2:], inner + "]"
     texts = []
     for column in map(columns.__getitem__, shape[0]):
         kinds = set(map(type, column))
-        if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
+        if len(kinds) == 1 and (write := _JSON_SCALARS.get(next(iter(kinds)))):
             texts.append(map(write, column))
+        elif kinds <= _NONE_OR_LIST and {*map(type, chain.from_iterable(filter(None, column)))} <= _INT_ONLY:
+            texts.append(["null" if item is None else head + comma.join(map(int.__repr__, item)) + tail
+                          if item else "[]" for item in column])
         else:
             texts.append([write(item) if (write := _JSON_SCALARS.get(type(item)))
-                          else ("[" + comma[2:] + comma.join(map(int.__repr__, item)) + inner + "]" if item else "[]")
+                          else (head + comma.join(map(int.__repr__, item)) + tail if item else "[]")
                           if type(item) is list and {*map(type, item)} <= _INT_ONLY
                           else _json_text(item, inner) for item in column])
-    return [shape[1] % row for row in zip(*texts)]
+    return (", " + newline).join([shape[1]] * len(columns[0])) % tuple(chain.from_iterable(zip(*texts)))
 
 
 @lru_cache(maxsize=None)
@@ -206,26 +247,18 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _csv_row(rec: dict) -> list[str]:
-    return [
-        rec["id"] or "",
-        rec["graph6"],
-        str(rec["n"]),
-        str(rec["edges"]),
-        _fmt(rec["qec"]),
-        rec["verdict"] or "",
-        " ".join(str(v) for v in rec["witness"]) if rec["witness"] else "",
-        rec["sieve_step"] or "",
-        rec["closed_forms"][0]["exact"] if rec["closed_forms"] else "",
-    ]
-
-
-def _records_csv(records: list[dict]) -> str:
+def _records_csv(rows: _Rows) -> str:
+    """The CSV table of report rows, header first."""
+    columns = rows.columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(_csv_row(rec))
+    writer.writerows(zip(
+        [ident or "" for ident in columns["id"]], columns["graph6"], columns["n"], columns["edges"],
+        map(_fmt, columns["qec"]), [verdict or "" for verdict in columns["verdict"]],
+        [" ".join(map(str, witness)) if witness else "" for witness in columns["witness"]],
+        [step or "" for step in columns["sieve_step"]],
+        [forms[0]["exact"] if forms else "" for forms in columns["closed_forms"]]))
     return buf.getvalue()
 
 
@@ -285,13 +318,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     records, summary = classify_all(args.n)
-    dicts = [_record_dict(r) for r in records]
-    summary_dict = {"qe": summary.qe, "non_primary": summary.non_primary,
-                    "primary": summary.primary}
+    rows = _record_rows(records)
     if args.format == "json":
-        table = _dump_json(_report(f"enumerate n={args.n}", dicts, summary_dict))
+        table = _dump_json(_report(f"enumerate n={args.n}", rows, summary._asdict()))
     else:
-        table = _records_csv(dicts)
+        table = _records_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(table if table.endswith("\n") else table + "\n")

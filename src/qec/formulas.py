@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .engine import adjacency_min_eigenvalue
-from .errors import BadParamsError, NotRegularError, UnsupportedFamilyError
-from .graphs import FamilySpec, Graph
+from .errors import BadParamsError, UnsupportedFamilyError
+from .graphs import FamilySpec
 
 
 def qec_formula(spec: FamilySpec) -> float:
@@ -111,21 +110,8 @@ def formula_value(spec: FamilySpec) -> float:
     return qec_formula(spec)
 
 
-def qec_join_regular(g1: Graph, g2: Graph) -> float:
-    """QEC of the join of two regular graphs (either may be disconnected)."""
-    return regular_join_value(g1.n, _regularity(g1), adjacency_min_eigenvalue(g1),
-                              g2.n, _regularity(g2), adjacency_min_eigenvalue(g2))
-
-
 def regular_join_value(n1: int, r1: int, low1: float, n2: int, r2: int, low2: float) -> float:
     """QEC of the join of an r1-regular graph on n1 vertices with an r2-regular
     one on n2, given their smallest adjacency eigenvalues low1 and low2."""
     cross = (2.0 * n1 * n2 - r1 * n2 - r2 * n1) / (n1 + n2)
     return -2.0 + max(-low1, -low2, cross)
-
-
-def _regularity(g: Graph) -> int:
-    deg = g.degrees()
-    if len(set(int(x) for x in deg)) != 1:
-        raise NotRegularError(f"degrees {sorted(deg)} are not constant")
-    return int(deg[0])

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bits import n_bits
 from .canon import CanonicalCert, canonical_cert
 from .errors import (
@@ -67,6 +69,15 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph; parse_graph6(to_graph6(g)) reproduces g exactly."""
     mask = g.mask
     return chr(63 + g.n) + "".join([_CHARS[mask >> t & 63] for t in range(0, n_bits(g.n), 6)])
+
+
+def to_graph6_column(n: int, masks: np.ndarray) -> list[str]:
+    """`to_graph6` of the graphs on n vertices with packed int64 `masks`, in
+    one array pass: each record's bytes as one row, read as one string."""
+    codes = np.empty((len(masks), 1 + -(-n_bits(n) // 6)), dtype=np.uint8)
+    codes[:, 0] = 63 + n
+    codes[:, 1:] = np.array(_REV6, dtype=np.uint8)[masks[:, None] >> np.arange(0, n_bits(n), 6) & 63] + 63
+    return codes.view(f"S{codes.shape[1]}").ravel().astype(str).tolist()
 
 
 @dataclass(frozen=True)

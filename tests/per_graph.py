@@ -41,10 +41,10 @@ from qec.classify import (
     _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
-from qec.errors import NotQEError
-from qec.formulas import formula_value, qec_join_regular
-from qec.graphs import Graph, _reach, distance_matrix, induced_subgraph
+from qec.engine import _psd_rank, _psd_rank_stack, adjacency_min_eigenvalue, is_cnd_exact, qec_value
+from qec.errors import NotQEError, NotRegularError
+from qec.formulas import formula_value, qec_formula_exact, regular_join_value
+from qec.graphs import FamilySpec, Graph, _reach, distance_matrix, induced_subgraph
 
 
 def set_bits(mask: int) -> list[int]:
@@ -258,6 +258,29 @@ def regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
                 return (induced_subgraph(g, set_bits(side)),
                         induced_subgraph(g, set_bits(every & ~side)))
     return None
+
+
+def closed_form_matches(g: Graph) -> list[tuple[FamilySpec, float, str]]:
+    """Closed-form families isomorphic to g, with value and exact expression,
+    by one certificate lookup in the family index."""
+    if g.n < 2:
+        return []
+    entry = _family_index(g.n).get(canonical_cert(g))
+    return [] if entry is None else [(*entry, qec_formula_exact(entry[0]))]
+
+
+def qec_join_regular(g1: Graph, g2: Graph) -> float:
+    """QEC of the join of two regular graphs (either may be disconnected),
+    each part's least adjacency eigenvalue solved alone."""
+    return regular_join_value(g1.n, _regularity(g1), adjacency_min_eigenvalue(g1),
+                              g2.n, _regularity(g2), adjacency_min_eigenvalue(g2))
+
+
+def _regularity(g: Graph) -> int:
+    deg = g.degrees()
+    if len(set(int(x) for x in deg)) != 1:
+        raise NotRegularError(f"degrees {sorted(deg)} are not constant")
+    return int(deg[0])
 
 
 def step4(g: Graph) -> tuple[int, int, float] | None:

@@ -23,11 +23,12 @@ from constructions import add_apex, is_isomorphic
 from qec.bits import n_bits
 from qec.canon import canonical_cert
 from isometry import is_isometric_subgraph
+from per_graph import qec_join_regular
 from qec.classify import Verdict, classify, classify_all, enumerate_connected
 from qec.embedding import embed, verify_embedding
 from qec.engine import is_cnd_exact, qec
 from qec.errors import NotQEError
-from qec.formulas import formula_value, qec_join_regular, qec_multipartite
+from qec.formulas import formula_value, qec_multipartite
 from qec.graph6 import parse_graph6, to_graph6
 from qec.graphs import (
     FamilySpec,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -15,6 +16,7 @@ from qec.bits import n_bits, pack_mask
 from qec.canon import CanonicalCert, canonical_cert
 from qec.classify import (
     VERDICTS,
+    ClassificationRecord,
     Step5,
     Verdict,
     _block_tables,
@@ -525,6 +527,32 @@ def test_block_tables_are_read_only_and_small():
                 table.reshape(-1)[0] = 1
         assert orders.nbytes + parts.nbytes <= (0.3e6 if n <= 7 else 4e6), n
         assert orders.tolist() == [bin(s).count("1") for s in range(1 << n)]
+
+
+def test_classification_record_is_frozen_and_pickles():
+    """A record refuses attribute assignment and round-trips through pickle,
+    graph, certificate, verdict and witness included."""
+    records, _ = classify_all(6)
+    rec = next(r for r in records if r.witness is not None)
+    with pytest.raises(AttributeError):
+        rec.verdict = Verdict.QE
+    back = pickle.loads(pickle.dumps(records))
+    assert back == records and {type(r) for r in back} == {ClassificationRecord}
+
+
+def test_block_tables_refuse_sub_masks_past_int16(monkeypatch):
+    """With the cap at 8 the tables would hold the 21-bit sub-masks of
+    7-vertex blocks, which int16 wraps: building them raises OverflowError
+    instead, while 6-vertex blocks (15 bits) still fit."""
+    monkeypatch.setattr(sys.modules["qec.classify"], "ENUM_MAX_ORDER", 8)
+    _block_tables.cache_clear()
+    try:
+        for n in (7, 8, 10):
+            with pytest.raises(OverflowError, match="21-bit sub-masks of 7-vertex blocks"):
+                _block_tables(n)
+        assert _block_tables(6)[1].dtype == np.int16
+    finally:
+        _block_tables.cache_clear()
 
 
 def _reference_step5(g):

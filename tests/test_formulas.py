@@ -3,13 +3,13 @@ import math
 import pytest
 
 from constructions import disjoint_union
+from per_graph import qec_join_regular
 from qec.engine import qec
 from qec.errors import BadParamsError, NotRegularError, UnsupportedFamilyError
 from qec.formulas import (
     _multipartite_alpha,
     formula_value,
     qec_formula,
-    qec_join_regular,
     qec_multipartite,
 )
 from qec.graphs import (

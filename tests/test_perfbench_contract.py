@@ -31,14 +31,13 @@ def test_active_backend_is_recorded():
 
 
 def test_enumerate_reports_through_the_traced_names(monkeypatch, tmp_path, capsys):
-    """`qec enumerate --n 5` writes its report through the qec.cli names that
-    tracing.BINDINGS patches for the cli.report and graph6.emit layers: one
-    _record_dict and one to_graph6 per record, and one _dump_json."""
-    bound = {(module, attribute) for layer in ("cli.report", "graph6.emit")
-             for module, attribute, _, _ in tracing.BINDINGS[layer]}
-    names = ("_record_dict", "_dump_json", "to_graph6")
-    assert {("qec.cli", name) for name in names} <= bound
-    calls = {name: 0 for name in names}
+    """`qec enumerate --n 5` writes each report through one of the qec.cli
+    names that tracing.BINDINGS patches for the cli.report layer, once: a
+    JSON report through _dump_json, a CSV table through _records_csv."""
+    names = [attribute for module, attribute, _, _ in tracing.BINDINGS["cli.report"]
+             if module == "qec.cli"]
+    assert {"_dump_json", "_records_csv"} <= set(names)
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -48,6 +47,10 @@ def test_enumerate_reports_through_the_traced_names(monkeypatch, tmp_path, capsy
 
     for name in names:
         monkeypatch.setattr(qec.cli, name, counted(name, getattr(qec.cli, name)))
-    assert qec.cli.main(["enumerate", "--n", "5", "--out", str(tmp_path / "n5.json")]) == 0
-    capsys.readouterr()
-    assert calls == {"_record_dict": 21, "_dump_json": 1, "to_graph6": 21}
+    for fmt, writer in (("json", "_dump_json"), ("csv", "_records_csv")):
+        out = tmp_path / f"n5.{fmt}"
+        assert qec.cli.main(["enumerate", "--n", "5", "--format", fmt, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert calls == {name: int(name == writer) for name in names}, fmt
+        assert out.stat().st_size > 0
+        calls.update(dict.fromkeys(names, 0))
