@@ -103,10 +103,16 @@ call on a graph rebuilt from its mask (so it pays its BFS and exact test):
                           5 to 7 vertices (G(n, p), p uniform in 0.2..0.9)
   embed_per_graph         embed over 200 seeded random connected QE graphs
                           drawn the same way
+One-record reports, each the mean over its 200 payloads of the best of 9 calls:
+  dump_json_classify_record, dump_json_compute_record
+                          qec.cli._dump_json of the payload that `qec classify
+                          --json` and `qec compute --json --exact` write for
+                          each classify_per_graph graph (caught from one
+                          in-process run of each command)
 The witness, split, distance, value, exact, pendant and step-4 layers run on
 graphs rebuilt from their masks, so no memo filled while picking them is reused;
 the pendant and per-graph step-4 layers get neighbor_masks() filled first, as
-prime_stack fills it in a sweep.
+the prime_stack of older trees filled it in a sweep.
 The witness and split layers prime their graphs with engine.prime_stack, as a
 sweep does, and time a second call, on fresh copies, after an untimed first
 call has built the verdict tables and subset indexes.  Where the stacked
@@ -242,6 +248,7 @@ def _measure() -> dict[str, float]:
     from qec.classify import _family_index, classify, classify_all, enumerate_connected
     from qec.embedding import embed, pendant_rule, verify_embedding
     from qec.engine import is_cnd_exact
+    from qec.graph6 import to_graph6
     from qec.graphs import from_mask, is_connected
     from qec.kernels import orbit_min_mark
 
@@ -411,6 +418,27 @@ def _measure() -> dict[str, float]:
                 best_s = min(best_s, time.perf_counter() - t0)
             total += best_s
         out[f"{name}_per_graph"] = total / len(picks[name])
+    payloads = {"classify": [], "compute": []}
+    write = cli._dump_json
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, flags in (("classify", ["--json"]), ("compute", ["--json", "--exact"])):
+                cli._dump_json = lambda payload, name=name: payloads[name].append(payload) or write(payload)
+                for n, mask in picks["classify"]:
+                    cli.main([name, to_graph6(from_mask(n, mask)), *flags])
+    finally:
+        cli._dump_json = write
+    _start()
+    for name, chosen in payloads.items():
+        total = 0.0
+        for payload in chosen:
+            best_s = float("inf")
+            for _ in range(9):
+                t0 = time.perf_counter()
+                write(payload)
+                best_s = min(best_s, time.perf_counter() - t0)
+            total += best_s
+        out[f"dump_json_{name}_record"] = total / len(chosen)
     cert_masks = {}
     for n, count in MASKS_PER_ORDER.items():
         rng = random.Random(n)

@@ -2,7 +2,7 @@
 
 Compute QEC values, decide QE / non-QE membership exactly, construct
 explicit quadratic embeddings, and reproduce the complete classification
-of graphs on up to six (stretch: seven) vertices.
+of connected graphs on up to seven vertices (`classify.ENUM_MAX_ORDER`).
 """
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ from .classify import (
     sieve_trace,
 )
 from .embedding import Embedding, embed, gram_from_distance, pendant_rule, verify_embedding
-from .engine import QecReport, adjacency_min_eigenvalue, is_cnd_exact, qec
+from .engine import QecReport, is_cnd_exact, qec
 from .formulas import qec_formula, qec_multipartite
 from .graph6 import Catalog, CatalogEntry, identify, load_catalog, parse_graph6, to_graph6
 from .graphs import (
@@ -51,7 +51,6 @@ __all__ = [
     "QecReport",
     "Summary",
     "Verdict",
-    "adjacency_min_eigenvalue",
     "build_family",
     "canonical_cert",
     "classify",

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import os
 import sys
-from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -88,9 +88,9 @@ def _read_graph(arg: str) -> Graph:
 
 
 class _Rows:
-    """Dicts on one key tuple, held by column: `columns` maps each key to its
-    values in row order.  `_json_text` writes it as the list of those dicts,
-    and `_records_csv` as CSV rows."""
+    """Dicts on one tuple of str keys, held by column: `columns` maps each key
+    to its values in row order.  `_json_text` writes it as the list of those
+    dicts, by column (`_json_columns`), and `_records_csv` as CSV rows."""
 
     __slots__ = ("columns",)
 
@@ -144,9 +144,7 @@ def _report(input_desc: str, records: list[dict] | _Rows, summary: dict | None =
 
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_INT_ONLY = {int}
-_NONE_OR_LIST = {type(None), list}
-# json's text of each scalar type; bool ahead of int for isinstance
+# json's text of each scalar type
 _JSON_SCALARS = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
                  int: int.__repr__, type(None): lambda v: "null",
                  float: lambda v: _JSON_FLOATS.get(text := float.__repr__(v), text)}
@@ -159,92 +157,48 @@ def _dump_json(payload: dict) -> str:
 
 
 def _json_text(value, newline: str) -> str:
-    """json's text of `value` on a line that `newline` starts; an item whose
-    type is a key of _JSON_SCALARS is written without a call of its own, a
-    dict of str keys is one format of its values into its shape's text, and
-    a list of two or more such dicts on one key tuple, or _Rows, is written
-    by column."""
-    inner = newline + " "
-    if type(value) is _Rows:
-        rows = _json_columns(list(value.columns.values()), _json_shape(tuple(value.columns), inner), inner)
+    """json's text of `value` on a line that `newline` starts.  Values of the
+    exact types the reports hold (a key type of _JSON_SCALARS, list, tuple,
+    dict of str keys, _Rows) are written here, a list of one scalar type in
+    one map; any other value by json itself, whose text indents one level
+    deeper on each newline and holds no newline in a string."""
+    kind, inner = type(value), newline + " "
+    if write := _JSON_SCALARS.get(kind):
+        return write(value)
+    if kind is _Rows:
+        rows = _json_columns(value.columns, inner)
         return "[" + inner + rows + newline + "]" if rows else "[]"
-    if isinstance(value, dict):
-        keys = tuple(value)
-        if (shape := keys and isinstance(keys[0], str) and _json_shape(keys, newline)):
-            values = tuple(value.values())
-            texts = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
-                     for item in map(values.__getitem__, shape[0])]
-            return shape[1] % tuple(texts)
-        items = [(encode_basestring_ascii(key) if type(key) is str else _json_key(key)) + ": "
-                 + (write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner))
-                 for key, item in sorted(value.items())]
+    if kind is dict and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
         return "{" + inner + (", " + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        if (len(value) >= 2 and type(value[0]) is dict and (keys := tuple(value[0]))
-                and isinstance(keys[0], str) and (shape := _json_shape(keys, inner))
-                and all(type(row) is dict and tuple(row) == keys for row in value)):
-            return "[" + inner + _json_rows(value, shape, inner) + newline + "]"
-        items = [write(item) if (write := _JSON_SCALARS.get(type(item))) else _json_text(item, inner)
-                 for item in value]
-        return "[" + inner + (", " + inner).join(items) + newline + "]" if items else "[]"
-    for kind, write in _JSON_SCALARS.items():  # subclasses, and scalars at the top
-        if isinstance(value, kind):
-            return write(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if kind is list or kind is tuple:
+        kinds = {*map(type, value)}
+        items = (map(write, value) if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop()))
+                 else [_json_text(item, inner) for item in value])
+        return "[" + inner + (", " + inner).join(items) + newline + "]" if value else "[]"
+    return json.dumps(value, sort_keys=True, separators=(", ", ": "), indent=1).replace("\n", newline)
 
 
-def _json_rows(rows: list, shape: tuple[tuple[int, ...], str], newline: str) -> str:
-    """`_json_columns` of same-shape dicts `rows` (one key tuple)."""
-    return _json_columns(list(zip(*[row.values() for row in rows])), shape, newline)
-
-
-def _json_columns(columns: list, shape: tuple[tuple[int, ...], str], newline: str) -> str:
-    """json's text of the dicts of one key tuple, their `shape` on `newline`
-    lines, whose values by key are `columns`, comma-separated: a column of
-    one scalar type through its writer in one map, a column of None and lists
-    of plain ints (none bool) after one check of all their items, any other
-    cell by cell, a list of plain ints joined in place; then one format of
-    all rows."""
+def _json_columns(columns: dict[str, list], newline: str) -> str:
+    """json's text of the rows of `columns` (str keys, values by column) on
+    `newline` lines, comma-separated: a column of one scalar type through its
+    writer in one map, any other cell inline when it is a scalar or [], else
+    by `_json_text`; then one format of all rows into the row template."""
     inner = newline + " "
-    comma = ", " + inner + " "  # between the items of a list cell
-    head, tail = "[" + comma[2:], inner + "]"
+    keys = sorted(columns)
+    template = "{" + inner + (", " + inner).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + newline + "}"
     texts = []
-    for column in map(columns.__getitem__, shape[0]):
-        kinds = set(map(type, column))
-        if len(kinds) == 1 and (write := _JSON_SCALARS.get(next(iter(kinds)))):
+    for column in map(columns.__getitem__, keys):
+        kinds = {*map(type, column)}
+        if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
             texts.append(map(write, column))
-        elif kinds <= _NONE_OR_LIST and {*map(type, chain.from_iterable(filter(None, column)))} <= _INT_ONLY:
-            texts.append(["null" if item is None else head + comma.join(map(int.__repr__, item)) + tail
-                          if item else "[]" for item in column])
         else:
             texts.append([write(item) if (write := _JSON_SCALARS.get(type(item)))
-                          else (head + comma.join(map(int.__repr__, item)) + tail if item else "[]")
-                          if type(item) is list and {*map(type, item)} <= _INT_ONLY
-                          else _json_text(item, inner) for item in column])
-    return (", " + newline).join([shape[1]] * len(columns[0])) % tuple(chain.from_iterable(zip(*texts)))
-
-
-@lru_cache(maxsize=None)
-def _json_shape(keys: tuple, newline: str) -> tuple[tuple[int, ...], str] | None:
-    """The positions of `keys` in json's order and the text on a `newline` line of
-    a dict with those keys, its values' texts as %s; None, for json's own path,
-    unless the keys are all str and distinct (json sorts equal keys by value)."""
-    if not all(isinstance(key, str) for key in keys):
-        return None
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranked = [keys[i] for i in order]
-    if any(a >= b for a, b in zip(ranked, ranked[1:])):
-        return None
-    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ranked]
-    return tuple(order), "{" + newline + " " + (", " + newline + " ").join(fields) + newline + "}"
-
-
-def _json_key(key) -> str:
-    """json's text of a dict key that is not exactly a str."""
-    for kind, write in _JSON_SCALARS.items():
-        if isinstance(key, kind):
-            return encode_basestring_ascii(key if kind is str else write(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+                          else "[]" if type(item) is list and not item else _json_text(item, inner)
+                          for item in column])
+    rows = list(zip(*texts))
+    return (", " + newline).join([template] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _records_csv(rows: _Rows) -> str:
@@ -302,17 +256,16 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _read_graph(args.graph6)
-    rec = _record_dict(classify(g))
+    rec = classify(_read_graph(args.graph6))
     if args.json:
-        print(_dump_json(_report(f"classify {rec['graph6']}", [rec])))
+        row = _record_dict(rec)
+        print(_dump_json(_report(f"classify {row['graph6']}", [row])))
         return 0
-    print(f"graph6: {rec['graph6']}")
-    print(f"verdict: {rec['verdict']}")
-    print(f"qec: {_fmt(rec['qec'])}")
-    witness = " ".join(str(v) for v in rec["witness"]) if rec["witness"] else "none"
-    print(f"witness: {witness}")
-    print(f"sieve_step: {rec['sieve_step']}")
+    print(f"graph6: {to_graph6(rec.graph)}")
+    print(f"verdict: {rec.verdict.value}")
+    print(f"qec: {_fmt(rec.qec_value)}")
+    print(f"witness: {' '.join(map(str, rec.witness)) if rec.witness else 'none'}")
+    print(f"sieve_step: {rec.sieve_step}")
     return 0
 
 

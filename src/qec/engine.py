@@ -69,17 +69,18 @@ def _projected(d: np.ndarray) -> np.ndarray:
 
 
 def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill the bitset, distance, eigenvalue and exact-test memos of connected
-    graphs of one order n >= 2 from their adjacency stack with one product,
-    one batched BFS, one values-only batched eigensolve and one stacked
-    elimination (`_psd_rank_stack`); returns the distance stack, which the
-    memos view, the exact verdicts and the `qec_value`s, read from the same memos."""
-    rows = (adj @ (1 << np.arange(adj.shape[-1]))).tolist()
+    """Fill the distance, eigenvalue and exact-test memos of connected graphs
+    of one order n >= 2 from their adjacency stack with one batched BFS, one
+    values-only batched eigensolve and one stacked elimination
+    (`_psd_rank_stack`); returns the distance stack, which the memos view,
+    the exact verdicts and the `qec_value`s, read from the same memos.  The
+    bitset rows (`Graph.neighbor_masks`) are left to single graphs, as no
+    sweep reads them."""
     dist = distance_stack(adj)
     tops = eigvalsh(_projected(dist))[:, 0]
     exact = _psd_rank_stack(dist)
-    for g, r, d, top, psd in zip(graphs, rows, dist, tops.tolist(), exact):
-        g._rows, g._dist, g._top, g._psd = tuple(r), d, top, psd
+    for g, d, top, psd in zip(graphs, dist, tops.tolist(), exact):
+        g._dist, g._top, g._psd = d, top, psd
     psd, rank = np.array(exact, dtype=np.int64).reshape(-1, 2).T
     return dist, psd == 1, np.where(psd & (rank < adj.shape[-1] - 1), 0.0, tops)
 
@@ -113,13 +114,6 @@ def qec(g: Graph) -> QecReport:
     spectrum = eigvalsh(d)
     return QecReport(value=value, f=f, mu=mu, residual=residual,
                      lambda1=float(spectrum[0]), lambda2=float(spectrum[1]))
-
-
-def adjacency_min_eigenvalue(g: Graph) -> float:
-    """Smallest adjacency eigenvalue (graph may be disconnected); by `jacobi_eigh`,
-    whose last bits `qec trace` prints where a step-4 formula is 0."""
-    w = jacobi_eigh(g.adj.astype(float))[0]
-    return float(w[-1])
 
 
 def _psd_rank(d: np.ndarray) -> tuple[bool, int]:

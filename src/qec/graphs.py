@@ -73,7 +73,7 @@ class Graph:
         return self.adj.sum(axis=0).astype(np.int64)
 
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency rows packed as integer bitsets, memoized (see prime_stack)."""
+        """Adjacency rows packed as integer bitsets, memoized."""
         if self._rows is None:
             self._rows = tuple((self.adj @ (1 << np.arange(self.n))).tolist())
         return self._rows

@@ -12,7 +12,8 @@ the adjacency and packing them with one integer product, the reference for
 the table reads of `qec.classify._blocks_qe`.
 Step 4 splits one graph at a time: the complement's components on bitsets,
 each side's regularity by popcounts, and the parts built as induced
-subgraphs whose eigenvalues `qec_join_regular` solves one at a time.
+subgraphs whose eigenvalues `qec_join_regular` solves one at a time
+(`adjacency_min_eigenvalue`).
 Step 5 embeds one graph at a time: a pendant remainder is built as an
 induced subgraph with its own BFS and exact test, and a graph is embedded
 when its exact verdict says QE.  The sieve decides one graph at a time by
@@ -41,10 +42,11 @@ from qec.classify import (
     _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, _psd_rank_stack, adjacency_min_eigenvalue, is_cnd_exact, qec_value
+from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError, NotRegularError
 from qec.formulas import formula_value, qec_formula_exact, regular_join_value
 from qec.graphs import FamilySpec, Graph, _reach, distance_matrix, induced_subgraph
+from qec.kernels import jacobi_eigh
 
 
 def set_bits(mask: int) -> list[int]:
@@ -274,6 +276,13 @@ def qec_join_regular(g1: Graph, g2: Graph) -> float:
     each part's least adjacency eigenvalue solved alone."""
     return regular_join_value(g1.n, _regularity(g1), adjacency_min_eigenvalue(g1),
                               g2.n, _regularity(g2), adjacency_min_eigenvalue(g2))
+
+
+def adjacency_min_eigenvalue(g: Graph) -> float:
+    """Smallest adjacency eigenvalue (graph may be disconnected), by the
+    `jacobi_eigh` call that `qec.classify._join_stack` makes per part order."""
+    w = jacobi_eigh(g.adj.astype(float))[0]
+    return float(w[-1])
 
 
 def _regularity(g: Graph) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 from constructions import relabel
 import qec
+from qec.classify import enumerate_connected
 from qec.cli import main
 from qec.graph6 import to_graph6
-from qec.graphs import build_family, complete, compose, cycle, multipartite
+from qec.graphs import build_family, complete, compose, cycle, from_edges, is_connected, multipartite
 
 
 def run(capsys, *argv):
@@ -142,6 +144,25 @@ def test_classify_json_lists_closed_forms_at_orders_9_and_10(capsys):
         assert family in forms
         if value is not None:
             assert forms[family] == value
+
+
+def test_classify_text_equals_the_json_fields(capsys):
+    """Text `qec classify` prints the fields of `classify --json`: every class
+    on 2..7 vertices, and seeded connected graphs on 8..10 vertices."""
+    rng = random.Random(8)
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    while len(graphs) < 995 + 12:
+        n = 8 + (len(graphs) - 995) // 4
+        p = rng.uniform(0.3, 0.8)
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        graphs += [g] if is_connected(g) else []
+    for g in graphs:
+        g6 = to_graph6(g)
+        (rec,) = json.loads(run(capsys, "classify", g6, "--json")[1])["records"]
+        witness = " ".join(map(str, rec["witness"])) if rec["witness"] else "none"
+        assert run(capsys, "classify", g6) == (0, f"graph6: {rec['graph6']}\nverdict: {rec['verdict']}\n"
+                                                  f"qec: {rec['qec']:.12g}\nwitness: {witness}\n"
+                                                  f"sieve_step: {rec['sieve_step']}\n", ""), g6
 
 
 def test_identify_relabeled_order_10(tmp_path, capsys):

@@ -7,13 +7,13 @@ import pytest
 
 from constructions import disjoint_union
 from isometry import is_isometric_subgraph
+from per_graph import adjacency_min_eigenvalue
 from qec import kernels
 from qec.classify import enumerate_connected
 from qec.engine import (
     _hyperplane_basis,
     _psd_rank,
     _psd_rank_stack,
-    adjacency_min_eigenvalue,
     is_cnd_exact,
     prime_stack,
     qec,

@@ -123,6 +123,28 @@ def same_shape_payloads(leaves, distinct):
         st.dictionaries(STR_KEYS, inner, max_size=3)), max_leaves=30)
 
 
+# report rows by column: plain str keys (% and escapes in them), 0-5 rows,
+# each column of one scalar type, of bool/int/float/None/str together, or of
+# ROW_CELLS: lists of bools and int subclasses, nested payloads, str
+# subclasses, NaN, +-inf and -0.0
+RECORD_KEYS = st.one_of(st.sampled_from([*SHAPE, Tag.ESCAPED.value]), PERCENT_KEYS, st.text(max_size=3))
+ROW_CELLS = st.one_of(
+    st.lists(st.one_of(st.booleans(), st.integers(), st.builds(Count, st.integers()), st.sampled_from(list(Level))),
+             max_size=3),
+    payloads(SCALARS, (STR_KEYS, NUMBER_KEYS)), st.builds(Name, st.text(max_size=3)), st.sampled_from(list(Tag)),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def rows_reports(draw, cells):
+    """The columns of a `_Rows`: 1-5 keys, 0-5 rows, each column drawn as
+    COLUMNS or `cells`."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(0, 5))
+    return {key: draw(st.lists(draw(st.sampled_from(COLUMNS + (cells,))), min_size=count, max_size=count))
+            for key in keys}
+
+
 def outcome(write, payload):
     try:
         return write(payload)
@@ -149,23 +171,19 @@ def test_writer_raises_type_error_where_json_does(payload):
     assert outcome(_dump_json, payload) == outcome(dumps, payload)
 
 
-def test_writer_same_shape_lists_by_column(monkeypatch):
-    """A list of two or more dicts on one key tuple is written by column, also
-    when a column mixes bool, int, float, None and str (True == 1 == 1.0)."""
-    columns = []
-    rows = qec.cli._json_rows
-    monkeypatch.setattr(qec.cli, "_json_rows", lambda *args: columns.append(args[0]) or rows(*args))
-    mixed = [{"a": True, "b": 1, "c": [1, {"x": None}]}, {"a": 1, "b": 1.0, "c": []},
-             {"a": 1.0, "b": None, "c": {"d": [{"e": 1}, {"e": 2}]}}, {"a": None, "b": "1", "c": "%s"}]
-    same = [{Name("%s"): 1.5, "%": -0.0}, {"%s": math.nan, Name("%"): math.inf}]
-    other = [{"a": 1, "b": 2}, {"b": 2, "a": 1}]  # another key order: written dict by dict
-    unlike = [{"a": 1}, ["a"]], [{"a": 1}, "a"], [{"a": 1, "b": 2}, ("a", "b")]  # rows iterating as the keys
-    for payload in (mixed, same, other, {"rows": mixed}, [mixed, same], *unlike):
-        assert _dump_json(payload) == dumps(payload)
-    assert [len(rows) for rows in columns] == [4, 2, 2, 4, 2, 4, 2, 2] and columns[1] is mixed[2]["c"]["d"]
-    salted = [{"a": 1, Salted("a"): 2}, {"a": 1, Salted("a"): 2}]  # no shape: json sorts by value
-    assert _dump_json(salted) == dumps(salted)
-    assert outcome(_dump_json, [{"a": 1}, {"a": 1j}]) is TypeError
+@given(rows_reports(ROW_CELLS))
+def test_writer_same_shape_lists_by_column(columns):
+    """Report rows held by column (`qec.cli._Rows`) are written as json writes
+    the list of their dicts, at the top and inside a report."""
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert _dump_json(qec.cli._Rows(columns)) == dumps(rows)
+    assert _dump_json({"records": qec.cli._Rows(columns), "%s": 1}) == dumps({"records": rows, "%s": 1})
+
+
+@given(rows_reports(ROW_CELLS | UNWRITABLE))
+def test_writer_rows_raise_type_error_where_json_does(columns):
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert outcome(_dump_json, {"records": qec.cli._Rows(columns)}) == outcome(dumps, {"records": rows})
 
 
 def test_writer_list_cells_of_plain_ints():
