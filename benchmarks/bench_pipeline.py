@@ -6,7 +6,10 @@ DIR is a checkout of the parent commit (a `git clone` checked out there);
 the change is the checkout holding this script.  Each round runs one fresh
 interpreter per tree, with PYTHONPATH pointing at that tree's `src`, and
 alternates which tree goes first; every number is the best over the k
-rounds, in wall-clock seconds on this machine.
+rounds, in CPU seconds, as perfbench counts them: rows timed in process by
+the timing thread's CPU clock (`time.thread_time`), and the cold CLI row by
+the CPU time of the child process (`resource.getrusage(RUSAGE_CHILDREN)`),
+so other tenants' load on a shared machine stays out of both.
 
 End to end:
   classify_all_n{5,6,7}   classify_all(n, workers=1), after the layers below
@@ -23,9 +26,8 @@ Layers:
                           from the cached class masks
   canonical_cert_n{7,8,9,10}_per_call
                           canon.canonical_cert of a graph built from each of
-                          200 seeded random masks (3 at n = 9 and 2 at n = 10,
-                          where older trees take seconds a certificate), mean
-                          per call, after an untimed call has built the tables
+                          200 seeded random masks (3 at n = 9 and 2 at n = 10),
+                          mean per call, after an untimed call has built the tables
   family_index_n9         classify._family_index(9) uncached, through
                           __wrapped__: the certificates of the 38 closed-form
                           family members on 9 vertices and their values, after
@@ -37,44 +39,30 @@ Layers:
                           relabeling: canon.perm_powers(7), and at n = 8 one
                           built here, as the library's covers 7! of the 8!
   non_qe_witness_n7       the witness search over the 401 non-QE order-7
-                          classes: one classify._witness_stack call where it
-                          exists, else non_qe_witness per graph
+                          classes: one classify._witness_stack call
   non_qe_witness_n8       the same over a seeded stack of 2,000 random
                           connected 8-vertex graphs (G(8, p), p uniform in
                           0.2..0.9), which have blocks of 7 vertices
   blocks_qe_n7            the exact verdicts of the 7,892 isometric blocks that
                           the witness search over the 401 non-QE order-7 classes
                           decides: one classify._blocks_qe call, after an
-                          untimed one; absent from trees without it
+                          untimed one
   star_qe_split_n7        the star split over all 853 order-7 classes: one
-                          classify._split_stack call where it exists, else
-                          _star_qe_split per graph
+                          classify._split_stack call
   distance_stack_n7       distance matrices of the 853 order-7 classes: one
-                          batched BFS where graphs.distance_stack exists,
-                          else distance_matrix per graph
+                          graphs.distance_stack call
   qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
-                          zero test included: engine.prime_stack plus
-                          qec_value where they exist, else qec(g).value
+                          zero test included: one engine.prime_stack call,
+                          the adjacency stack built inside the row
   psd_rank_stack_n7       (psd, rank) of the 853 order-7 distance matrices, BFS
-                          excluded: one engine._psd_rank_stack call where it
-                          exists, else engine._psd_rank per matrix
+                          excluded: one engine._psd_rank_stack call
   find_pendant_edge_n7    the pendant search over the 853 order-7 classes: one
-                          graphs.pendant_stack call over their adjacency
-                          stack where it exists, else graphs.find_pendant_edge
-                          per graph
+                          graphs.pendant_stack call over their adjacency stack
   step4_n7                sieve step 4 over the 168 order-7 classes that reach
                           it (step 4, 5 or 6 in classify_all(7)): one
-                          classify._join_stack call where it exists, else the
-                          complement reachability pass over their stack and
-                          classify._regular_join_split with
-                          formulas.qec_join_regular per graph whose complement
-                          is disconnected; after an untimed call
-  non_qe_table_k6         the first call of _non_qe_table(6), build included:
-                          the exact test of its 112 classes, and in trees
-                          without a class-mask cache enumerate_connected(6)
-                          (timed uncached, through __wrapped__, since the
-                          witness layer has filled the cache); absent from
-                          trees without the table
+                          classify._join_stack call, after an untimed one
+  non_qe_table_k6         _non_qe_table(6) uncached, through __wrapped__: the
+                          exact test of its 112 classes and the orbit marking
   report_n7               the JSON report of `qec enumerate --n 7` from the
                           records of classify_all(7), written as the tree
                           writes it: qec.cli._cmd_enumerate with its
@@ -85,18 +73,13 @@ Layers:
                           untimed, as for sieve_n7); after an untimed call
   sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
                           it (step 5 or 6 in classify_all(7)): one
-                          classify._step5_stack call where it exists, else
-                          pendant_rule, then embed and verify_embedding of
-                          the exact-QE graphs, per graph; timed after the
-                          classify_all rows, on primed fresh graphs, after an
-                          untimed call
+                          classify._step5_stack call, after an untimed one
   sieve_n7                sieve steps 1-6 and the records of the 853 order-7
-                          classes, from the stacked inputs of a sweep (graphs,
-                          adjacency, distances, exact verdicts, witnesses and
-                          star splits, built untimed): one classify._run_sieve
-                          and one classify._records call where they take
-                          stacks, else classify._sieve_inputs and
-                          classify._record per graph; after an untimed call
+                          classes, from the stacked inputs of a sweep
+                          (adjacency, distances, exact verdicts, values,
+                          witnesses and star splits, built untimed): one
+                          classify._run_sieve and one classify._records call;
+                          after an untimed call
 Single graphs, each the mean over its graphs of the best of 9 calls, every
 call on a graph rebuilt from its mask (so it pays its BFS and exact test):
   classify_per_graph      classify over 200 seeded random connected graphs on
@@ -109,15 +92,11 @@ One-record reports, each the mean over its 200 payloads of the best of 9 calls:
                           --json` and `qec compute --json --exact` write for
                           each classify_per_graph graph (caught from one
                           in-process run of each command)
-The witness, split, distance, value, exact, pendant and step-4 layers run on
-graphs rebuilt from their masks, so no memo filled while picking them is reused;
-the pendant and per-graph step-4 layers get neighbor_masks() filled first, as
-the prime_stack of older trees filled it in a sweep.
-The witness and split layers prime their graphs with engine.prime_stack, as a
-sweep does, and time a second call, on fresh copies, after an untimed first
-call has built the verdict tables and subset indexes.  Where the stacked
-kernels take adjacency and distance stacks, they get the ones the priming
-built, as in a sweep; older trees pass graph lists.
+The stacked layers run on graphs rebuilt from their masks, so no memo filled
+while picking them is reused, and read the adjacency and distance stacks of
+one engine.prime_stack call, as a sweep does.  The parent tree's prime_stack
+and _run_sieve also take the graphs (the parent's sieve reads its step-6
+values from their memos), and `_prime` and `_sieve` pass them there.
 Each row (and the single-graph rows as a group) starts after
 `gc.collect(); gc.freeze()`, as perfbench does before timing, so a
 collection of what earlier rows left behind lands in no timed row.
@@ -136,6 +115,7 @@ import json
 import os
 import platform
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -149,96 +129,77 @@ MASKS_PER_ORDER = {7: 200, 8: 200, 9: 3, 10: 2}
 
 
 def _start() -> float:
-    """perf_counter after a full collection that freezes every object alive
-    (as perfbench does before timing), so no collection of objects that
-    earlier rows left behind lands in the row about to be timed."""
+    """This thread's CPU clock after a full collection that freezes every
+    object alive (as perfbench does before timing), so no collection of
+    objects that earlier rows left behind lands in the row about to be timed."""
     gc.collect()
     gc.freeze()
-    return time.perf_counter()
+    return time.thread_time()
 
 
-def _prime_stack(engine, graphs):
-    """engine.prime_stack over graphs; returns their adjacency and distance
-    stacks where it takes the adjacency stack, else (older trees) None."""
-    if "adj" not in inspect.signature(engine.prime_stack).parameters:
-        engine.prime_stack(graphs)
-        return None
+def _takes_graphs(fn) -> bool:
+    """Does a stacked kernel take the graphs first (the parent tree's)?"""
+    return "graphs" in inspect.signature(fn).parameters
+
+
+def _prime(engine, graphs) -> tuple:
+    """engine.prime_stack over graphs of one order: their adjacency stack, then
+    the distance stack, exact verdicts and values it returns."""
     adj = numpy.stack([g.adj for g in graphs])
-    primed = engine.prime_stack(graphs, adj)  # the distance stack, first where a tuple
-    return adj, primed[0] if isinstance(primed, tuple) else primed
+    return (adj, *(engine.prime_stack(graphs, adj) if _takes_graphs(engine.prime_stack)
+                   else engine.prime_stack(adj)))
 
 
-def _run_stacked(kernel, graphs, stacks):
-    """A stacked kernel over graphs, given their stacks where it takes them."""
-    if stacks is None:
-        return kernel(graphs)
-    if next(iter(inspect.signature(kernel).parameters)) == "graphs":
-        return kernel(graphs, *stacks)
-    return kernel(*stacks)
+def _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits):
+    """classify._run_sieve over the order-7 classes, keyed by their masks."""
+    certs = classify._class_masks(7)
+    if _takes_graphs(classify._run_sieve):
+        return classify._run_sieve(graphs, adj, dist, certs, exact, witnesses, splits)
+    return classify._run_sieve(adj, dist, certs, exact, values, witnesses, splits)
+
+
+def _connected(g) -> bool:
+    """Does the BFS of g reach every vertex?"""
+    from qec.errors import DisconnectedError
+    from qec.graphs import distance_matrix
+
+    try:
+        distance_matrix(g)
+    except DisconnectedError:
+        return False
+    return True
 
 
 def _sweep_inputs(classify, engine) -> tuple:
     """The stacked inputs of the order-7 sieve: graphs, adjacency, distances,
-    what prime_stack returned, exact verdicts, witnesses and star splits."""
-    graphs, adj = classify._class_graphs(7)
-    primed = engine.prime_stack(graphs, adj)
-    dist = primed[0] if isinstance(primed, tuple) else primed
-    exact = numpy.array([engine.is_cnd_exact(g) for g in graphs])
+    exact verdicts, values, witnesses and star splits."""
+    graphs = classify._class_graphs(7)[0]
+    adj, dist, exact, values = _prime(engine, graphs)
     found = iter(classify._witness_stack(adj[~exact], dist[~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
-    return graphs, adj, dist, primed, exact, witnesses, classify._split_stack(adj, dist)
+    return graphs, adj, dist, exact, values, witnesses, classify._split_stack(adj, dist)
 
 
-def _time_sieve(classify, engine) -> float | None:
-    """Seconds of sieve steps 1-6 and the records over the order-7 classes,
-    from a sweep's stacked inputs built untimed; None in trees whose sweep
-    has neither the stacked sieve nor `_sieve_inputs`."""
-    if not hasattr(classify, "_records") and not hasattr(classify, "_sieve_inputs"):
-        return None
-    graphs, adj, dist, primed, exact, witnesses, splits = _sweep_inputs(classify, engine)
-    if hasattr(classify, "_records"):
-        t0 = _start()
-        sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
-        classify._records(graphs, [g._cert for g in graphs], exact, witnesses, primed[2], sieve)
-        return time.perf_counter() - t0
+def _time_sieve(classify, engine) -> float:
+    """CPU seconds of sieve steps 1-6 and the records over the order-7
+    classes, from a sweep's stacked inputs built untimed."""
+    graphs, adj, dist, exact, values, witnesses, splits = _sweep_inputs(classify, engine)
     t0 = _start()
-    sieves = classify._sieve_inputs(graphs, adj, dist, exact.tolist(), witnesses, splits)
-    [classify._record(*args) for args in zip(graphs, exact.tolist(), witnesses, sieves)]
-    return time.perf_counter() - t0
+    sieve = _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits)
+    classify._records(graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
+    return time.thread_time() - t0
 
 
-def _time_records(classify, engine) -> float | None:
-    """Seconds of classify._records over the order-7 classes, from a sweep's
-    stacked inputs and sieve built untimed, after an untimed call; None in
-    trees without the stacked records."""
-    if not hasattr(classify, "_records"):
-        return None
-    graphs, adj, dist, primed, exact, witnesses, splits = _sweep_inputs(classify, engine)
-    sieve = classify._run_sieve(graphs, adj, dist, classify._class_masks(7), exact, witnesses, splits)
-    args = (graphs, [g._cert for g in graphs], exact, witnesses, primed[2], sieve)
+def _time_records(classify, engine) -> float:
+    """CPU seconds of classify._records over the order-7 classes, from a
+    sweep's stacked inputs and sieve built untimed, after an untimed call."""
+    graphs, adj, dist, exact, values, witnesses, splits = _sweep_inputs(classify, engine)
+    sieve = _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits)
+    args = (graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
     classify._records(*args)
     t0 = _start()
     classify._records(*args)
-    return time.perf_counter() - t0
-
-
-def _step4(classify, graphs, adj) -> None:
-    """Sieve step 4 of graphs of order n with adjacency stack adj: stacked where
-    the tree has classify._join_stack; else, as the per-graph sieve step 4 ran,
-    the complement's reachability over the stack, then a regular join split
-    and its formula per graph whose complement is disconnected."""
-    if hasattr(classify, "_join_stack"):
-        classify._join_stack(adj)
-        return
-    from qec.formulas import qec_join_regular
-
-    reach = ~adj
-    for _ in range(adj.shape[-1].bit_length()):
-        reach = reach @ reach
-    for i in numpy.flatnonzero(~reach[:, 0].all(axis=1)).tolist():
-        join = classify._regular_join_split(graphs[i])
-        if join is not None:
-            qec_join_regular(*join)
+    return time.thread_time() - t0
 
 
 def _measure() -> dict[str, float]:
@@ -246,19 +207,19 @@ def _measure() -> dict[str, float]:
     from qec.bits import n_bits
     from qec.canon import canonical_cert, perm_powers
     from qec.classify import _family_index, classify, classify_all, enumerate_connected
-    from qec.embedding import embed, pendant_rule, verify_embedding
+    from qec.embedding import embed
     from qec.engine import is_cnd_exact
     from qec.graph6 import to_graph6
-    from qec.graphs import from_mask, is_connected
+    from qec.graphs import from_mask
     from qec.kernels import orbit_min_mark
 
     out: dict[str, float] = {}
     t0 = _start()
     masks = [g.mask for g in enumerate_connected(7)]
-    out["enumerate_connected_n7"] = time.perf_counter() - t0
+    out["enumerate_connected_n7"] = time.thread_time() - t0
     t0 = _start()
     enumerate_connected(7)
-    out["graphs_from_masks_n7"] = time.perf_counter() - t0
+    out["graphs_from_masks_n7"] = time.thread_time() - t0
     if len(masks) != 853:
         raise SystemExit(f"enumerate_connected(7) gave {len(masks)} classes")
     non_qe = [mask for mask in masks if not is_cnd_exact(from_mask(7, mask))]
@@ -269,100 +230,66 @@ def _measure() -> dict[str, float]:
     while len(order8) < 2000:
         p = rng.uniform(0.2, 0.9)
         g = from_mask(8, sum(1 << t for t in range(n_bits(8)) if rng.random() < p))
-        if is_connected(g):
+        if _connected(g):
             order8.append(g.mask)
     graphs_module = importlib.import_module("qec.graphs")
     engine = importlib.import_module("qec.engine")
     classify_module = importlib.import_module("qec.classify")
-    stacked = {"witness": getattr(classify_module, "_witness_stack", None),
-               "split": getattr(classify_module, "_split_stack", None)}
-    per_graph = {"witness": classify_module.non_qe_witness,
-                 "split": getattr(classify_module, "_star_qe_split", None)}
-    for name, kind, n, chosen in (("non_qe_witness_n7", "witness", 7, non_qe),
-                                  ("non_qe_witness_n8", "witness", 8, order8),
-                                  ("star_qe_split_n7", "split", 7, masks)):
+    for name, kernel, n, chosen in (("non_qe_witness_n7", classify_module._witness_stack, 7, non_qe),
+                                    ("non_qe_witness_n8", classify_module._witness_stack, 8, order8),
+                                    ("star_qe_split_n7", classify_module._split_stack, 7, masks)):
         for timed in (False, True):
-            graphs = [from_mask(n, mask) for mask in chosen]
-            stacks = _prime_stack(engine, graphs)
+            adj, dist = _prime(engine, [from_mask(n, mask) for mask in chosen])[:2]
             t0 = _start()
-            if stacked[kind] is not None:
-                _run_stacked(stacked[kind], graphs, stacks)
-            else:
-                for g in graphs:
-                    per_graph[kind](g)
+            kernel(adj, dist)
             if timed:
-                out[name] = time.perf_counter() - t0
-    if hasattr(classify_module, "_blocks_qe"):
-        adj, dist = _prime_stack(engine, [from_mask(7, mask) for mask in non_qe])
-        subsets = classify_module._witness_candidates(7)[0]
-        gi, si = numpy.nonzero(classify_module._isometric(adj, dist, subsets, n_bits(6)))
-        if len(gi) != 7892:
-            raise SystemExit(f"the order-7 witness search decides {len(gi)} blocks, expected 7892")
-        for timed in (False, True):
-            t0 = _start()
-            classify_module._blocks_qe(adj, dist, gi, subsets[si])
-            if timed:
-                out["blocks_qe_n7"] = time.perf_counter() - t0
+                out[name] = time.thread_time() - t0
+    adj, dist = _prime(engine, [from_mask(7, mask) for mask in non_qe])[:2]
+    subsets = classify_module._witness_candidates(7)[0]
+    gi, si = numpy.nonzero(classify_module._isometric(adj, dist, subsets, n_bits(6)))
+    if len(gi) != 7892:
+        raise SystemExit(f"the order-7 witness search decides {len(gi)} blocks, expected 7892")
+    for timed in (False, True):
+        t0 = _start()
+        classify_module._blocks_qe(adj, dist, gi, subsets[si])
+        if timed:
+            out["blocks_qe_n7"] = time.thread_time() - t0
+    adj = numpy.stack([from_mask(7, mask).adj for mask in masks])
+    t0 = _start()
+    graphs_module.distance_stack(adj)
+    out["distance_stack_n7"] = time.thread_time() - t0
     graphs = [from_mask(7, mask) for mask in masks]
     t0 = _start()
-    if hasattr(graphs_module, "distance_stack"):
-        graphs_module.distance_stack(numpy.stack([g.adj for g in graphs]))
-    else:
-        for g in graphs:
-            graphs_module.distance_matrix(g)
-    out["distance_stack_n7"] = time.perf_counter() - t0
-    graphs = [from_mask(7, mask) for mask in masks]
-    t0 = _start()
-    if hasattr(engine, "prime_stack"):
-        _prime_stack(engine, graphs)
-        values = [engine.qec_value(g) for g in graphs]
-    else:
-        values = [engine.qec(g).value for g in graphs]
-    out["qec_values_n7"] = time.perf_counter() - t0
-    if sum(value > 0 for value in values) != 401:
+    values = _prime(engine, graphs)[3]
+    out["qec_values_n7"] = time.thread_time() - t0
+    if (values > 0).sum() != 401:
         raise SystemExit("expected 401 positive order-7 QEC values")
-    dist = graphs_module.distance_stack(numpy.stack([from_mask(7, mask).adj for mask in masks]))
+    dist = graphs_module.distance_stack(adj)
     t0 = _start()
-    if hasattr(engine, "_psd_rank_stack"):
-        verdicts = engine._psd_rank_stack(dist)
-    else:
-        verdicts = [engine._psd_rank(d) for d in dist]
-    out["psd_rank_stack_n7"] = time.perf_counter() - t0
+    verdicts = engine._psd_rank_stack(dist)
+    out["psd_rank_stack_n7"] = time.thread_time() - t0
     if sum(not psd for psd, _ in verdicts) != 401:
         raise SystemExit("expected 401 non-QE order-7 exact tests")
-    graphs = [from_mask(7, mask) for mask in masks]
-    for g in graphs:
-        g.neighbor_masks()
-    adj = numpy.stack([g.adj for g in graphs])
     t0 = _start()
-    if hasattr(graphs_module, "pendant_stack"):
-        graphs_module.pendant_stack(adj)
-    else:
-        for g in graphs:
-            graphs_module.find_pendant_edge(g)
-    out["find_pendant_edge_n7"] = time.perf_counter() - t0
+    graphs_module.pendant_stack(adj)
+    out["find_pendant_edge_n7"] = time.thread_time() - t0
     step4 = [mask for mask in masks if classify_module.classify(from_mask(7, mask)).sieve_step
              in ("step4", "step5", "step6")]
     if len(step4) != 168:
         raise SystemExit(f"{len(step4)} order-7 classes reach sieve step 4, expected 168")
+    adj = numpy.stack([from_mask(7, mask).adj for mask in step4])
     for timed in (False, True):
-        graphs = [from_mask(7, mask) for mask in step4]
-        for g in graphs:
-            g.neighbor_masks()
-        adj = numpy.stack([g.adj for g in graphs])
         t0 = _start()
-        _step4(classify_module, graphs, adj)
+        classify_module._join_stack(adj)
         if timed:
-            out["step4_n7"] = time.perf_counter() - t0
-    table = getattr(classify_module, "_non_qe_table", None)
-    if table is not None:
-        t0 = _start()
-        table.__wrapped__(6)
-        out["non_qe_table_k6"] = time.perf_counter() - t0
+            out["step4_n7"] = time.thread_time() - t0
+    t0 = _start()
+    classify_module._non_qe_table.__wrapped__(6)
+    out["non_qe_table_k6"] = time.thread_time() - t0
     for n in (5, 6, 7):
         t0 = _start()
         records, summary = classify_all(n, workers=1)
-        out[f"classify_all_n{n}"] = time.perf_counter() - t0
+        out[f"classify_all_n{n}"] = time.thread_time() - t0
     cli = importlib.import_module("qec.cli")
     sweep = cli.classify_all
     cli.classify_all = lambda n, **kwargs: (records, summary)
@@ -371,38 +298,29 @@ def _measure() -> dict[str, float]:
             args = argparse.Namespace(n=7, format="json", out=str(Path(tmp) / "n7.json"))
             t0 = _start()
             cli._cmd_enumerate(args)
-            out["report_n7"] = time.perf_counter() - t0
+            out["report_n7"] = time.thread_time() - t0
     finally:
         cli.classify_all = sweep
     step5 = [r.graph.mask for r in records if r.sieve_step in ("step5", "step6")]
     if len(step5) != 164:
         raise SystemExit(f"{len(step5)} order-7 classes reach sieve step 5, expected 164")
-    stacked_step5 = getattr(classify_module, "_step5_stack", None)
     for timed in (False, True):
-        graphs = [from_mask(7, mask) for mask in step5]
-        stacks = _prime_stack(engine, graphs)
+        adj, dist = _prime(engine, [from_mask(7, mask) for mask in step5])[:2]
         t0 = _start()
-        if stacked_step5 is not None:
-            _run_stacked(stacked_step5, graphs, stacks)
-        else:
-            for g in graphs:
-                if pendant_rule(g) is None and is_cnd_exact(g):
-                    verify_embedding(embed(g), graphs_module.distance_matrix(g))
+        classify_module._step5_stack(adj, dist)
         if timed:
-            out["sieve_step5_n7"] = time.perf_counter() - t0
+            out["sieve_step5_n7"] = time.thread_time() - t0
     for timed in (False, True):
         sieve_s = _time_sieve(classify_module, engine)
-        if timed and sieve_s is not None:
+        if timed:
             out["sieve_n7"] = sieve_s
-    records_s = _time_records(classify_module, engine)
-    if records_s is not None:
-        out["records_n7"] = records_s
+    out["records_n7"] = _time_records(classify_module, engine)
     rng = random.Random(57)
     picks: dict[str, list[tuple[int, int]]] = {"classify": [], "embed": []}
     while len(picks["embed"]) < 200:
         n, p = rng.choice((5, 6, 7)), rng.uniform(0.2, 0.9)
         g = from_mask(n, sum(1 << t for t in range(n_bits(n)) if rng.random() < p))
-        if is_connected(g):
+        if _connected(g):
             if len(picks["classify"]) < 200:
                 picks["classify"].append((n, g.mask))
             if is_cnd_exact(g):
@@ -413,9 +331,9 @@ def _measure() -> dict[str, float]:
         for n, mask in picks[name]:
             best_s = float("inf")
             for _ in range(9):
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 layer(from_mask(n, mask))
-                best_s = min(best_s, time.perf_counter() - t0)
+                best_s = min(best_s, time.thread_time() - t0)
             total += best_s
         out[f"{name}_per_graph"] = total / len(picks[name])
     payloads = {"classify": [], "compute": []}
@@ -434,9 +352,9 @@ def _measure() -> dict[str, float]:
         for payload in chosen:
             best_s = float("inf")
             for _ in range(9):
-                t0 = time.perf_counter()
+                t0 = time.thread_time()
                 write(payload)
-                best_s = min(best_s, time.perf_counter() - t0)
+                best_s = min(best_s, time.thread_time() - t0)
             total += best_s
         out[f"dump_json_{name}_record"] = total / len(chosen)
     cert_masks = {}
@@ -447,10 +365,10 @@ def _measure() -> dict[str, float]:
         t0 = _start()
         for mask in cert_masks[n]:
             canonical_cert(from_mask(n, mask))
-        out[f"canonical_cert_n{n}_per_call"] = (time.perf_counter() - t0) / count
+        out[f"canonical_cert_n{n}_per_call"] = (time.thread_time() - t0) / count
     t0 = _start()
     _family_index.__wrapped__(9)
-    out["family_index_n9"] = time.perf_counter() - t0
+    out["family_index_n9"] = time.thread_time() - t0
     for n in (7, 8):
         orbit_table = perm_powers(n) if n == 7 else _full_powers(n)
         seen = numpy.ones(1 << n_bits(n), dtype=numpy.uint8)  # every page touched
@@ -458,7 +376,7 @@ def _measure() -> dict[str, float]:
         t0 = _start()
         for mask in cert_masks[n]:
             orbit_min_mark(mask, orbit_table, seen)
-        out[f"orbit_min_mark_n{n}_per_call"] = (time.perf_counter() - t0) / len(cert_masks[n])
+        out[f"orbit_min_mark_n{n}_per_call"] = (time.thread_time() - t0) / len(cert_masks[n])
         del seen
     return out
 
@@ -488,29 +406,29 @@ def _measure_op() -> dict[str, float]:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit("qec enumerate --n 7 failed")
-            out[name] = time.perf_counter() - t0
+            out[name] = time.thread_time() - t0
     return out
 
 
-def _env(tree: Path) -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k != "QEC_THREADS"}  # read by older trees
-    env["PYTHONPATH"] = str(tree / "src")
-    return env
+def _children_cpu_s() -> float:
+    """CPU time (user + system) of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _round(tree: Path) -> dict[str, float]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     times: dict[str, float] = {}
     for mode in ("--measure", "--measure-op"):
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), mode],
-                              env=_env(tree), cwd=tree, capture_output=True, text=True,
-                              check=True)
+                              env=env, cwd=tree, capture_output=True, text=True, check=True)
         times.update(json.loads(proc.stdout.splitlines()[-1]))
     with tempfile.TemporaryDirectory() as tmp:
-        t0 = time.perf_counter()
+        cpu0 = _children_cpu_s()
         subprocess.run([sys.executable, "-m", "qec.cli", "enumerate", "--n", "6",
                         "--out", str(Path(tmp) / "n6.json")],
-                       env=_env(tree), cwd=tree, check=True, capture_output=True)
-        times["cli_enumerate_n6"] = time.perf_counter() - t0
+                       env=env, cwd=tree, check=True, capture_output=True)
+        times["cli_enumerate_n6"] = _children_cpu_s() - cpu0
     return times
 
 
@@ -546,7 +464,7 @@ def main() -> None:
             print(f"round {r + 1}/{args.k} {side} done", file=sys.stderr)
     report = {
         "benchmark": "benchmarks/bench_pipeline.py",
-        "unit": "s (wall clock, best of k)",
+        "unit": "s (CPU: thread time in process, children's CPU time for cli_enumerate_n6; best of k)",
         "k": args.k,
         "machine": {
             "cpu_count": os.cpu_count(),

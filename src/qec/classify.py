@@ -5,12 +5,13 @@ is *primary* when no proper isometrically embedded connected induced
 subgraph is non-QE.  The sieve, a six-step decision pipeline (products,
 witnesses, families, regular joins, embeddings, direct computation), gives
 every graph of a stack its deciding step and verdict in one pass
-(`_run_sieve`); `sieve_trace` writes one graph's steps from what decided
-it.  `classify` and `classify_all` build their records from the stacked
-arrays and check over the whole stack that the sieve agrees with the exact
-verdict, and that QEC > 0 exactly for non-QE graphs.  The witness search,
-the star split, step 5 and the sieve are stacked: a sweep runs each once,
-a single graph as a stack of one.
+(`_run_sieve`).  Everything after the exact test runs in one body,
+`_classify_stack`: one witness search, star split and sieve over a stack,
+then its records, checked over the whole stack against the exact verdicts
+(the sieve agrees, and QEC > 0 exactly for non-QE graphs).  `classify_all`
+hands it a sweep's arrays from `prime_stack`; `classify` and `sieve_trace`
+hand it one graph with its exact verdict and value decided alone, and
+`sieve_trace` writes the steps from what decided it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .embedding import (  # noqa: F401
 )
 # `qec` stays bound here, unused: perfbench/tracing.py traces its engine.qec layer through it
 from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
-from .errors import (
-    BadParamsError,
-    DisconnectedError,
-    OrderOneError,
-    OrderTooLargeError,
-)
+from .errors import BadParamsError, OrderOneError, OrderTooLargeError
 from .formulas import formula_value, regular_join_value
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
 from .graphs import (  # noqa: F401
@@ -55,7 +51,6 @@ from .graphs import (  # noqa: F401
     _from_masks,
     from_mask,
     induced_subgraph,
-    is_connected,
     pendant_stack,
 )
 
@@ -512,13 +507,14 @@ def _cert_hits(index: dict[CanonicalCert, object], certs: np.ndarray, todo: np.n
     return {i: entries[k] for i, k in zip(todo[hit].tolist(), at[hit].tolist())}
 
 
-def _run_sieve(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, certs: np.ndarray,
-               exact: np.ndarray, witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
-    """The sieve over a stack (graphs, adjacency, distances) of one order, given
-    their certificate bits, exact verdicts (read only by the boundary labels of
-    steps 3 and 4), witnesses and star splits.  Steps 1-4 decide the stack at
-    once (star split, QE cartesian product, witness, family, regular join);
-    one `_step5_stack` embeds the rest, and step 6 reads their `qec_value`."""
+def _run_sieve(adj: np.ndarray, dist: np.ndarray, certs: np.ndarray, exact: np.ndarray,
+               values: np.ndarray, witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
+    """The sieve over a stack (adjacency, distances) of one order, given the
+    graphs' certificate bits, exact verdicts (read only by the boundary labels
+    of steps 3 and 4), QEC values, witnesses and star splits.  Steps 1-4
+    decide the stack at once (star split, QE cartesian product, witness,
+    family, regular join); one `_step5_stack` embeds the rest, and step 6
+    reads their values."""
     n = adj.shape[-1]
     step = np.where([split is None for split in splits], 0, 1)
     verdict = np.zeros(len(step), dtype=np.int64)
@@ -539,48 +535,9 @@ def _run_sieve(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, certs
         if outcome.lifted or outcome.defect <= DEFECT_TOL:
             step[i], detail[i] = 5, outcome
         else:  # decided by the number alone; step 2 has ruled out a witness, so non-QE here is primary
-            value = qec_value(graphs[i])
+            value = float(values[i])
             step[i], verdict[i], detail[i] = 6, value > BOUNDARY_TOL, value
     return Sieve(step, verdict, detail)
-
-
-def _sieve_of_one(g: Graph, exact: bool, witness: Witness) -> tuple[Split, Sieve]:
-    """g's star split and `_run_sieve` of g alone, a stack of one."""
-    adj, dist = g.adj[None], distance_matrix(g)[None]
-    splits = _split_stack(adj, dist)
-    return splits[0], _run_sieve([g], adj, dist, np.array([canonical_cert(g).bits]),
-                                 np.array([exact]), [witness], splits)
-
-
-def sieve_trace(g: Graph) -> list[tuple[str, str]]:
-    """Replay the decision pipeline; the last entry is the deciding rule,
-    written from what decided it, after the steps it passed."""
-    if not 2 <= g.n <= ENUM_MAX_ORDER:
-        raise OrderTooLargeError(f"sieve supports 2..{ENUM_MAX_ORDER} vertices, got {g.n}")
-    if not is_connected(g):
-        raise DisconnectedError("sieve requires a connected graph")
-    exact = is_cnd_exact(g)
-    witness = None if exact else non_qe_witness(g)
-    split, sieve = _sieve_of_one(g, exact, witness)
-    step, info = int(sieve.step[0]), sieve.detail.get(0)
-    if split is not None:
-        text = f"star product of QE factors ({split[1]}+{split[2]} glued at {split[0]}) -> QE"
-    elif step == 1:
-        text = f"cartesian product of QE factors ({info[0]}x{info[1]}) -> QE"
-    elif step == 2:
-        text = f"isometric non-QE subgraph on {set(witness)} -> non-QE, non-primary"
-    elif step == 3:
-        text = f"matches family {info[0]}, closed form {info[1]:.12g} -> {_sign_verdict(info[1], exact)[1]}"
-    elif step == 4:
-        text = (f"join of regular parts ({info[0]}+{info[1]}), formula {info[2]:.12g} -> "
-                f"{_sign_verdict(info[2], exact)[1]}")
-    elif step == 5 and info.lifted:
-        text = "pendant edge: lifted embedding verified, QEC = 0 -> QE"
-    elif step == 5:
-        text = f"explicit embedding constructed (defect {info.defect:.3g}) -> QE"
-    else:
-        text = f"direct computation: QEC = {info:.12g} -> {VERDICTS[sieve.verdict[0]].value}"
-    return [(f"step{k}", passed) for k, passed in enumerate(_PASSED[:step - 1], 1)] + [(f"step{step}", text)]
 
 
 # ---------------------------------------------------------------------------
@@ -608,39 +565,82 @@ def _records(graphs: Sequence[Graph], certs: Sequence[CanonicalCert], exact: np.
         graphs, certs, values.tolist(), map(VERDICTS.__getitem__, verdict.tolist()), witnesses, steps)))
 
 
+def _classify_stack(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, exact: np.ndarray,
+                    values: np.ndarray, certs: Sequence[CanonicalCert],
+                    bits: np.ndarray) -> tuple[list[ClassificationRecord], Sieve | None, list[Split] | None]:
+    """Everything after the exact test for a stack of one order (graphs,
+    adjacency, distances), given their exact verdicts, QEC values,
+    certificates and certificate bits: one witness search over the non-QE
+    graphs and, up to ENUM_MAX_ORDER vertices, one star-split search and one
+    sieve; then the checked records.  Returns the records, the sieve and the
+    splits (None past ENUM_MAX_ORDER)."""
+    found = iter(_witness_stack(adj[~exact], dist[~exact]))
+    witnesses = [None if psd else next(found) for psd in exact.tolist()]
+    sieve = splits = None
+    if adj.shape[-1] <= ENUM_MAX_ORDER:
+        splits = _split_stack(adj, dist)
+        sieve = _run_sieve(adj, dist, bits, exact, values, witnesses, splits)
+    return _records(graphs, certs, exact, witnesses, values, sieve), sieve, splits
+
+
+def _classify_one(g: Graph) -> tuple[list[ClassificationRecord], Sieve | None, list[Split] | None]:
+    """`_classify_stack` of g alone, a connected graph on two or more vertices,
+    its exact verdict and value decided per matrix (`is_cnd_exact`,
+    `qec_value`); the BFS raises DisconnectedError before anything else runs."""
+    dist = distance_matrix(g)[None]
+    cert = canonical_cert(g)
+    return _classify_stack([g], g.adj[None], dist, np.array([is_cnd_exact(g)]),
+                           np.array([qec_value(g)]), [cert], np.array([cert.bits]))
+
+
+def sieve_trace(g: Graph) -> list[tuple[str, str]]:
+    """Replay the decision pipeline; the last entry is the deciding rule,
+    written from what decided it, after the steps it passed."""
+    if not 2 <= g.n <= ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"sieve supports 2..{ENUM_MAX_ORDER} vertices, got {g.n}")
+    (record,), sieve, (split,) = _classify_one(g)
+    step, info, exact = int(sieve.step[0]), sieve.detail.get(0), record.verdict is Verdict.QE
+    if split is not None:
+        text = f"star product of QE factors ({split[1]}+{split[2]} glued at {split[0]}) -> QE"
+    elif step == 1:
+        text = f"cartesian product of QE factors ({info[0]}x{info[1]}) -> QE"
+    elif step == 2:
+        text = f"isometric non-QE subgraph on {set(record.witness)} -> non-QE, non-primary"
+    elif step == 3:
+        text = f"matches family {info[0]}, closed form {info[1]:.12g} -> {_sign_verdict(info[1], exact)[1]}"
+    elif step == 4:
+        text = (f"join of regular parts ({info[0]}+{info[1]}), formula {info[2]:.12g} -> "
+                f"{_sign_verdict(info[2], exact)[1]}")
+    elif step == 5 and info.lifted:
+        text = "pendant edge: lifted embedding verified, QEC = 0 -> QE"
+    elif step == 5:
+        text = f"explicit embedding constructed (defect {info.defect:.3g}) -> QE"
+    else:
+        text = f"direct computation: QEC = {info:.12g} -> {record.verdict.value}"
+    return [(f"step{k}", passed) for k, passed in enumerate(_PASSED[:step - 1], 1)] + [(f"step{step}", text)]
+
+
 def classify(g: Graph) -> ClassificationRecord:
     """Exact verdict, witness, numeric QEC and, up to ENUM_MAX_ORDER vertices,
-    sieve step; g runs through the stacked kernels as a stack of one."""
+    sieve step of one connected graph (`_classify_stack` of g alone)."""
     if g.n < 2:
         raise OrderOneError("classification needs at least two vertices")
-    if not is_connected(g):
-        raise DisconnectedError("classification requires a connected graph")
-    exact = is_cnd_exact(g)
-    witness = None if exact else non_qe_witness(g)
-    sieve = _sieve_of_one(g, exact, witness)[1] if g.n <= ENUM_MAX_ORDER else None
-    return _records([g], [canonical_cert(g)], np.array([exact]), [witness],
-                    np.array([qec_value(g)]), sieve)[0]
+    return _classify_one(g)[0][0]
 
 
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; records in certificate
     order.  The graphs, views of one adjacency stack, go through each layer
     as one stack: one batched BFS, eigensolve and exact elimination
-    (`prime_stack`), whose distance stack each later kernel reads with the
-    adjacency, one witness search over the non-QE graphs, one star-split
-    search and one sieve (`_run_sieve`) over all, keyed by the class masks,
-    and one check of the records.  `workers` must be 1: the sweep runs in
-    this process."""
+    (`prime_stack`), then `_classify_stack` over all of them, keyed by the
+    class masks.  `workers` must be 1: the sweep runs in this process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     graphs, adj = _class_graphs(n)
-    dist, exact, values = prime_stack(graphs, adj)
-    found = iter(_witness_stack(adj[~exact], dist[~exact]))
-    witnesses = [None if psd else next(found) for psd in exact.tolist()]
-    sieve = _run_sieve(graphs, adj, dist, _class_masks(n), exact, witnesses, _split_stack(adj, dist))
-    records = _records(graphs, _class_certs(n), exact, witnesses, values, sieve)
+    dist, exact, values = prime_stack(adj)
+    records, sieve, _ = _classify_stack(graphs, adj, dist, exact, values, _class_certs(n), _class_masks(n))
     counts = np.bincount(sieve.verdict, minlength=len(VERDICTS))  # the exact verdicts, checked
     summary = Summary(qe=int(counts[0]), non_primary=int(counts[2]), primary=int(counts[1]))
     return records, summary

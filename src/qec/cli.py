@@ -31,29 +31,12 @@ from .classify import (
 )
 from .embedding import embed, verify_embedding
 from .engine import is_cnd_exact, qec
-from .errors import (
-    BadParamsError,
-    CatalogParseError,
-    DisconnectedError,
-    EmptySetError,
-    Graph6Error,
-    NotQEError,
-    NotRegularError,
-    OrderOneError,
-    OrderTooLargeError,
-    OutOfRangeError,
-    QecError,
-    SelfLoopError,
-    UnsupportedFamilyError,
-)
+from .errors import BadParamsError, CatalogParseError, Graph6Error, QecError
 from .formulas import formula_value, qec_formula_exact
 from .graph6 import identify, load_catalog, parse_graph6, to_graph6, to_graph6_column
 from .graphs import FamilySpec, Graph, build_family, distance_matrix
 
 _USAGE_ERRORS = (Graph6Error, CatalogParseError, BadParamsError, OSError, ValueError)
-_INPUT_ERRORS = (DisconnectedError, OrderOneError, OrderTooLargeError, NotQEError,
-                 UnsupportedFamilyError, NotRegularError, EmptySetError,
-                 OutOfRangeError, SelfLoopError)
 
 _CSV_COLUMNS = ["id", "graph6", "n", "edges", "qec", "verdict", "witness",
                 "sieve_step", "closed_form"]
@@ -388,9 +371,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

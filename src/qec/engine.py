@@ -10,7 +10,8 @@ when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
 M is PSD and singular.  Fraction-free integer elimination gives both facts.
 A sweep solves the projected matrices of all its graphs in one batched
 values-only call and eliminates all their M in one int64 stack
-(`prime_stack`); a single graph is eliminated alone on Python ints.
+(`prime_stack`), keeping nothing on its graphs; a single graph is
+eliminated alone on Python ints and keeps its memos.
 `qec_value` is the value alone, from no eigenvector; `qec` reads it and
 adds diagnostics, solving eigenvectors for the maximizer only.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -68,20 +68,14 @@ def _projected(d: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def prime_stack(graphs: Sequence[Graph], adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill the distance, eigenvalue and exact-test memos of connected graphs
-    of one order n >= 2 from their adjacency stack with one batched BFS, one
-    values-only batched eigensolve and one stacked elimination
-    (`_psd_rank_stack`); returns the distance stack, which the memos view,
-    the exact verdicts and the `qec_value`s, read from the same memos.  The
-    bitset rows (`Graph.neighbor_masks`) are left to single graphs, as no
-    sweep reads them."""
+def prime_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance stack, exact verdicts and `qec_value`s of connected graphs
+    of one order n >= 2, from their adjacency stack (N, n, n): one batched
+    BFS, one values-only batched eigensolve and one stacked elimination
+    (`_psd_rank_stack`).  Nothing is kept on any graph."""
     dist = distance_stack(adj)
     tops = eigvalsh(_projected(dist))[:, 0]
-    exact = _psd_rank_stack(dist)
-    for g, d, top, psd in zip(graphs, dist, tops.tolist(), exact):
-        g._dist, g._top, g._psd = d, top, psd
-    psd, rank = np.array(exact, dtype=np.int64).reshape(-1, 2).T
+    psd, rank = np.array(_psd_rank_stack(dist), dtype=np.int64).reshape(-1, 2).T
     return dist, psd == 1, np.where(psd & (rank < adj.shape[-1] - 1), 0.0, tops)
 
 

@@ -8,7 +8,7 @@ operations are pure; nothing here mutates a graph after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Graph:
     """
 
     # qec.engine sets _psd, (psd, rank), and _top, the top eigenvalue of Q^T D Q
-    __slots__ = ("n", "adj", "_mask", "_rows", "_cert", "_dist", "_psd", "_top")
+    __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd", "_top")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool).copy()
@@ -54,7 +54,7 @@ class Graph:
     def _set(self, adj: np.ndarray, mask: int | None) -> None:
         """Take a checked read-only `adj`, its mask if known, and empty memos."""
         self.n, self.adj, self._mask = adj.shape[0], adj, mask
-        self._rows = self._cert = self._dist = self._psd = self._top = None
+        self._cert = self._dist = self._psd = self._top = None
 
     @property
     def mask(self) -> int:
@@ -72,15 +72,9 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=0).astype(np.int64)
 
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency rows packed as integer bitsets, memoized."""
-        if self._rows is None:
-            self._rows = tuple((self.adj @ (1 << np.arange(self.n))).tolist())
-        return self._rows
-
     def __reduce__(self):
         """Pickle as (n, mask) and certificate, rebuilt by the constructor:
-        read-only, and without the bitset, distance, factorization or eigenvalue caches."""
+        read-only, and without the distance, factorization or eigenvalue caches."""
         return from_mask, (self.n, self.mask), (None, {"_cert": self._cert})
 
     def __eq__(self, other) -> bool:
@@ -127,21 +121,6 @@ def from_mask(n: int, mask: int) -> Graph:
     return _from_masks(n, [int(mask)])[0][0]
 
 
-def _reach(rows: Sequence[int], reach: int) -> int:
-    """Vertices reachable from the bitset `reach` along adjacency bitsets `rows`."""
-    prev = 0
-    while reach != prev:
-        prev = reach
-        for i, row in enumerate(rows):
-            if (reach >> i) & 1:
-                reach |= row
-    return reach
-
-
-def is_connected(g: Graph) -> bool:
-    return _reach(g.neighbor_masks(), 1) == (1 << g.n) - 1
-
-
 def distance_stack(adj: np.ndarray) -> np.ndarray:
     """Read-only int64 distance matrices of a stack (N, n, n) of adjacency
     matrices, by BFS from every source at once: reach grows by one float32
@@ -164,9 +143,10 @@ def distance_stack(adj: np.ndarray) -> np.ndarray:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """`distance_stack` of g alone, computed once and cached on g (a sweep may
-    fill it in): the same read-only array on every call, which callers slice
-    or copy.  An isometric induced subgraph on S has distances d[S, S]."""
+    """`distance_stack` of g alone, computed once and cached on g: the same
+    read-only array on every call, which callers slice or copy.  Raises
+    DisconnectedError for a disconnected g.  An isometric induced subgraph on
+    S has distances d[S, S]."""
     if g._dist is None:
         g._dist = distance_stack(g.adj[None])[0]
     return g._dist
@@ -211,16 +191,6 @@ class FamilySpec:
                 raise BadParamsError("wedge needs parameters n, m with 1 <= m <= n")
         if self.kind == "knp4" and (len(p) != 1 or p[0] < 5):
             raise BadParamsError("knp4 needs one parameter >= 5")
-
-    @property
-    def order(self) -> int:
-        if self.kind in ("path", "cycle", "complete", "knp4"):
-            return self.params[0]
-        if self.kind == "star":
-            return self.params[0] + 1
-        if self.kind == "wedge":
-            return self.params[0] + 1
-        return sum(self.params)
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":

@@ -1,13 +1,15 @@
-"""Graph constructions and an isomorphism test used only by the tests.
+"""Graph constructions, bitset connectivity and an isomorphism test used
+only by the tests.
 
 The library builds graphs from masks, edge lists and families; the tests
-also relabel graphs, take disjoint unions, add apex vertices and compare
-graphs up to isomorphism, with these helpers.
+also relabel graphs, take disjoint unions, add apex vertices, test
+connectivity on adjacency bitsets (the library leaves that to its BFS) and
+compare graphs up to isomorphism, with these helpers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +45,26 @@ def add_apex(g: Graph, attach: Iterable[int]) -> Graph:
     if g.n + 1 > MAX_ORDER:
         raise OrderTooLargeError(f"apex graph has {g.n + 1} vertices (max {MAX_ORDER})")
     return from_edges(g.n + 1, g.edges() + [(v, g.n) for v in S])
+
+
+def neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows packed as integer bitsets."""
+    return tuple((g.adj @ (1 << np.arange(g.n))).tolist())
+
+
+def reach(rows: Sequence[int], start: int) -> int:
+    """Vertices reachable from the bitset `start` along adjacency bitsets `rows`."""
+    prev = 0
+    while start != prev:
+        prev = start
+        for i, row in enumerate(rows):
+            if (start >> i) & 1:
+                start |= row
+    return start
+
+
+def is_connected(g: Graph) -> bool:
+    return reach(neighbor_masks(g), 1) == (1 << g.n) - 1
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from constructions import is_connected
 from qec.errors import DisconnectedSubgraphError
-from qec.graphs import Graph, distance_matrix, induced_subgraph, is_connected
+from qec.graphs import Graph, distance_matrix, induced_subgraph
 
 
 def is_isometric_subgraph(g: Graph, subset) -> bool:

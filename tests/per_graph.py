@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from constructions import neighbor_masks, reach
 from qec.bits import n_bits, pair_list
 from qec.canon import canonical_cert
 from qec.classify import (
@@ -45,7 +46,7 @@ from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
 from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError, NotRegularError
 from qec.formulas import formula_value, qec_formula_exact, regular_join_value
-from qec.graphs import FamilySpec, Graph, _reach, distance_matrix, induced_subgraph
+from qec.graphs import FamilySpec, Graph, distance_matrix, induced_subgraph
 from qec.kernels import jacobi_eigh
 
 
@@ -63,7 +64,7 @@ def component_masks(rows: Sequence[int], todo: int) -> list[int]:
     `rows` are adjacency bitsets with no edge leaving `todo`."""
     comps = []
     while todo:
-        comps.append(_reach(rows, todo & -todo))
+        comps.append(reach(rows, todo & -todo))
         todo &= ~comps[-1]
     return comps
 
@@ -121,7 +122,7 @@ def isometry_rule(g: Graph) -> Callable[[int], bool]:
 def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
     """Least vertex set inducing a connected, isometric, non-QE proper subgraph."""
     d = distance_matrix(g)
-    rows = g.neighbor_masks()
+    rows = neighbor_masks(g)
     isometric = isometry_rule(g)
     for size in range(5, g.n):
         for s in combinations(range(g.n), size):
@@ -133,7 +134,7 @@ def non_qe_witness(g: Graph) -> tuple[int, ...] | None:
 def star_qe_split(g: Graph) -> tuple[int, int, int] | None:
     """Cut vertex splitting g into two QE parts; returns (v, n1, n2)."""
     d = distance_matrix(g)
-    rows = g.neighbor_masks()
+    rows = neighbor_masks(g)
     every = (1 << g.n) - 1
     for v in range(g.n):
         cut = 1 << v
@@ -150,7 +151,7 @@ def star_qe_split(g: Graph) -> tuple[int, int, int] | None:
 def find_pendant_edge(g: Graph) -> tuple[int, int, int, int] | None:
     """Least witness (a, b, a', b') with a~a'~b'~b~a and deg(a') = deg(b') = 2,
     by walks over the adjacency bitsets."""
-    rows = g.neighbor_masks()
+    rows = neighbor_masks(g)
     deg2 = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == 2)
     for a, row in enumerate(rows):
         for b in set_bits(row) if row & deg2 else ():
@@ -250,7 +251,7 @@ def _regular_on(rows: Sequence[int], side: int) -> bool:
 def regular_join_split(g: Graph) -> tuple[Graph, Graph] | None:
     """Split g = G1 + G2 (graph join) with both parts regular, if possible.
     Each part is a union of components of the complement, found on bitsets."""
-    rows = g.neighbor_masks()
+    rows = neighbor_masks(g)
     every = (1 << g.n) - 1
     comps = component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
     for size in range(len(comps) - 1):

@@ -10,7 +10,7 @@ import pytest
 
 import per_graph
 from aliases import known_graphs
-from constructions import add_apex, is_isomorphic
+from constructions import add_apex, is_connected, is_isomorphic, neighbor_masks
 from isometry import is_isometric_subgraph
 from qec.bits import n_bits, pack_mask
 from qec.canon import CanonicalCert, canonical_cert
@@ -59,7 +59,6 @@ from qec.graphs import (
     from_edges,
     from_mask,
     induced_subgraph,
-    is_connected,
     multipartite,
 )
 
@@ -277,7 +276,7 @@ def test_join_stack_matches_per_graph_reference():
         assert run(graphs[::-1]) == want[::-1], n
         assert [run([g])[0] for g in graphs] == want, n
         for g, w in zip(graphs, want):
-            rows = g.neighbor_masks()
+            rows = neighbor_masks(g)
             every = (1 << n) - 1
             comps = per_graph.component_masks([every & ~row & ~(1 << v) for v, row in enumerate(rows)], every)
             many += len(comps) >= 3 and w is not None
@@ -650,8 +649,9 @@ def test_stacked_sieve_matches_per_graph_reference():
             again = [from_mask(n, graphs[k].mask) for k in order]
             adj, dist = stacked(again)
             exact = np.array([is_cnd_exact(g) for g in again])
+            values = np.array([qec_value(g) for g in again])
             witnesses = [None if e else w for e, w in zip(exact, _witness_stack(adj, dist))]
-            sieve = _run_sieve(again, adj, dist, certs[order], exact, witnesses, _split_stack(adj, dist))
+            sieve = _run_sieve(adj, dist, certs[order], exact, values, witnesses, _split_stack(adj, dist))
             got = [(VERDICTS[v], f"step{k}") for v, k in zip(sieve.verdict.tolist(), sieve.step.tolist())]
             assert got == [want[k] for k in order], n
         seen.update(step for _, step in want)
@@ -785,11 +785,17 @@ def test_sieve_examples():
 
 def test_sieve_step6_decides_from_the_value(monkeypatch):
     # ELr? is the six-vertex primary with QEC (-4 + sqrt 19)/3; step 6 must
-    # follow the number it computes, not the exact verdict
+    # follow the value it is given, not the exact verdict
     g = parse_graph6("ELr?")
     assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = 0.11963298118 -> NonQePrimary")
+    adj, dist = g.adj[None], distance_matrix(g)[None]
+    sieve = _run_sieve(adj, dist, np.array([canonical_cert(g).bits]), np.array([False]),
+                       np.array([-0.5]), [None], _split_stack(adj, dist))
+    assert (sieve.step.tolist(), VERDICTS[sieve.verdict[0]], sieve.detail) == ([6], Verdict.QE, {0: -0.5})
+    # a doctored value reaches the records, whose check against the exact verdict trips
     monkeypatch.setattr(sys.modules["qec.classify"], "qec_value", lambda h: -0.5)
-    assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = -0.5 -> QE")
+    with pytest.raises(AssertionError, match="sieve verdict QE disagrees with exact verdict NonQePrimary"):
+        sieve_trace(g)
 
 
 def test_sieve_agrees_with_classify_small():
@@ -938,16 +944,17 @@ def test_class_masks_are_read_only_and_graphs_fresh():
             masks[0] = 1
         assert np.array_equal(masks, _class_masks.__wrapped__(n)), n
     graphs = enumerate_connected(6)
-    prime_stack(graphs, np.array([g.adj for g in graphs]))
-    values = [qec_value(g) for g in graphs]
+    values = prime_stack(np.array([g.adj for g in graphs]))[2].tolist()
+    assert all((g._dist, g._psd, g._top) == (None, None, None) for g in graphs)  # a sweep keeps no memo
+    assert [qec_value(g) for g in graphs] == values
     for g in graphs:  # spoil every memo
         g._dist = np.zeros((6, 6), dtype=np.int64)
-        g._rows, g._psd, g._top, g._cert = (0,) * 6, (True, 0), -1.0, CanonicalCert(6, 0)
+        g._psd, g._top, g._cert = (True, 0), -1.0, CanonicalCert(6, 0)
     again = enumerate_connected(6)
     assert not {id(g) for g in graphs} & {id(g) for g in again}
     assert not {id(g.adj) for g in graphs} & {id(g.adj) for g in again}
     for g in again:
-        assert (g._dist, g._rows, g._psd, g._top) == (None, None, None, None)
+        assert (g._dist, g._psd, g._top) == (None, None, None)
         assert g._cert == CanonicalCert(6, g.mask)
     assert [g.mask for g in again] == _class_masks(6).tolist()
     assert [qec_value(g) for g in again] == values

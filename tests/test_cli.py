@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from constructions import relabel
+from constructions import is_connected, relabel
 import qec
 from qec.classify import enumerate_connected
 from qec.cli import main
+from qec.errors import BadParamsError, CatalogParseError, Graph6Error, QecError
 from qec.graph6 import to_graph6
-from qec.graphs import build_family, complete, compose, cycle, from_edges, is_connected, multipartite
+from qec.graphs import build_family, complete, compose, cycle, from_edges, multipartite
 
 
 def run(capsys, *argv):
@@ -261,6 +262,33 @@ def test_exit_code_unsupported_inputs(capsys):
     assert run(capsys, "compute", "A?")[0] == 2   # disconnected two-vertex graph
     assert run(capsys, "compute", "@")[0] == 2    # single vertex: QEC undefined
     assert run(capsys, "trace", "A?")[0] == 2
+    assert run(capsys, "classify", "A?")[0] == 2
+    assert run(capsys, "classify", "--json", "A?")[0] == 2
+
+
+def _error_types(cls):
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in _error_types(direct)]
+
+
+def test_exit_code_of_every_error_type(capsys, monkeypatch):
+    """A command that raises a QecError exits 1 when it is a graph6, catalog
+    or parameter error and 2 otherwise, printing the message; any other
+    exception is an internal error, exit 3."""
+    raised = []
+
+    def fail(g):
+        raise raised[-1]
+
+    monkeypatch.setattr(qec.cli, "sieve_trace", fail)
+    codes = {}
+    for cls in _error_types(QecError):
+        raised.append(cls(1, "boom") if cls is CatalogParseError else cls("boom"))
+        codes[cls], out, err = run(capsys, "trace", "Bw")
+        assert (out, err) == ("", f"error: {raised[-1]}\n"), cls
+    assert codes == {cls: 1 if issubclass(cls, (Graph6Error, BadParamsError)) else 2 for cls in codes}
+    assert len(codes) == 19 and list(codes.values()).count(1) == 6  # Graph6Error has four subclasses
+    raised.append(Exception("boom"))
+    assert run(capsys, "trace", "Bw") == (3, "", "internal error: boom\n")
 
 
 def test_version(capsys):

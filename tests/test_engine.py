@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from constructions import disjoint_union
+from constructions import disjoint_union, is_connected
 from isometry import is_isometric_subgraph
 from per_graph import adjacency_min_eigenvalue
 from qec import kernels
@@ -27,8 +27,8 @@ from qec.graphs import (
     distance_matrix,
     distance_stack,
     from_edges,
+    from_mask,
     induced_subgraph,
-    is_connected,
     multipartite,
     path,
 )
@@ -174,9 +174,11 @@ def test_psd_rank_stack_guards_int64(monkeypatch):
 
 
 def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
-    """classify_all(7) decides no matrix alone: prime_stack seeds every exact
+    """classify_all(7) decides no matrix alone: prime_stack makes every exact
     test, the verdict tables are built by stacked eliminations and the
-    pendant remainders of sieve step 5 are table reads."""
+    pendant remainders of sieve step 5 are table reads.  prime_stack's
+    verdicts, and the records' zero values, are those of `_psd_rank`, and the
+    sweep keeps no distance, factorization or eigenvalue memo on a graph."""
     engine = sys.modules["qec.engine"]
     from qec.classify import classify_all
 
@@ -190,7 +192,11 @@ def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
     records, summary = classify_all(7, workers=1)
     assert tuple(summary) == (452, 388, 13)
     assert calls == []
-    assert all(r.graph._psd == _psd_rank(distance_matrix(r.graph)) for r in records)
+    dist, exact, _ = prime_stack(np.array([r.graph.adj for r in records]))
+    ranks = [_psd_rank(d) for d in dist]
+    assert exact.tolist() == [psd for psd, _ in ranks]
+    assert [r.qec_value == 0 for r in records] == [psd and rank < 6 for psd, rank in ranks]
+    assert all((r.graph._dist, r.graph._psd, r.graph._top) == (None, None, None) for r in records)
 
 
 def test_stacked_values_against_eigvalsh():
@@ -201,29 +207,31 @@ def test_stacked_values_against_eigvalsh():
 
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        prime_stack(graphs, np.array([g.adj for g in graphs]))
+        dist, _, values = prime_stack(np.array([g.adj for g in graphs]))
         diff = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
         q = np.linalg.qr(diff)[0]
-        for g in graphs:
+        for g, d, value in zip(graphs, dist, values.tolist()):
             top = np.linalg.eigvalsh(q.T @ floyd_warshall(g) @ q)[-1]
-            assert abs(g._top - top) < 1e-9
+            assert abs(value - top) < 1e-9
             assert abs(qec_value(g) - top) < 1e-9
-            assert np.array_equal(g._dist, floyd_warshall(g))
+            assert np.array_equal(d, floyd_warshall(g))
     assert _hyperplane_basis(7) is _hyperplane_basis(7)
     assert not _hyperplane_basis(7).flags.writeable
 
 
 def test_stacked_values_equal_unbatched_solves_bitwise():
-    """Batching changes no bit: each top eigenvalue of a per-order stack is
-    the one a 2-D matmul and values-only eigvalsh of that graph alone give,
-    so sweep records do not depend on how the sweep is stacked."""
+    """Batching changes no bit: each value of a per-order stack is the
+    `qec_value` of the same mask built alone, and each nonzero one the top
+    eigenvalue that a 2-D matmul and values-only eigvalsh of that graph alone
+    give, so sweep records do not depend on how the sweep is stacked."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        prime_stack(graphs, np.array([g.adj for g in graphs]))
+        dist, _, values = prime_stack(np.array([g.adj for g in graphs]))
         q = _hyperplane_basis(n)
-        for g in graphs:
-            m = q.T @ g._dist.astype(float) @ q
-            assert g._top.hex() == float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]).hex()
+        for g, d, value in zip(graphs, dist, values.tolist()):
+            assert value.hex() == qec_value(from_mask(n, g.mask)).hex()
+            m = q.T @ d.astype(float) @ q
+            assert value == 0 or value.hex() == float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]).hex()
 
 
 def test_exact_test_examples():
@@ -304,7 +312,6 @@ def test_heredity_for_isometric_subgraphs():
         for drop in range(6):
             s = tuple(v for v in range(6) if v != drop)
             h = induced_subgraph(g, s)
-            from qec.graphs import is_connected
             if not is_connected(h):
                 continue
             if not is_isometric_subgraph(g, s):

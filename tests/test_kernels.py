@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from constructions import relabel
+from constructions import is_connected, relabel
 from qec import kernels
 from qec.bits import n_bits
 from qec.canon import perm_powers
-from qec.graphs import build_family, cycle, from_mask, is_connected, multipartite
+from qec.graphs import build_family, cycle, from_mask, multipartite
 from relabelings import _images, min_permuted_mask, perm_table
 
 
