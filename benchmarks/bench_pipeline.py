@@ -7,14 +7,16 @@ the change is the checkout holding this script.  Each round runs one fresh
 interpreter per tree, with PYTHONPATH pointing at that tree's `src`, and
 alternates which tree goes first; every number is the best over the k
 rounds, in CPU seconds, as perfbench counts them: rows timed in process by
-the timing thread's CPU clock (`time.thread_time`), and the cold CLI row by
-the CPU time of the child process (`resource.getrusage(RUSAGE_CHILDREN)`),
+the timing thread's CPU clock (`time.thread_time`), and the cold CLI rows by
+the CPU time of their child processes (`resource.getrusage(RUSAGE_CHILDREN)`),
 so other tenants' load on a shared machine stays out of both.
 
 End to end:
   classify_all_n{5,6,7}   classify_all(n, workers=1), after the layers below
                           (so enumerate_connected(7) has run in the process)
   cli_enumerate_n6        a cold `python -m qec.cli enumerate --n 6` process
+  cli_classify_json_n10   a cold `python -m qec.cli classify IhCGGC@_G --json`
+                          process (the 10-cycle)
   enum7_op_cold           perfbench's enum7 operation, classify_all(7,
                           workers=1) then an in-process `qec enumerate --n 7
                           --out FILE`, run once in a fresh interpreter (after
@@ -28,10 +30,10 @@ Layers:
                           canon.canonical_cert of a graph built from each of
                           200 seeded random masks (3 at n = 9 and 2 at n = 10),
                           mean per call, after an untimed call has built the tables
-  family_index_n9         classify._family_index(9) uncached, through
-                          __wrapped__: the certificates of the 38 closed-form
-                          family members on 9 vertices and their values, after
-                          the certificate rows
+  family_index_n9         classify._family_index(9) on first use (the parent
+                          tree's through __wrapped__ of its cache): the
+                          certificates of the 38 closed-form family members on
+                          9 vertices and their values, after the certificate rows
   orbit_min_mark_n{7,8}_per_call
                           the n = 7 and 8 masks of the certificate rows through
                           orbit_min_mark into one pre-faulted bitmap (256 MiB
@@ -54,8 +56,14 @@ Layers:
   qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
                           zero test included: one engine.prime_stack call,
                           the adjacency stack built inside the row
-  psd_rank_stack_n7       (psd, rank) of the 853 order-7 distance matrices, BFS
-                          excluded: one engine._psd_rank_stack call
+  prime_stack_n7          the same prime_stack call on the adjacency stack
+                          built before the row
+  exact_stack_n{7,8}      the stacked exact kernel (engine._psd_zero_stack, the
+                          parent tree's engine._psd_rank_stack) over the 853
+                          order-7 distance matrices and over the 2,000 order-8
+                          ones of non_qe_witness_n8, BFS excluded
+  exact_stack_one_n7      the same kernel on each order-7 distance matrix as a
+                          stack of one, mean per call
   find_pendant_edge_n7    the pendant search over the 853 order-7 classes: one
                           graphs.pendant_stack call over their adjacency stack
   step4_n7                sieve step 4 over the 168 order-7 classes that reach
@@ -266,10 +274,24 @@ def _measure() -> dict[str, float]:
         raise SystemExit("expected 401 positive order-7 QEC values")
     dist = graphs_module.distance_stack(adj)
     t0 = _start()
-    verdicts = engine._psd_rank_stack(dist)
-    out["psd_rank_stack_n7"] = time.thread_time() - t0
-    if sum(not psd for psd, _ in verdicts) != 401:
+    exact_stack = getattr(engine, "_psd_zero_stack", None) or engine._psd_rank_stack
+    verdicts = exact_stack(dist)
+    out["exact_stack_n7"] = time.thread_time() - t0
+    psd = verdicts[0] if isinstance(verdicts, tuple) else [psd for psd, _ in verdicts]
+    if sum(not p for p in psd) != 401:
         raise SystemExit("expected 401 non-QE order-7 exact tests")
+    t0 = _start()
+    for d in dist:
+        exact_stack(d[None])
+    out["exact_stack_one_n7"] = (time.thread_time() - t0) / len(dist)
+    dist8 = graphs_module.distance_stack(numpy.stack([from_mask(8, mask).adj for mask in order8]))
+    t0 = _start()
+    exact_stack(dist8)
+    out["exact_stack_n8"] = time.thread_time() - t0
+    adj7 = numpy.stack([g.adj for g in graphs])
+    t0 = _start()
+    engine.prime_stack(graphs, adj7) if _takes_graphs(engine.prime_stack) else engine.prime_stack(adj7)
+    out["prime_stack_n7"] = time.thread_time() - t0
     t0 = _start()
     graphs_module.pendant_stack(adj)
     out["find_pendant_edge_n7"] = time.thread_time() - t0
@@ -367,7 +389,7 @@ def _measure() -> dict[str, float]:
             canonical_cert(from_mask(n, mask))
         out[f"canonical_cert_n{n}_per_call"] = (time.thread_time() - t0) / count
     t0 = _start()
-    _family_index.__wrapped__(9)
+    getattr(_family_index, "__wrapped__", _family_index)(9)
     out["family_index_n9"] = time.thread_time() - t0
     for n in (7, 8):
         orbit_table = perm_powers(n) if n == 7 else _full_powers(n)
@@ -429,6 +451,10 @@ def _round(tree: Path) -> dict[str, float]:
                         "--out", str(Path(tmp) / "n6.json")],
                        env=env, cwd=tree, check=True, capture_output=True)
         times["cli_enumerate_n6"] = _children_cpu_s() - cpu0
+    cpu0 = _children_cpu_s()
+    subprocess.run([sys.executable, "-m", "qec.cli", "classify", "IhCGGC@_G", "--json"],
+                   env=env, cwd=tree, check=True, capture_output=True)
+    times["cli_classify_json_n10"] = _children_cpu_s() - cpu0
     return times
 
 
@@ -464,7 +490,7 @@ def main() -> None:
             print(f"round {r + 1}/{args.k} {side} done", file=sys.stderr)
     report = {
         "benchmark": "benchmarks/bench_pipeline.py",
-        "unit": "s (CPU: thread time in process, children's CPU time for cli_enumerate_n6; best of k)",
+        "unit": "s (CPU: thread time in process, children's CPU time for the cli_ rows; best of k)",
         "k": args.k,
         "machine": {
             "cpu_count": os.cpu_count(),

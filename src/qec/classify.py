@@ -37,7 +37,7 @@ from .embedding import (  # noqa: F401
     verify_embedding,
 )
 # `qec` stays bound here, unused: perfbench/tracing.py traces its engine.qec layer through it
-from .engine import _psd_rank_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
+from .engine import _psd_zero_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
 from .errors import BadParamsError, OrderOneError, OrderTooLargeError
 from .formulas import formula_value, regular_join_value
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
@@ -164,7 +164,7 @@ def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
     the graphs `which` of a stack.  Up to four vertices they are QE; below
     ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled mask, summed from
     one `_block_tables` read per byte of the graph's packed mask; from there
-    on (order 8 and up), one `_psd_rank_stack` per size over the slices d[S, S]."""
+    on (order 8 and up), one `_psd_zero_stack` per size over the slices d[S, S]."""
     n = adj.shape[-1]
     orders, parts = _block_tables(n)
     u, v = pair_rows_cols(n)
@@ -183,7 +183,7 @@ def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
         else:
             verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]
-            qe[at] = [psd for psd, _ in _psd_rank_stack(d)]
+            qe[at] = _psd_zero_stack(d)[0]
     return qe
 
 
@@ -307,10 +307,9 @@ def _non_qe_table(k: int) -> np.ndarray:
     the classes decided by one stacked elimination."""
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
     masks = _class_masks(k)
-    exact = _psd_rank_stack(distance_stack(unpack_stack(k, masks)))
-    for mask, (psd, _) in zip(masks.tolist(), exact):
-        if not psd:
-            kernels.orbit_min_mark(mask, perm_powers(k), table)
+    psd = _psd_zero_stack(distance_stack(unpack_stack(k, masks)))[0]
+    for mask in masks[~psd].tolist():
+        kernels.orbit_min_mark(mask, perm_powers(k), table)
     table.setflags(write=False)
     return table
 
@@ -338,27 +337,36 @@ def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _family_index(n: int) -> dict[CanonicalCert, tuple[FamilySpec, float]]:
-    """Certificate -> (family spec, closed-form value) for every closed-form
-    family on n vertices, certificates ascending; the values are computed here."""
-    index: dict[CanonicalCert, tuple[FamilySpec, float]] = {}
+def _family_members(n: int) -> tuple[tuple[FamilySpec, ...], np.ndarray]:
+    """The closed-form family members on n >= 2 vertices, in index order, and their `_degree_keys`."""
+    specs = [FamilySpec("complete", (n,)), FamilySpec("path", (n,))] + ([FamilySpec("cycle", (n,))] if n >= 3 else [])
+    specs += [FamilySpec("multipartite", parts) for parts in _partitions(n) if len(parts) >= 2]
+    specs += [FamilySpec("wedge", (n - 1, m)) for m in range(1, n)] + ([FamilySpec("knp4", (n,))] if n >= 5 else [])
+    return tuple(specs), _degree_keys(n, np.array([build_family(spec).mask for spec in specs]))
 
-    def put(spec: FamilySpec) -> None:
-        index.setdefault(canonical_cert(build_family(spec)), (spec, formula_value(spec)))
 
-    if n >= 2:
-        put(FamilySpec("complete", (n,)))
-        put(FamilySpec("path", (n,)))
-    if n >= 3:
-        put(FamilySpec("cycle", (n,)))
-    for parts in _partitions(n):
-        if len(parts) >= 2:
-            put(FamilySpec("multipartite", parts))
-    for m in range(1, n):
-        put(FamilySpec("wedge", (n - 1, m)))
-    if n >= 5:
-        put(FamilySpec("knp4", (n,)))
-    return dict(sorted(index.items()))
+def _degree_keys(n: int, masks: np.ndarray) -> np.ndarray:
+    """Each packed mask's degree sequence on n vertices: the sum of (n + 1)^degree over its vertices."""
+    u, v = pair_rows_cols(n)
+    return ((n + 1.0) ** ((masks[:, None] >> np.arange(len(u)) & 1) @ (np.eye(n)[u] + np.eye(n)[v]))).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _family_entry(n: int, i: int) -> tuple[CanonicalCert, tuple[FamilySpec, float]]:
+    """Member i's certificate and (spec, closed-form value), made once."""
+    spec = _family_members(n)[0][i]
+    return canonical_cert(build_family(spec)), (spec, formula_value(spec))
+
+
+def _family_index(n: int, masks: np.ndarray | None = None) -> dict[CanonicalCert, tuple[FamilySpec, float]]:
+    """Certificate -> (family spec, closed-form value) for every family member
+    on n >= 2 vertices, or only those with the degree sequence of a packed
+    mask in `masks` (no other is isomorphic to one); certificates ascending."""
+    specs, keys = _family_members(n)
+    hits = range(len(specs)) if masks is None else np.flatnonzero(
+        (keys[:, None] == _degree_keys(n, masks)).any(axis=1)).tolist()
+    index = dict(reversed([_family_entry(n, i) for i in hits]))  # the first spec of equal certificates wins
+    return dict(sorted(index.items(), key=lambda item: item[0].bits))
 
 
 def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -89,8 +89,8 @@ def _record_rows(records: Sequence[ClassificationRecord], ident: str | None = No
     n = graphs[0].n
     masks = [g.mask for g in graphs]
     closed_forms = [[] for _ in graphs]
-    for i, (spec, value) in _cert_hits(_family_index(n), np.array([c.bits for c in certs], dtype=np.int64),
-                                       np.arange(len(certs))).items():
+    bits = np.array([c.bits for c in certs], dtype=np.int64)  # canonical masks, with the records' degrees
+    for i, (spec, value) in _cert_hits(_family_index(n, bits), bits, np.arange(len(certs))).items():
         closed_forms[i] = [{"family": str(spec), "value": _round12(value), "exact": qec_formula_exact(spec)}]
     return _Rows({
         "id": [ident] * len(graphs),

@@ -7,11 +7,11 @@ eigenvalue of Q^T D Q where Q is an orthonormal basis of the hyperplane
 sit on the QEC = 0 boundary where a floating-point sign test is fragile:
 with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
 when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
-M is PSD and singular.  Fraction-free integer elimination gives both facts.
-A sweep solves the projected matrices of all its graphs in one batched
-values-only call and eliminates all their M in one int64 stack
-(`prime_stack`), keeping nothing on its graphs; a single graph is
-eliminated alone on Python ints and keeps its memos.
+M is PSD and singular.  Fraction-free integer elimination gives both facts:
+for a single graph on Python ints with general pivots (keeping its memos),
+for a sweep in one int64 stack in order on the diagonal, where a zero pivot
+must have a zero row and no pivot may be negative (`prime_stack`, which
+then solves values only where QEC is not exactly 0, keeping nothing).
 `qec_value` is the value alone, from no eigenvector; `qec` reads it and
 adds diagnostics, solving eigenvectors for the maximizer only.
 """
@@ -71,12 +71,14 @@ def _projected(d: np.ndarray) -> np.ndarray:
 def prime_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distance stack, exact verdicts and `qec_value`s of connected graphs
     of one order n >= 2, from their adjacency stack (N, n, n): one batched
-    BFS, one values-only batched eigensolve and one stacked elimination
-    (`_psd_rank_stack`).  Nothing is kept on any graph."""
+    BFS, one stacked elimination (`_psd_zero_stack`), and +0.0 where QEC = 0
+    or one values-only batched eigensolve, each matrix alone (as `qec_value`
+    solves it).  Nothing is kept on any graph."""
     dist = distance_stack(adj)
-    tops = eigvalsh(_projected(dist))[:, 0]
-    psd, rank = np.array(_psd_rank_stack(dist), dtype=np.int64).reshape(-1, 2).T
-    return dist, psd == 1, np.where(psd & (rank < adj.shape[-1] - 1), 0.0, tops)
+    psd, zero = _psd_zero_stack(dist)
+    values = np.zeros(len(dist))
+    values[~zero] = eigvalsh(_projected(dist[~zero]))[:, 0]
+    return dist, psd, values
 
 
 def qec_value(g: Graph) -> float:
@@ -147,59 +149,49 @@ def _psd_rank(d: np.ndarray) -> tuple[bool, int]:
     return psd, rank
 
 
-def _psd_rank_stack(dist: np.ndarray) -> list[tuple[bool, int]]:
-    """`_psd_rank` of each matrix in a stack (N, n, n), same pivots, one int64
-    Bareiss step at a time over the whole stack.
+def _psd_zero_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psd, zero) of M = -E^T D E for each D in a stack (N, n, n), zero meaning
+    PSD and singular (QEC = 0): fraction-free elimination in order on the diagonal.
 
-    Each step finds every matrix's pivot (r, c) by one flat argmax of the
-    active block, or on its diagonal while it may be PSD, and keeps the block
-    without row r and column c, updated in place to (p m - m[:, c] m[r, :]) // prev.
-    The rows and columns left keep their order, so each later pivot is the
-    one `_psd_rank` picks; a finished (zero) block stays zero with p = 1, and
-    the first step divides by nothing.  Each entry is a minor of M, at most
-    the Hadamard bound B (the product of M's row norms, each at least 1), so
-    both products stay within B^2: matrices with B^2 >= 2^62, or an entry of
-    M at 2^24 or more, go to `_psd_rank`.  At n <= 7, B^2 < 2^59.
-    """
+    Each step reads the active block's first diagonal entry p and its row r
+    (the block is symmetric): p > 0 is a Bareiss step (p m - r r^T) // prev on
+    the rest; p = 0 with r = 0 passes the rest on, prev kept; any other p
+    proves M not PSD, and the block is zeroed.  Proof: the block is a Schur
+    complement S of M, congruent to diag(pivots, S), and a PSD S is zero in
+    the row of a zero diagonal entry; so M is PSD iff no step zeroes it, and
+    singular iff some p is 0.  Every entry is a minor of M: each division is
+    exact, and each product within B^2, B the Hadamard bound (the product of
+    M's row norms, each at least 1).  (k max|M|^2)^k < 2^62 bounds a whole
+    stack (always at n <= 7: |M_ij| <= 2 diam); else matrices with B^2 >=
+    2^62, or an entry at 2^24 or more, are zeroed and go to `_psd_rank`."""
     m = -np.diff(np.diff(dist, axis=1), axis=2)
-    ok = (np.abs(m) < 1 << 24).all(axis=(1, 2))
-    bound = np.ones(len(m), dtype=np.int64)  # B^2, while it stays below 2^62
-    for s in np.maximum((m * m).sum(axis=2), 1).T:  # exact wherever ok
-        ok &= s <= ((1 << 62) - 1) // bound
-        bound *= np.where(ok, s, 1)
-    m = m[ok]
-    count, k = len(m), m.shape[-1]
-    psd, rank, prev = np.ones(count, dtype=bool), np.zeros(count, dtype=np.int64), 1
-    for size in range(k, 0, -1):  # m: (count, size, size), C order
-        flat, start = m.reshape(-1), np.arange(0, count * size * size, size * size)
-        block = m.reshape(count, size * size)
-        diag = block[:, ::size + 1]
-        psd &= (diag >= 0).all(axis=1)
-        positive = diag > 0
-        on_diag = psd & positive.any(axis=1)
-        first = (block != 0).argmax(axis=1)
-        live = flat[start + first] != 0
-        if not live.any():
-            break
-        psd &= on_diag | ~live
-        rank += live
-        r, c = np.divmod(first, size)
-        np.copyto(r, positive.argmax(axis=1), where=on_diag)
-        np.copyto(c, r, where=on_diag)
-        p = np.where(live, flat[start + r * size + c], 1)[:, None, None]
-        keep = np.arange(size - 1)
-        rows = start[:, None] + (keep + (keep >= r[:, None])) * size  # flat row starts, r left out
-        cols = keep + (keep >= c[:, None])
-        sub = flat[rows[:, :, None] + cols[:, None, :]]
-        sub *= p
-        sub -= flat[rows + c[:, None]][:, :, None] * flat[(start + r * size)[:, None] + cols][:, None, :]
+    k = m.shape[-1]
+    ok = np.ones(len(m), dtype=bool)
+    if (k * int(np.abs(m).max(initial=0)) ** 2) ** k >= 1 << 62:
+        ok &= (np.abs(m) < 1 << 24).all(axis=(1, 2))
+        bound = np.ones(len(m), dtype=np.int64)  # B^2, while it stays below 2^62
+        for s in np.maximum((m * m).sum(axis=2), 1).T:  # exact wherever ok
+            ok &= s <= ((1 << 62) - 1) // bound
+            bound *= np.where(ok, s, 1)
+        m[~ok] = 0
+    psd, singular, prev = np.ones(len(m), dtype=bool), np.zeros(len(m), dtype=bool), 1
+    for size in range(k, 0, -1):  # m: (N, size, size)
+        p, row = m[:, 0, 0], m[:, 0, 1:]
+        bad = (p < 0) | (p == 0) & row.any(axis=1)
+        psd &= ~bad
+        m[bad] = 0
+        singular |= p == 0
+        p = np.where(p > 0, p, prev)  # a zero row carries the block on
+        sub = m[:, 1:, 1:] * p[:, None, None]
+        sub -= row[:, :, None] * row[:, None, :]
         if size < k:
-            sub //= prev
+            sub //= prev[:, None, None]
         m, prev = sub, p
-    stacked = zip(psd.tolist(), rank.tolist())
-    if ok.all():
-        return list(stacked)
-    return [next(stacked) if fits else _psd_rank(d) for d, fits in zip(dist, ok.tolist())]
+    zero = psd & singular
+    for i in np.flatnonzero(~ok).tolist():
+        psd[i], rank = _psd_rank(dist[i])
+        zero[i] = psd[i] and rank < k
+    return psd, zero
 
 
 def _graph_psd_rank(g: Graph) -> tuple[bool, int]:

@@ -43,7 +43,7 @@ from qec.classify import (
     _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, _psd_rank_stack, is_cnd_exact, qec_value
+from qec.engine import _psd_rank, _psd_zero_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError, NotRegularError
 from qec.formulas import formula_value, qec_formula_exact, regular_join_value
 from qec.graphs import FamilySpec, Graph, distance_matrix, induced_subgraph
@@ -103,7 +103,7 @@ def blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
         else:
             verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]
-            qe[at] = [psd for psd, _ in _psd_rank_stack(d)]
+            qe[at] = _psd_zero_stack(d)[0]
     return qe
 
 

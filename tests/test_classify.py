@@ -851,8 +851,9 @@ def test_enumerate_connected_order7_count():
 
 def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     """Only the class masks outlive a sweep: a second classify_all(7) marks no
-    orbit but runs its own stacked values-only eigensolve and elimination over
-    all 853 classes, on graphs of its own, and returns equal records."""
+    orbit but runs its own stacked elimination over all 853 classes and its
+    own values-only eigensolve over the 689 whose QEC is not exactly 0, on
+    graphs of its own, and returns equal records."""
     first, _ = classify_all(7)
     engine, kernels = sys.modules["qec.engine"], sys.modules["qec.kernels"]
     orbits, eliminated, solved = [], [], []
@@ -861,15 +862,15 @@ def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
         return lambda *args: log.append(args[0]) or fn(*args)
 
     monkeypatch.setattr(kernels, "orbit_min_mark", counted(kernels.orbit_min_mark, orbits))
-    stack = counted(engine._psd_rank_stack, eliminated)
-    monkeypatch.setattr(engine, "_psd_rank_stack", stack)
-    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_rank_stack", stack)
+    stack = counted(engine._psd_zero_stack, eliminated)
+    monkeypatch.setattr(engine, "_psd_zero_stack", stack)
+    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_zero_stack", stack)
     monkeypatch.setattr(engine, "eigvalsh", counted(engine.eigvalsh, solved))
     second, _ = classify_all(7)
     monkeypatch.undo()
     assert orbits == []
     assert [d.shape for d in eliminated] == [(853, 7, 7)]
-    assert [m.shape for m in solved] == [(853, 6, 6)]  # Q^T D Q of the (853, 7, 7) distances
+    assert [m.shape for m in solved] == [(689, 6, 6)]  # Q^T D Q where M is not PSD and singular
     assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}
     assert hash(tuple(second)) == hash(tuple(first)) and second == first
 
@@ -889,9 +890,9 @@ def test_warm_sweep_decides_step5_in_two_eigensolves(monkeypatch):
 
     monkeypatch.setattr(engine, "_psd_rank", counted(engine._psd_rank, single))
     monkeypatch.setattr(embedding, "_psd_rank", counted(embedding._psd_rank, single))
-    stack = counted(engine._psd_rank_stack, stacked)
-    monkeypatch.setattr(engine, "_psd_rank_stack", stack)
-    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_rank_stack", stack)
+    stack = counted(engine._psd_zero_stack, stacked)
+    monkeypatch.setattr(engine, "_psd_zero_stack", stack)
+    monkeypatch.setattr(sys.modules["qec.classify"], "_psd_zero_stack", stack)
     monkeypatch.setattr(embedding, "jacobi_eigh", counted(embedding.jacobi_eigh, solved))
     records, _ = classify_all(7)
     monkeypatch.undo()

@@ -147,6 +147,22 @@ def test_classify_json_lists_closed_forms_at_orders_9_and_10(capsys):
             assert forms[family] == value
 
 
+def test_classify_json_certifies_only_family_members_of_its_degree_sequence(monkeypatch, capsys):
+    """`classify --json` of the 10-cycle makes two canonical certificates:
+    the record's and that of the one family member on 10 vertices with its
+    degree sequence, the cycle, and none for the other 53 members."""
+    classify_module = sys.modules["qec.classify"]
+    classify_module._family_entry.cache_clear()
+    certify, calls = classify_module.canonical_cert, []
+    monkeypatch.setattr(classify_module, "canonical_cert", lambda g: calls.append(to_graph6(g)) or certify(g))
+    code, out, _ = run(capsys, "classify", "--json", "IhCGGC@_G")
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert [form["family"] for form in record["closed_forms"]] == ["cycle:10"]
+    assert calls == ["IhCGGC@_G", to_graph6(build_family(cycle(10)))]
+    assert len(classify_module._family_members(10)[0]) == 54
+
+
 def test_classify_text_equals_the_json_fields(capsys):
     """Text `qec classify` prints the fields of `classify --json`: every class
     on 2..7 vertices, and seeded connected graphs on 8..10 vertices."""

@@ -13,7 +13,7 @@ from qec.classify import enumerate_connected
 from qec.engine import (
     _hyperplane_basis,
     _psd_rank,
-    _psd_rank_stack,
+    _psd_zero_stack,
     is_cnd_exact,
     prime_stack,
     qec,
@@ -115,10 +115,16 @@ def test_one_factorization_per_graph(monkeypatch):
     assert calls == [6]
 
 
+def _psd_zero(d: np.ndarray) -> tuple[bool, bool]:
+    """(psd, zero) from `_psd_rank`'s (psd, rank): zero is PSD and singular."""
+    psd, rank = _psd_rank(d)
+    return psd, psd and rank < len(d) - 1
+
+
 def test_psd_rank_stack_equals_per_matrix_elimination():
     """One stack per order: every class on 2..7 vertices, and 200 seeded
     random connected graphs on each of 8, 9 and 10 vertices, give the
-    (psd, rank) of `_psd_rank`, Python ints and bools included."""
+    (psd, zero) that `_psd_rank`'s (psd, rank) implies, as two bool arrays."""
     rng = random.Random(20261018)
     stacks = [[g.adj for g in enumerate_connected(n)] for n in range(2, 8)]
     for n in (8, 9, 10):
@@ -133,10 +139,11 @@ def test_psd_rank_stack_equals_per_matrix_elimination():
     ranks = set()
     for stack in stacks:
         dist = distance_stack(np.stack(stack))
-        got = _psd_rank_stack(dist)
-        assert got == [_psd_rank(d) for d in dist]
-        assert all(type(psd) is bool and type(rank) is int for psd, rank in got)
-        ranks |= {(len(dist[0]), psd, rank) for psd, rank in got}
+        psd, zero = _psd_zero_stack(dist)
+        assert psd.dtype == zero.dtype == bool and psd.shape == zero.shape == (len(dist),)
+        want = [_psd_rank(d) for d in dist]
+        assert list(zip(psd.tolist(), zero.tolist())) == [(p, p and r < len(d) - 1) for d, (p, r) in zip(dist, want)]
+        ranks |= {(len(dist[0]), p, r) for p, r in want}
     # both verdicts and rank-deficient matrices occur at every order from 6 on
     for n in range(6, 11):
         assert {(n, True, n - 1), (n, False, n - 1), (n, True, n - 2)} <= ranks
@@ -168,9 +175,69 @@ def test_psd_rank_stack_guards_int64(monkeypatch):
 
     monkeypatch.setattr(engine, "_psd_rank", counted)
     for dist in stacks:
-        assert _psd_rank_stack(dist) == [_psd_rank(d) for d in dist]
+        psd, zero = _psd_zero_stack(dist)
+        assert list(zip(psd.tolist(), zero.tolist())) == [_psd_zero(d) for d in dist]
     assert 40 < len(alone) < sum(map(len, stacks)) // 2
     assert alone[-40:] == [3] * 40  # every matrix of the last stack
+
+
+def test_psd_zero_stack_against_sympy(monkeypatch):
+    """(psd, zero) of symmetric integer M against sympy's PSD test and rank,
+    which share no code with qec: each M is handed over as D = -S^T M S, S
+    the left inverse of the difference basis E (S_il = 1 for l <= i), so
+    -E^T D E = M.  One case per branch of the in-order elimination: a zero
+    pivot whose row is zero only after a step, a zero pivot with a nonzero
+    row (at the start and after a step), a negative pivot (at the start and
+    after a step), the all-zero matrix, seeded Gram and indefinite matrices,
+    and entries large enough that every matrix of the stack goes to the
+    per-matrix fallback."""
+    sp = pytest.importorskip("sympy")
+    engine = sys.modules["qec.engine"]
+    cases = {
+        "zero row after a step": [[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+        "zero row after two steps": [[2, 1, 1, 0], [1, 2, 1, 0], [1, 1, 2, 0], [0, 0, 0, 3]],
+        "zero pivot, nonzero row": [[0, 1, 0], [1, 2, 0], [0, 0, 1]],
+        "zero pivot, nonzero row after a step": [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        "negative pivot": [[-1, 0, 0], [0, 2, 1], [0, 1, 2]],
+        "negative pivot after a step": [[1, 2, 0], [2, 1, 0], [0, 0, 1]],
+        "all zero": [[0] * 4] * 4,
+    }
+    rng = np.random.default_rng(11)
+    for k in (3, 4, 6):
+        for t in range(12):
+            a = rng.integers(-3, 4, size=(k, k - t % 3))  # rank k - t % 3 at most
+            cases[f"gram {k} {t}"] = (a @ a.T).tolist()
+            b = rng.integers(-4, 5, size=(k, k))
+            cases[f"indefinite {k} {t}"] = (np.triu(b) + np.triu(b, 1).T).tolist()
+    big = [rng.integers(-10 ** 6, 10 ** 6, size=(8, r)) for r in (5, 5, 5, 8, 8, 8)]
+    large = [(a @ a.T).tolist() for a in big] + [[[10 ** 9, 1], [1, -1]], [[10 ** 9, 0], [0, 0]]]
+
+    def stack(ms):
+        k = len(ms[0])
+        s = np.tri(k, k + 1, dtype=np.int64)
+        e = np.eye(k + 1, k, dtype=np.int64) - np.eye(k + 1, k, -1, dtype=np.int64)
+        d = np.array([-s.T @ np.array(m, dtype=np.int64) @ s for m in ms])
+        assert all((-(e.T @ di @ e)).tolist() == m for di, m in zip(d, ms))
+        return d
+
+    def oracle(m):
+        m = sp.Matrix(m)
+        psd = bool(m.is_positive_semidefinite)
+        return psd, psd and m.rank() < m.rows
+
+    seen = set()
+    for name, m in cases.items():
+        psd, zero = _psd_zero_stack(stack([m]))
+        assert (bool(psd[0]), bool(zero[0])) == oracle(m), name
+        seen.add(oracle(m))
+    assert seen == {(True, True), (True, False), (False, False)}
+    alone = []
+    monkeypatch.setattr(engine, "_psd_rank", lambda d: alone.append(d) or _psd_rank(d))
+    for ms in (large[:6], large[6:7], large[7:]):
+        psd, zero = _psd_zero_stack(stack(ms))
+        assert list(zip(psd.tolist(), zero.tolist())) == [oracle(m) for m in ms]
+    assert len(alone) == len(large)
+    assert {oracle(m) for m in large} == {(True, False), (True, True), (False, False)}
 
 
 def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
