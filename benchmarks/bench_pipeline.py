@@ -71,14 +71,18 @@ Layers:
                           classify._join_stack call, after an untimed one
   non_qe_table_k6         _non_qe_table(6) uncached, through __wrapped__: the
                           exact test of its 112 classes and the orbit marking
-  report_n7               the JSON report of `qec enumerate --n 7` from the
-                          records of classify_all(7), written as the tree
-                          writes it: qec.cli._cmd_enumerate with its
-                          classify_all returning those records, the file
-                          written to a temporary directory
+  enumerate_report_n7     `qec enumerate --n 7` from sweep to bytes in process:
+                          qec.cli._cmd_enumerate, the file written to a
+                          temporary directory, after an untimed call
+  report_n7               the same with the sweep's output made untimed (the
+                          parent tree's classify_all(7) records, this tree's
+                          classify._sweep(7) columns) and returned by the name
+                          the command sweeps with: its rows and JSON only
   records_n7              classify._records over the 853 order-7 classes, from
                           the stacked inputs and sieve of a sweep (built
-                          untimed, as for sieve_n7); after an untimed call
+                          untimed, as for sieve_n7); after an untimed call.
+                          The parent tree's checks the sieve and the signs of
+                          QEC there; this tree's takes the checked columns
   sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
                           it (step 5 or 6 in classify_all(7)): one
                           classify._step5_stack call, after an untimed one
@@ -95,6 +99,9 @@ call on a graph rebuilt from its mask (so it pays its BFS and exact test):
   embed_per_graph         embed over 200 seeded random connected QE graphs
                           drawn the same way
 One-record reports, each the mean over its 200 payloads of the best of 9 calls:
+  record_dict_one         the row of `qec classify --json` and its report text,
+                          qec.cli._dump_json(_report(..., [_record_dict(rec)])),
+                          for the record of each classify_per_graph graph
   dump_json_classify_record, dump_json_compute_record
                           qec.cli._dump_json of the payload that `qec classify
                           --json` and `qec compute --json --exact` write for
@@ -188,13 +195,25 @@ def _sweep_inputs(classify, engine) -> tuple:
     return graphs, adj, dist, exact, values, witnesses, classify._split_stack(adj, dist)
 
 
+def _record_args(classify, graphs, exact, values, witnesses, sieve) -> tuple:
+    """classify._records's arguments for the order-7 classes: the parent
+    tree's take the exact verdicts and the sieve, which it checks; this
+    tree's the checked columns (the sieve's verdicts, which the sieve test
+    of the sweep has compared with the exact ones, and its step names)."""
+    certs = [g._cert for g in graphs]
+    if "sieve" in inspect.signature(classify._records).parameters:
+        return graphs, certs, exact, witnesses, values, sieve
+    steps = [f"step{k}" for k in sieve.step.tolist()]
+    return graphs, certs, values.tolist(), sieve.verdict.tolist(), witnesses, steps
+
+
 def _time_sieve(classify, engine) -> float:
     """CPU seconds of sieve steps 1-6 and the records over the order-7
     classes, from a sweep's stacked inputs built untimed."""
     graphs, adj, dist, exact, values, witnesses, splits = _sweep_inputs(classify, engine)
     t0 = _start()
     sieve = _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits)
-    classify._records(graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
+    classify._records(*_record_args(classify, graphs, exact, values, witnesses, sieve))
     return time.thread_time() - t0
 
 
@@ -203,7 +222,7 @@ def _time_records(classify, engine) -> float:
     sweep's stacked inputs and sieve built untimed, after an untimed call."""
     graphs, adj, dist, exact, values, witnesses, splits = _sweep_inputs(classify, engine)
     sieve = _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits)
-    args = (graphs, [g._cert for g in graphs], exact, witnesses, values, sieve)
+    args = _record_args(classify, graphs, exact, values, witnesses, sieve)
     classify._records(*args)
     t0 = _start()
     classify._records(*args)
@@ -313,16 +332,23 @@ def _measure() -> dict[str, float]:
         records, summary = classify_all(n, workers=1)
         out[f"classify_all_n{n}"] = time.thread_time() - t0
     cli = importlib.import_module("qec.cli")
-    sweep = cli.classify_all
-    cli.classify_all = lambda n, **kwargs: (records, summary)
-    try:
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-            args = argparse.Namespace(n=7, format="json", out=str(Path(tmp) / "n7.json"))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        args = argparse.Namespace(n=7, format="json", out=str(Path(tmp) / "n7.json"))
+        for timed in (False, True):
+            t0 = _start()
+            cli._cmd_enumerate(args)
+            if timed:
+                out["enumerate_report_n7"] = time.thread_time() - t0
+        name = "_sweep" if hasattr(cli, "_sweep") else "classify_all"  # what the command sweeps with
+        sweep = getattr(cli, name)
+        swept = sweep(7)
+        setattr(cli, name, lambda n, **kwargs: swept)
+        try:
             t0 = _start()
             cli._cmd_enumerate(args)
             out["report_n7"] = time.thread_time() - t0
-    finally:
-        cli.classify_all = sweep
+        finally:
+            setattr(cli, name, sweep)
     step5 = [r.graph.mask for r in records if r.sieve_step in ("step5", "step6")]
     if len(step5) != 164:
         raise SystemExit(f"{len(step5)} order-7 classes reach sieve step 5, expected 164")
@@ -358,6 +384,16 @@ def _measure() -> dict[str, float]:
                 best_s = min(best_s, time.thread_time() - t0)
             total += best_s
         out[f"{name}_per_graph"] = total / len(picks[name])
+    total = 0.0
+    for n, mask in picks["classify"]:
+        rec = classify(from_mask(n, mask))
+        best_s = float("inf")
+        for _ in range(9):
+            t0 = time.thread_time()
+            cli._dump_json(cli._report(f"classify {to_graph6(rec.graph)}", [cli._record_dict(rec)]))
+            best_s = min(best_s, time.thread_time() - t0)
+        total += best_s
+    out["record_dict_one"] = total / len(picks["classify"])
     payloads = {"classify": [], "compute": []}
     write = cli._dump_json
     try:

@@ -7,11 +7,11 @@ witnesses, families, regular joins, embeddings, direct computation), gives
 every graph of a stack its deciding step and verdict in one pass
 (`_run_sieve`).  Everything after the exact test runs in one body,
 `_classify_stack`: one witness search, star split and sieve over a stack,
-then its records, checked over the whole stack against the exact verdicts
-(the sieve agrees, and QEC > 0 exactly for non-QE graphs).  `classify_all`
-hands it a sweep's arrays from `prime_stack`; `classify` and `sieve_trace`
-hand it one graph with its exact verdict and value decided alone, and
-`sieve_trace` writes the steps from what decided it.
+then its columns, checked over the whole stack against the exact verdicts
+(the sieve agrees, and QEC > 0 exactly for non-QE graphs).  `_sweep` hands
+it a sweep's arrays from `prime_stack`, for `qec enumerate` and `classify_all`;
+`classify` and `sieve_trace` hand it one graph with its exact verdict and
+value decided alone, and `sieve_trace` writes the steps from what decided it.
 """
 
 from __future__ import annotations
@@ -369,6 +369,9 @@ def _family_index(n: int, masks: np.ndarray | None = None) -> dict[CanonicalCert
     return dict(sorted(index.items(), key=lambda item: item[0].bits))
 
 
+_full_family_index = lru_cache(maxsize=None)(_family_index)  # `_family_index(n)`, made once per order
+
+
 def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
     if largest is None:
         largest = total
@@ -532,7 +535,7 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, certs: np.ndarray, exact: np.n
     step[witnessed], verdict[witnessed] = 2, 2
     if step.all():  # a stack decided by its splits and witnesses
         return Sieve(step, verdict, detail)
-    for i, (spec, value) in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
+    for i, (spec, value) in _cert_hits(_full_family_index(n), certs, np.flatnonzero(step == 0)).items():
         step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
     todo = np.flatnonzero(step == 0)
     for i, join in zip(todo.tolist(), _join_stack(adj[todo])):
@@ -552,53 +555,49 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, certs: np.ndarray, exact: np.n
 # classification
 
 
-def _records(graphs: Sequence[Graph], certs: Sequence[CanonicalCert], exact: np.ndarray,
-             witnesses: Sequence[Witness], values: np.ndarray,
-             sieve: Sieve | None) -> list[ClassificationRecord]:
-    """Records of a stack from its certificates, exact verdicts, witnesses,
-    QEC values and, up to ENUM_MAX_ORDER vertices, sieve; checks the sieve
-    and the sign of QEC against the exact verdicts over the whole stack and
-    raises AssertionError at the first graph that breaks either."""
+def _classify_stack(adj: np.ndarray, dist: np.ndarray, exact: np.ndarray, values: np.ndarray,
+                    bits: np.ndarray) -> tuple[np.ndarray, list[Witness], list, Sieve | None, list[Split] | None]:
+    """Everything after the exact test for a stack of one order, given its exact
+    verdicts, QEC values and certificate bits: one witness search and, up to
+    ENUM_MAX_ORDER vertices, one star split and sieve; then the sieve and the
+    sign of QEC checked against the exact verdicts (AssertionError at the first
+    graph that breaks either).  Returns the verdicts (into VERDICTS),
+    witnesses and step names (None past ENUM_MAX_ORDER), the sieve and splits."""
+    n = adj.shape[-1]
+    found = iter(_witness_stack(adj[~exact], dist[~exact]))
+    witnesses = [None if psd else next(found) for psd in exact.tolist()]
     verdict = np.where(exact, 0, np.where([w is not None for w in witnesses], 2, 1))
+    sieve = splits = None
+    if n <= ENUM_MAX_ORDER:
+        splits = _split_stack(adj, dist)
+        sieve = _run_sieve(adj, dist, bits, exact, values, witnesses, splits)
     if sieve is not None and (sieve.verdict != verdict).any():
         i = int((sieve.verdict != verdict).argmax())
         raise AssertionError(f"sieve verdict {VERDICTS[sieve.verdict[i]].value} disagrees with "
-                             f"exact verdict {VERDICTS[verdict[i]].value} of {certs[i]}")
+                             f"exact verdict {VERDICTS[verdict[i]].value} of {CanonicalCert(n, int(bits[i]))}")
     if ((values > 0) != (verdict != 0)).any():
         i = int(((values > 0) != (verdict != 0)).argmax())
         raise AssertionError(f"QEC {values.tolist()[i]!r} contradicts exact verdict "
-                             f"{VERDICTS[verdict[i]].value} of {certs[i]}")
-    steps = [None] * len(graphs) if sieve is None else list(map(_STEP_NAMES.__getitem__, sieve.step.tolist()))
+                             f"{VERDICTS[verdict[i]].value} of {CanonicalCert(n, int(bits[i]))}")
+    steps = [None] * len(adj) if sieve is None else list(map(_STEP_NAMES.__getitem__, sieve.step.tolist()))
+    return verdict, witnesses, steps, sieve, splits
+
+
+def _records(graphs: Sequence[Graph], certs: Sequence[CanonicalCert], values: Sequence[float], verdicts: Sequence[int],
+             witnesses: Sequence[Witness], steps: Sequence[str | None]) -> list[ClassificationRecord]:
+    """Records of a stack from its checked columns (`_classify_stack`)."""
     return list(map(ClassificationRecord._make, zip(
-        graphs, certs, values.tolist(), map(VERDICTS.__getitem__, verdict.tolist()), witnesses, steps)))
-
-
-def _classify_stack(graphs: Sequence[Graph], adj: np.ndarray, dist: np.ndarray, exact: np.ndarray,
-                    values: np.ndarray, certs: Sequence[CanonicalCert],
-                    bits: np.ndarray) -> tuple[list[ClassificationRecord], Sieve | None, list[Split] | None]:
-    """Everything after the exact test for a stack of one order (graphs,
-    adjacency, distances), given their exact verdicts, QEC values,
-    certificates and certificate bits: one witness search over the non-QE
-    graphs and, up to ENUM_MAX_ORDER vertices, one star-split search and one
-    sieve; then the checked records.  Returns the records, the sieve and the
-    splits (None past ENUM_MAX_ORDER)."""
-    found = iter(_witness_stack(adj[~exact], dist[~exact]))
-    witnesses = [None if psd else next(found) for psd in exact.tolist()]
-    sieve = splits = None
-    if adj.shape[-1] <= ENUM_MAX_ORDER:
-        splits = _split_stack(adj, dist)
-        sieve = _run_sieve(adj, dist, bits, exact, values, witnesses, splits)
-    return _records(graphs, certs, exact, witnesses, values, sieve), sieve, splits
+        graphs, certs, values, map(VERDICTS.__getitem__, verdicts), witnesses, steps)))
 
 
 def _classify_one(g: Graph) -> tuple[list[ClassificationRecord], Sieve | None, list[Split] | None]:
     """`_classify_stack` of g alone, a connected graph on two or more vertices,
     its exact verdict and value decided per matrix (`is_cnd_exact`,
     `qec_value`); the BFS raises DisconnectedError before anything else runs."""
-    dist = distance_matrix(g)[None]
-    cert = canonical_cert(g)
-    return _classify_stack([g], g.adj[None], dist, np.array([is_cnd_exact(g)]),
-                           np.array([qec_value(g)]), [cert], np.array([cert.bits]))
+    dist, cert, exact, value = distance_matrix(g)[None], canonical_cert(g), is_cnd_exact(g), qec_value(g)
+    verdicts, witnesses, steps, sieve, splits = _classify_stack(g.adj[None], dist, np.array([exact]),
+                                                                np.array([value]), np.array([cert.bits]))
+    return _records([g], [cert], [value], verdicts.tolist(), witnesses, steps), sieve, splits
 
 
 def sieve_trace(g: Graph) -> list[tuple[str, str]]:
@@ -636,19 +635,29 @@ def classify(g: Graph) -> ClassificationRecord:
     return _classify_one(g)[0][0]
 
 
+def _sweep(n: int, adj: np.ndarray | None = None) -> tuple[tuple, Summary]:
+    """The checked columns of the classes on n vertices (masks, QEC values,
+    verdicts into VERDICTS, witnesses, steps) and their summary, from no graph:
+    `prime_stack` of `adj` (by default unpacked from the masks), then `_classify_stack`."""
+    if not 2 <= n <= ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
+    masks = _class_masks(n)
+    adj = unpack_stack(n, masks) if adj is None else adj
+    dist, exact, values = prime_stack(adj)
+    verdicts, witnesses, steps, _, _ = _classify_stack(adj, dist, exact, values, masks)
+    qe, primary, non_primary = np.bincount(verdicts, minlength=len(VERDICTS)).tolist()
+    return (masks, values.tolist(), verdicts.tolist(), witnesses, steps), Summary(qe, non_primary, primary)
+
+
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; records in certificate
-    order.  The graphs, views of one adjacency stack, go through each layer
-    as one stack: one batched BFS, eigensolve and exact elimination
-    (`prime_stack`), then `_classify_stack` over all of them, keyed by the
-    class masks.  `workers` must be 1: the sweep runs in this process."""
+    order, built from the checked columns of `_sweep` over the adjacency
+    stack the graphs are views of.  `workers` must be 1: the sweep runs in
+    this process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     graphs, adj = _class_graphs(n)
-    dist, exact, values = prime_stack(adj)
-    records, sieve, _ = _classify_stack(graphs, adj, dist, exact, values, _class_certs(n), _class_masks(n))
-    counts = np.bincount(sieve.verdict, minlength=len(VERDICTS))  # the exact verdicts, checked
-    summary = Summary(qe=int(counts[0]), non_primary=int(counts[2]), primary=int(counts[1]))
-    return records, summary
+    (_, *columns), summary = _sweep(n, adj)
+    return _records(graphs, _class_certs(n), *columns), summary

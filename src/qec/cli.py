@@ -21,14 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .classify import (
-    ClassificationRecord,
-    _cert_hits,
-    _family_index,
-    classify,
-    classify_all,
-    sieve_trace,
-)
+# `classify_all` stays bound here, unused: perfbench patches it to one worker
+from .classify import (ENUM_MAX_ORDER, VERDICTS, ClassificationRecord, _cert_hits, _family_index,  # noqa: F401
+                       _full_family_index, _sweep, classify, classify_all, sieve_trace)
 from .embedding import embed, verify_embedding
 from .engine import is_cnd_exact, qec
 from .errors import BadParamsError, CatalogParseError, Graph6Error, QecError
@@ -40,6 +35,7 @@ _USAGE_ERRORS = (Graph6Error, CatalogParseError, BadParamsError, OSError, ValueE
 
 _CSV_COLUMNS = ["id", "graph6", "n", "edges", "qec", "verdict", "witness",
                 "sieve_step", "closed_form"]
+_VERDICT_TEXTS = tuple(verdict.value for verdict in VERDICTS)
 
 
 class _UsageError(Exception):
@@ -55,8 +51,7 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_fmt = "{:.12g}".format  # a float's text with 12 significant digits
 
 
 def _read_graph(arg: str) -> Graph:
@@ -71,43 +66,45 @@ def _read_graph(arg: str) -> Graph:
 
 
 class _Rows:
-    """Dicts on one tuple of str keys, held by column: `columns` maps each key
-    to its values in row order.  `_json_text` writes it as the list of those
-    dicts, by column (`_json_columns`), and `_records_csv` as CSV rows."""
+    """Dicts on one tuple of str keys, held by column: `columns` maps each key to its values in
+    row order, `digits` float columns to the `.12g` texts their values are read from.  `_json_text`
+    writes it as the list of those dicts, by column (`_json_columns`), and `_records_csv` as CSV rows."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "digits")
 
-    def __init__(self, columns: dict[str, list]):
-        self.columns = columns
+    def __init__(self, columns: dict[str, list], digits: dict[str, list[str]] | None = None):
+        self.columns, self.digits = columns, digits or {}
 
 
-def _record_rows(records: Sequence[ClassificationRecord], ident: str | None = None) -> _Rows:
-    """The report fields of one or more records of one order, by column: graph6
-    texts and edge counts from the packed masks in one pass, closed forms only
-    at the family members among the certificates, the rest column by column."""
-    graphs, certs, values, verdicts, witnesses, steps = zip(*records)
-    n = graphs[0].n
-    masks = [g.mask for g in graphs]
-    closed_forms = [[] for _ in graphs]
-    bits = np.array([c.bits for c in certs], dtype=np.int64)  # canonical masks, with the records' degrees
-    for i, (spec, value) in _cert_hits(_family_index(n, bits), bits, np.arange(len(certs))).items():
+def _record_rows(n: int, masks: np.ndarray, bits: np.ndarray, values: Sequence[float], verdicts: Sequence[int],
+                 witnesses: Sequence, steps: Sequence, ident: str | None = None) -> _Rows:
+    """The report fields of graphs of one order, by column, from their packed masks, certificate
+    bits, QEC values, verdicts (into VERDICTS), witnesses and sieve steps: graph6 texts and edge counts
+    from the masks in one pass, each value formatted once, closed forms only at the family members
+    among the certificates (past ENUM_MAX_ORDER, certifying only those of their degree sequences)."""
+    closed_forms = [[] for _ in range(len(masks))]
+    index = _full_family_index(n) if n <= ENUM_MAX_ORDER else _family_index(n, bits)
+    for i, (spec, value) in _cert_hits(index, bits, np.arange(len(bits))).items():
         closed_forms[i] = [{"family": str(spec), "value": _round12(value), "exact": qec_formula_exact(spec)}]
+    digits = list(map(_fmt, values))
     return _Rows({
-        "id": [ident] * len(graphs),
-        "graph6": to_graph6_column(n, np.array(masks, dtype=np.int64)),
-        "n": [n] * len(graphs),
-        "edges": list(map(int.bit_count, masks)),
-        "qec": list(map(_round12, values)),
-        "verdict": list(map(str.__str__, verdicts)),  # a Verdict's value, as a plain str
-        "witness": [None if w is None else list(w) for w in witnesses],
+        "id": [ident] * len(masks),
+        "graph6": to_graph6_column(n, masks),
+        "n": [n] * len(masks),
+        "edges": list(map(int.bit_count, masks.tolist())),
+        "qec": list(map(float, digits)),
+        "verdict": list(map(_VERDICT_TEXTS.__getitem__, verdicts)),
+        "witness": list(witnesses),
         "sieve_step": list(steps),
         "closed_forms": closed_forms,
-    })
+    }, {"qec": digits})
 
 
 def _record_dict(rec: ClassificationRecord, ident: str | None = None) -> dict:
     """The report fields of one record: the one-row case of `_record_rows`."""
-    return {key: column[0] for key, column in _record_rows([rec], ident).columns.items()}
+    rows = _record_rows(rec.graph.n, np.array([rec.graph.mask]), np.array([rec.cert.bits]), [rec.qec_value],
+                        [VERDICTS.index(rec.verdict)], [rec.witness], [rec.sieve_step], ident)
+    return {key: column[0] for key, column in rows.columns.items()}
 
 
 def _report(input_desc: str, records: list[dict] | _Rows, summary: dict | None = None) -> dict:
@@ -149,7 +146,7 @@ def _json_text(value, newline: str) -> str:
     if write := _JSON_SCALARS.get(kind):
         return write(value)
     if kind is _Rows:
-        rows = _json_columns(value.columns, inner)
+        rows = _json_columns(value.columns, value.digits, inner)
         return "[" + inner + rows + newline + "]" if rows else "[]"
     if kind is dict and all(type(key) is str for key in value):
         items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
@@ -162,23 +159,35 @@ def _json_text(value, newline: str) -> str:
     return json.dumps(value, sort_keys=True, separators=(", ", ": "), indent=1).replace("\n", newline)
 
 
-def _json_columns(columns: dict[str, list], newline: str) -> str:
-    """json's text of the rows of `columns` (str keys, values by column) on
-    `newline` lines, comma-separated: a column of one scalar type through its
-    writer in one map, any other cell inline when it is a scalar or [], else
-    by `_json_text`; then one format of all rows into the row template."""
+def _digits_texts(digits: list[str]) -> list[str]:
+    """json's texts of the floats of `.12g` texts, as repr writes them: the text
+    with a point and no exponent, or an exponent from -99 to -5; an integer
+    with `.0`; else repr (an exponent 12 to 15 it writes out, subnormals, NaN)."""
+    return [text if "e" not in text and "." in text or text[-4:-2] == "e-"
+            else text + ".0" if text.lstrip("-").isdigit()
+            else _JSON_SCALARS[float](float(text)) for text in digits]
+
+
+def _json_columns(columns: dict[str, list], digits: dict[str, list[str]], newline: str) -> str:
+    """json's text of the rows of `columns` (str keys, values by column) on `newline` lines,
+    comma-separated: a column with `digits` from them, a column of one scalar type through its writer
+    in one map, any other cell inline when it is a scalar or [], else by `_json_text` once per object
+    in its column; then one format of all rows into the row template."""
     inner = newline + " "
     keys = sorted(columns)
     template = "{" + inner + (", " + inner).join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys) + newline + "}"
     texts = []
-    for column in map(columns.__getitem__, keys):
-        kinds = {*map(type, column)}
-        if len(kinds) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
+    for key, column in zip(keys, map(columns.__getitem__, keys)):
+        if key in digits:
+            texts.append(_digits_texts(digits[key]))
+        elif len(kinds := {*map(type, column)}) == 1 and (write := _JSON_SCALARS.get(kinds.pop())):
             texts.append(map(write, column))
         else:
+            known = {}
             texts.append([write(item) if (write := _JSON_SCALARS.get(type(item)))
-                          else "[]" if type(item) is list and not item else _json_text(item, inner)
+                          else "[]" if type(item) is list and not item
+                          else known.get(id(item)) or known.setdefault(id(item), _json_text(item, inner))
                           for item in column])
     rows = list(zip(*texts))
     return (", " + newline).join([template] * len(rows)) % tuple(chain.from_iterable(rows))
@@ -192,7 +201,7 @@ def _records_csv(rows: _Rows) -> str:
     writer.writerow(_CSV_COLUMNS)
     writer.writerows(zip(
         [ident or "" for ident in columns["id"]], columns["graph6"], columns["n"], columns["edges"],
-        map(_fmt, columns["qec"]), [verdict or "" for verdict in columns["verdict"]],
+        rows.digits["qec"], [verdict or "" for verdict in columns["verdict"]],
         [" ".join(map(str, witness)) if witness else "" for witness in columns["witness"]],
         [step or "" for step in columns["sieve_step"]],
         [forms[0]["exact"] if forms else "" for forms in columns["closed_forms"]]))
@@ -253,8 +262,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    records, summary = classify_all(args.n)
-    rows = _record_rows(records)
+    (masks, *columns), summary = _sweep(args.n)
+    rows = _record_rows(args.n, masks, masks, *columns)
     if args.format == "json":
         table = _dump_json(_report(f"enumerate n={args.n}", rows, summary._asdict()))
     else:

@@ -82,14 +82,16 @@ def prime_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qec_value(g: Graph) -> float:
-    """QEC alone: +0.0 exactly when M is PSD and singular (decided in integers),
-    otherwise the top eigenvalue of Q^T D Q, memoized on g."""
+    """QEC alone: +0.0 exactly when M is PSD and singular (decided in integers,
+    with no eigensolve), otherwise the top eigenvalue of Q^T D Q, memoized on g."""
     if g.n < 2:
         raise OrderOneError("QEC is undefined on a single vertex")
+    psd, rank = _graph_psd_rank(g)
+    if psd and rank < g.n - 1:
+        return 0.0
     if g._top is None:
         g._top = float(eigvalsh(_projected(distance_matrix(g)[None]))[0, 0])
-    psd, rank = _graph_psd_rank(g)
-    return 0.0 if psd and rank < g.n - 1 else g._top
+    return g._top
 
 
 def qec(g: Graph) -> QecReport:

@@ -658,10 +658,11 @@ def test_stacked_sieve_matches_per_graph_reference():
     assert seen == {f"step{k}" for k in range(1, 7)}
 
 
-def test_sweep_raises_when_the_sieve_disagrees(monkeypatch):
+def test_sweep_raises_when_the_sieve_disagrees(monkeypatch, capsys):
     """The sweep checks the sieve against the exact verdicts: with every step-5
     outcome turned into a verified pendant lift, the primaries that step 6
-    decides come out QE, and classify_all raises, naming the first of them."""
+    decides come out QE, and classify_all raises, naming the first of them;
+    `qec enumerate`, which writes the sweep's columns, exits 3 on it."""
     first = next(r for r in classify_all(6)[0] if r.sieve_step == "step6")
     module = sys.modules["qec.classify"]
     step5 = module._step5_stack
@@ -672,6 +673,9 @@ def test_sweep_raises_when_the_sieve_disagrees(monkeypatch):
         classify_all(6)
     with pytest.raises(AssertionError, match="sieve verdict QE disagrees"):
         classify_all(7)
+    assert main(["enumerate", "--n", "6"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: sieve verdict QE disagrees with exact verdict "
+                                       f"NonQePrimary of {first.cert}\n")
 
 
 def test_five_vertex_primary_values():

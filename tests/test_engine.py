@@ -20,6 +20,7 @@ from qec.engine import (
     qec_value,
 )
 from qec.errors import DisconnectedError, OrderOneError
+from qec.graph6 import parse_graph6
 from qec.graphs import (
     build_family,
     complete,
@@ -68,6 +69,17 @@ def test_qec_c4_boundary():
 
 def test_qec_p3():
     assert abs(qec(build_family(path(3))).value + 2.0 / 3.0) < 1e-10
+
+
+def test_qec_value_solves_only_where_qec_is_not_exactly_zero(monkeypatch):
+    """`qec_value` reads the exact verdict first: C4 (graph6 Cr), PSD and
+    singular, is +0.0 from no eigensolve; K3 (Bw) takes one."""
+    solves = []
+    monkeypatch.setattr(sys.modules["qec.engine"], "eigvalsh",
+                        lambda m: solves.append(m.shape) or kernels.eigvalsh(m))
+    assert (qec_value(parse_graph6("Cr")).hex(), solves) == ((0.0).hex(), [])
+    value = qec_value(parse_graph6("Bw"))
+    assert (abs(value + 1.0) < 1e-12, solves) == (True, [(1, 2, 2)])
 
 
 def test_qec_errors():

@@ -6,15 +6,17 @@ and raise TypeError wherever that call does.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
 from enum import Enum, IntEnum
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 import qec.cli
-from qec.classify import enumerate_connected
+from qec.classify import classify_all, enumerate_connected
 from qec.cli import _dump_json, main
 from qec.graph6 import to_graph6
 
@@ -133,16 +135,41 @@ ROW_CELLS = st.one_of(
              max_size=3),
     payloads(SCALARS, (STR_KEYS, NUMBER_KEYS)), st.builds(Name, st.text(max_size=3)), st.sampled_from(list(Tag)),
     st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+# floats where repr and `.12g` write apart: small exponents, 1e11 to 1e17
+# (`.12g` writes an exponent from 1e12 on, repr from 1e16), -0.0, integers
+# and subnormals (fewer than 12 digits round-trip)
+EXPONENT_FLOATS = st.one_of(
+    st.sampled_from([1e-5, 1e-4, 9.99999999999e-5, -0.0, 0.0, 1.0, -1.0, 999999999999.0, 1e12, 1.5e15, 1e16, 1e17,
+                     1e-100, 2.2250738585072014e-308, 1e-310, -5e-324]),
+    st.floats(1e11, 1e17), st.floats(-1e17, -1e11), st.floats(1e-7, 1e-3), st.integers(-(1 << 60), 1 << 60).map(float))
+# tuples of cells equal to each other but written apart: (1,), (True,), (1.0,); (0.0,), (-0.0,)
+TUPLE_CELLS = st.lists(st.sampled_from([0, 1, True, False, 0.0, -0.0, 1.0, 1e16, None, "1"]), max_size=3).map(tuple)
+MIXED_CELLS = st.one_of(TUPLE_CELLS, EXPONENT_FLOATS, st.none(), st.booleans(), st.integers(), st.lists(TUPLE_CELLS,
+                                                                                                      max_size=2))
 
 
 @st.composite
 def rows_reports(draw, cells):
-    """The columns of a `_Rows`: 1-5 keys, 0-5 rows, each column drawn as
-    COLUMNS or `cells`."""
+    """The columns of a `_Rows` and its digits: 1-5 keys, 0-5 rows, each
+    column drawn as COLUMNS, `cells` or mixed cells, or as a few cell objects
+    repeated (tuples, lists, floats: one object at several rows), or as
+    floats across exponents given by their `.12g` digits."""
     keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=5, unique=True))
     count = draw(st.integers(0, 5))
-    return {key: draw(st.lists(draw(st.sampled_from(COLUMNS + (cells,))), min_size=count, max_size=count))
-            for key in keys}
+    columns, digits = {}, {}
+    for key in keys:
+        kind = draw(st.sampled_from(["cells", "pooled", "digits"]))
+        if kind == "cells":
+            cell = draw(st.sampled_from(COLUMNS + (cells, MIXED_CELLS, EXPONENT_FLOATS)))
+            columns[key] = draw(st.lists(cell, min_size=count, max_size=count))
+        elif kind == "pooled":
+            pool = draw(st.lists(st.one_of(TUPLE_CELLS, MIXED_CELLS, cells), min_size=1, max_size=3))
+            columns[key] = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        else:
+            digits[key] = [f"{v:.12g}" for v in draw(st.lists(EXPONENT_FLOATS | st.floats(), min_size=count,
+                                                              max_size=count))]
+            columns[key] = list(map(float, digits[key]))
+    return columns, digits
 
 
 def outcome(write, payload):
@@ -172,18 +199,45 @@ def test_writer_raises_type_error_where_json_does(payload):
 
 
 @given(rows_reports(ROW_CELLS))
-def test_writer_same_shape_lists_by_column(columns):
+def test_writer_same_shape_lists_by_column(report):
     """Report rows held by column (`qec.cli._Rows`) are written as json writes
-    the list of their dicts, at the top and inside a report."""
+    the list of their dicts, at the top and inside a report: repeated cell
+    objects written once, and a column of floats from its `.12g` digits as
+    `float.__repr__` of float of those digits."""
+    columns, digits = report
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    assert _dump_json(qec.cli._Rows(columns)) == dumps(rows)
-    assert _dump_json({"records": qec.cli._Rows(columns), "%s": 1}) == dumps({"records": rows, "%s": 1})
+    assert _dump_json(qec.cli._Rows(columns, digits)) == dumps(rows)
+    assert _dump_json({"records": qec.cli._Rows(columns, digits), "%s": 1}) == dumps({"records": rows, "%s": 1})
 
 
 @given(rows_reports(ROW_CELLS | UNWRITABLE))
-def test_writer_rows_raise_type_error_where_json_does(columns):
+def test_writer_rows_raise_type_error_where_json_does(report):
+    columns, digits = report
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    assert outcome(_dump_json, {"records": qec.cli._Rows(columns)}) == outcome(dumps, {"records": rows})
+    assert outcome(_dump_json, {"records": qec.cli._Rows(columns, digits)}) == outcome(dumps, {"records": rows})
+
+
+def _assert_values_written_from_12_digits(values):
+    """In the report rows of 2-vertex graphs with QEC `values`, the JSON text
+    of each value is `float.__repr__(float(f"{v:.12g}"))`, as json.dumps
+    writes that float, and its CSV text is `f"{v:.12g}"`."""
+    count, ones = len(values), np.ones(len(values), dtype=np.int64)
+    rows = qec.cli._record_rows(2, ones, ones, values, [0] * count, [None] * count, ["step1"] * count)
+    want = [dict(zip(rows.columns, row), qec=float(f"{v:.12g}")) for row, v in zip(zip(*rows.columns.values()), values)]
+    assert _dump_json(rows) == dumps(want)
+    assert [row["qec"] for row in csv.DictReader(io.StringIO(qec.cli._records_csv(rows)))] == [
+        f"{v:.12g}" for v in values]
+
+
+@given(st.lists(EXPONENT_FLOATS | st.floats(), max_size=6))
+def test_report_values_are_formatted_once(values):
+    _assert_values_written_from_12_digits(values)
+
+
+def test_every_qec_value_is_written_from_its_12_digits():
+    """The QEC value of every class on 2..7 vertices, through the rows of one
+    report: JSON as repr of the 12-digit float, CSV as the 12 digits."""
+    _assert_values_written_from_12_digits([r.qec_value for n in range(2, 8) for r in classify_all(n)[0]])
 
 
 def test_writer_list_cells_of_plain_ints():

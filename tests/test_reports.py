@@ -15,12 +15,13 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
 from per_graph import closed_form_matches
 from qec import __version__
-from qec.classify import classify, classify_all, enumerate_connected
+from qec.classify import ClassificationRecord, classify, classify_all, enumerate_connected
 from qec.cli import main
 from qec.graph6 import to_graph6
 from qec.graphs import Graph
@@ -55,6 +56,31 @@ def test_enumerate_report_digest(n, fmt, digest, tmp_path, capsys):
     zeros = [v for v in values if v == 0]
     assert len(zeros) == EXACT_ZEROS[n]
     assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
+def test_enumerate_builds_no_graph_and_no_record(tmp_path, capsys, monkeypatch):
+    """`qec enumerate --n 7` writes its report from the sweep's arrays: with
+    the graph builders and the record constructor made to raise (after one
+    run has filled the lazy tables, which build family members and product
+    factors as graphs), it still writes the pinned bytes."""
+    out = tmp_path / "report.json"
+    argv = ["enumerate", "--n", "7", "--out", str(out)]
+    assert main(argv) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("qec enumerate built a graph or a record")
+
+    for module in ("qec.classify", "qec.graphs"):
+        monkeypatch.setattr(sys.modules[module], "_from_masks", forbidden)
+    monkeypatch.setattr(sys.modules["qec.classify"], "_class_graphs", forbidden)
+    monkeypatch.setattr(sys.modules["qec.graphs"].Graph, "_set", forbidden)
+    monkeypatch.setattr(ClassificationRecord, "_make", forbidden)
+    out.unlink()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == next(d for n, f, d in DIGESTS if (n, f) == (7, "json"))
+    with pytest.raises(AssertionError, match="built a graph or a record"):
+        classify_all(7)
 
 
 def _dumps(payload) -> str:
