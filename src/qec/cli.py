@@ -72,8 +72,8 @@ class _Rows:
 
     __slots__ = ("columns", "digits")
 
-    def __init__(self, columns: dict[str, list], digits: dict[str, list[str]] | None = None):
-        self.columns, self.digits = columns, digits or {}
+    def __init__(self, columns: dict[str, list], digits: dict[str, list[str]]):
+        self.columns, self.digits = columns, digits
 
 
 def _record_rows(n: int, masks: np.ndarray, bits: np.ndarray, values: Sequence[float], verdicts: Sequence[int],
