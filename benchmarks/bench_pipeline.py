@@ -6,7 +6,8 @@ DIR is a checkout of the parent commit (a `git clone` checked out there);
 the change is the checkout holding this script.  Each round runs one fresh
 interpreter per tree, with PYTHONPATH pointing at that tree's `src`, and
 alternates which tree goes first; every number is the best over the k
-rounds, in CPU seconds, as perfbench counts them: rows timed in process by
+rounds, reported beside the median and quartiles of the k rounds, in CPU
+seconds, as perfbench counts them: rows timed in process by
 the timing thread's CPU clock (`time.thread_time`), and the cold CLI rows by
 the CPU time of their child processes (`resource.getrusage(RUSAGE_CHILDREN)`),
 so other tenants' load on a shared machine stays out of both.
@@ -71,6 +72,11 @@ Layers:
                           classify._join_stack call, after an untimed one
   non_qe_table_k6         _non_qe_table(6) uncached, through __wrapped__: the
                           exact test of its 112 classes and the orbit marking
+  subgraph_tables_k6      the component and distance tables on 6 vertices
+                          (classify._component_table(6), _distance_table(6)),
+                          built once in a fresh interpreter after
+                          `import qec.cli` and _non_qe_table(6); a tree
+                          without them has no such row
   enumerate_report_n7     `qec enumerate --n 7` from sweep to bytes in process:
                           qec.cli._cmd_enumerate, the file written to a
                           temporary directory, after an untimed call
@@ -98,6 +104,11 @@ call on a graph rebuilt from its mask (so it pays its BFS and exact test):
                           5 to 7 vertices (G(n, p), p uniform in 0.2..0.9)
   embed_per_graph         embed over 200 seeded random connected QE graphs
                           drawn the same way
+  star_qe_split_one, non_qe_witness_one
+                          classify._split_stack and classify._witness_stack
+                          on each classify_per_graph graph as a stack of one
+                          (its adjacency and distances, built untimed), as
+                          `classify` runs them
 One-record reports, each the mean over its 200 payloads of the best of 9 calls:
   record_dict_one         the row of `qec classify --json` and its report text,
                           qec.cli._dump_json(_report(..., [_record_dict(rec)])),
@@ -131,6 +142,7 @@ import os
 import platform
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -384,6 +396,19 @@ def _measure() -> dict[str, float]:
                 best_s = min(best_s, time.thread_time() - t0)
             total += best_s
         out[f"{name}_per_graph"] = total / len(picks[name])
+    ones = [_prime(engine, [from_mask(n, mask)])[:2] for n, mask in picks["classify"]]
+    _start()
+    for name, kernel in (("star_qe_split_one", classify_module._split_stack),
+                         ("non_qe_witness_one", classify_module._witness_stack)):
+        total = 0.0
+        for adj, dist in ones:
+            best_s = float("inf")
+            for _ in range(9):
+                t0 = time.thread_time()
+                kernel(adj, dist)
+                best_s = min(best_s, time.thread_time() - t0)
+            total += best_s
+        out[name] = total / len(ones)
     total = 0.0
     for n, mask in picks["classify"]:
         rec = classify(from_mask(n, mask))
@@ -450,6 +475,21 @@ def _full_powers(n: int) -> numpy.ndarray:
     return numpy.ascontiguousarray(numpy.ldexp(1.0, hi * (hi - 1) // 2 + lo).T)
 
 
+def _measure_tables() -> dict[str, float]:
+    """The k = 6 component and distance tables built in this (fresh)
+    interpreter, after `import qec.cli` and the non-QE table they read; none
+    in a tree without them."""
+    importlib.import_module("qec.cli")
+    classify = importlib.import_module("qec.classify")
+    if not hasattr(classify, "_component_table"):
+        return {}
+    classify._non_qe_table(6)
+    t0 = _start()
+    classify._component_table(6)
+    classify._distance_table(6)
+    return {"subgraph_tables_k6": time.thread_time() - t0}
+
+
 def _measure_op() -> dict[str, float]:
     """The enum7 operation twice in this (fresh) interpreter: cold, then warm."""
     from qec.classify import classify_all
@@ -477,7 +517,7 @@ def _children_cpu_s() -> float:
 def _round(tree: Path) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     times: dict[str, float] = {}
-    for mode in ("--measure", "--measure-op"):
+    for mode in ("--measure", "--measure-op", "--measure-tables"):
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), mode],
                               env=env, cwd=tree, capture_output=True, text=True, check=True)
         times.update(json.loads(proc.stdout.splitlines()[-1]))
@@ -494,6 +534,13 @@ def _round(tree: Path) -> dict[str, float]:
     return times
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile of one row's k rounds."""
+    if len(values) < 2:
+        return values * 3
+    return [round(q, 7) for q in statistics.quantiles(values, n=4, method="inclusive")]
+
+
 def _describe(tree: Path) -> str:
     proc = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
@@ -507,38 +554,49 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_pipeline.json")
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--measure-op", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-tables", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.measure:
-        print(json.dumps(_measure()))
-        return
-    if args.measure_op:
-        print(json.dumps(_measure_op()))
-        return
+    for flag, measure in ((args.measure, _measure), (args.measure_op, _measure_op),
+                          (args.measure_tables, _measure_tables)):
+        if flag:
+            print(json.dumps(measure()))
+            return
     if args.parent is None:
         ap.error("--parent is required")
     trees = {"parent": args.parent.resolve(), "change": HERE}
-    best: dict[str, dict[str, float]] = {side: {} for side in trees}
+    rounds: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     for r in range(args.k):
         order = ["parent", "change"] if r % 2 == 0 else ["change", "parent"]
         for side in order:
             for name, value in _round(trees[side]).items():
-                best[side][name] = min(value, best[side].get(name, value))
+                rounds[side].setdefault(name, []).append(value)
             print(f"round {r + 1}/{args.k} {side} done", file=sys.stderr)
+    best = {side: {name: min(values) for name, values in rows.items()} for side, rows in rounds.items()}
+    spread = {side: {name: _quartiles(values) for name, values in rows.items()} for side, rows in rounds.items()}
     report = {
         "benchmark": "benchmarks/bench_pipeline.py",
-        "unit": "s (CPU: thread time in process, children's CPU time for the cli_ rows; best of k)",
+        "unit": "s (CPU: thread time in process, children's CPU time for the cli_ rows; "
+                "best of k, and the quartiles of the k rounds: lower, median, upper)",
         "k": args.k,
         "machine": {
             "cpu_count": os.cpu_count(),
             "numpy": numpy.__version__,
             "python": platform.python_version(),
         },
-        "parent": {"commit": _describe(trees["parent"]), "best_s": best["parent"]},
-        "change": {"commit": _describe(trees["change"]), "best_s": best["change"]},
+        **{side: {"commit": _describe(trees[side]), "best_s": best[side], "quartiles_s": spread[side]}
+           for side in trees},
         "parent_over_change": {name: round(best["parent"][name] / best["change"][name], 2)
                                for name in sorted(best["change"]) if name in best["parent"]},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    width = max(map(len, best["change"]))
+    print(f"{'row':<{width}}  side    best      q1        median    q3        (ms)")
+    for name in sorted(set(best["parent"]) | set(best["change"])):
+        for side in trees:
+            if name in best[side]:
+                q1, median, q3 = (q * 1e3 for q in spread[side][name])
+                print(f"{name:<{width}}  {side:<6}  {best[side][name] * 1e3:<8.3f}  "
+                      f"{q1:<8.3f}  {median:<8.3f}  {q3:<8.3f}")
     print(json.dumps(report["parent_over_change"], indent=2))
 
 

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from .bits import n_bits, pair_rows_cols, unpack_stack
+from .bits import n_bits, pair_list, pair_rows_cols, unpack_stack
 from .canon import CanonicalCert, canonical_cert, perm_powers
 # `embed`, `pendant_rule` and `verify_embedding` stay bound here, unused:
 # perfbench/tracing.py traces its embedding layers through them
@@ -158,21 +158,22 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return orders, parts
 
 
+def _sub_masks(adj: np.ndarray, which: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of the vertex bitsets `blocks` of the graphs `which` of a stack (broadcast), and their labeled
+    masks below ENUM_MAX_ORDER vertices (else 0): one `_block_tables` read per byte of a packed mask, summed."""
+    (orders, parts), (u, v) = _block_tables(adj.shape[-1]), pair_rows_cols(adj.shape[-1])
+    reads = np.packbits(adj[:, u, v], axis=1, bitorder="little").T + np.arange(0, parts[0].size, 256)[:, None]
+    start, flat = np.multiply(blocks, parts[0].size, dtype=np.intp), parts.reshape(-1)
+    return orders[blocks], sum(flat[start + row[which]] for row in reads)
+
+
 def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
                blocks: np.ndarray) -> np.ndarray:
-    """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of
-    the graphs `which` of a stack.  Up to four vertices they are QE; below
-    ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled mask, summed from
-    one `_block_tables` read per byte of the graph's packed mask; from there
-    on (order 8 and up), one `_psd_zero_stack` per size over the slices d[S, S]."""
+    """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of the graphs `which` of a
+    stack.  Up to four vertices they are QE; below ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled
+    mask (`_sub_masks`); from there on (order 8 and up), one `_psd_zero_stack` per size over d[S, S]."""
     n = adj.shape[-1]
-    orders, parts = _block_tables(n)
-    u, v = pair_rows_cols(n)
-    # row k: byte k of each graph's packed mask, as an offset into an (S, k) table row
-    reads = np.packbits(adj[:, u, v], axis=1, bitorder="little").T + np.arange(0, parts[0].size, 256)[:, None]
-    start = blocks.astype(np.intp) * parts[0].size
-    masks = sum(parts.reshape(-1)[start + row[which]] for row in reads)
-    sizes = orders[blocks]
+    sizes, masks = _sub_masks(adj, which, blocks)
     qe = np.ones(len(blocks), dtype=bool)
     for k in range(5, n):
         at = np.flatnonzero(sizes == k)
@@ -188,14 +189,26 @@ def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
 
 
 def _witness_stack(adj: np.ndarray, dist: np.ndarray) -> list[Witness]:
-    """`non_qe_witness` of each graph of a stack (adjacency, distances) of one order."""
-    n = adj.shape[-1]
-    if not len(adj) or n < 6:
-        return [None] * len(adj)
+    """`non_qe_witness` of each graph of a stack (adjacency, distances) of one order.
+    A set S below ENUM_MAX_ORDER vertices qualifies iff the `_distance_table` entry at its
+    labeled mask is d[S, S], packed alike; larger ones take `_isometric` and `_blocks_qe`."""
+    count, n = adj.shape[:2]
+    if not count or n < 6:
+        return [None] * count
     subsets, sets = _witness_candidates(n)
-    hit = _isometric(adj, dist, subsets, n_bits(n - 1))
-    gi, si = np.nonzero(hit)
-    hit[gi, si] = ~_blocks_qe(adj, dist, gi, subsets[si])
+    sizes, masks = _sub_masks(adj, np.arange(count)[:, None], subsets)
+    entry = np.full(masks.shape, -1)  # -1 unless S is connected and non-QE
+    for k in range(5, min(n, ENUM_MAX_ORDER)):
+        entry[:, sizes == k] = _distance_table(k)[masks[:, sizes == k]]
+    (gi, si), shifts = np.nonzero(entry >= 0), 4 * np.arange(n_bits(ENUM_MAX_ORDER - 1))
+    packed = (dist.reshape(count, -1)[gi[:, None], _subset_pairs(n)[subsets[si], :len(shifts)]] << shifts).sum(axis=1)
+    hit = np.zeros(masks.shape, dtype=bool)
+    hit[gi, si] = entry[gi, si] == packed
+    big = np.flatnonzero(sizes >= ENUM_MAX_ORDER)
+    if len(big):
+        hit[:, big] = _isometric(adj, dist, subsets[big], n_bits(n - 1))
+        gi, si = np.nonzero(hit[:, big])
+        hit[gi, big[si]] = ~_blocks_qe(adj, dist, gi, subsets[big[si]])
     first = hit.argmax(axis=1).tolist()
     return [sets[s] if any_ else None for s, any_ in zip(first, hit.any(axis=1).tolist())]
 
@@ -208,39 +221,27 @@ def non_qe_witness(g: Graph) -> Witness:
 
 
 def _split_stack(adj: np.ndarray, dist: np.ndarray) -> list[Split]:
-    """Cut vertex splitting each graph of a stack (adjacency, distances) of one
-    order into two QE parts, the least v, then the first component of g - v by
-    least vertex: (v, n1, n2).  Each part, one component of g - v or the rest,
-    plus v, is an isometric block: a walk that leaves it returns through v."""
+    """Cut vertex splitting each graph of a stack (adjacency, distances) on at most
+    ENUM_MAX_ORDER vertices into two QE parts, the least v, then the first component
+    of g - v by least vertex: (v, n1, n2).  Each part, one component of g - v or the
+    rest, plus v, is an isometric block: a walk that leaves it returns through v."""
     count, n = adj.shape[:2]
-    one = 1 << np.arange(n)
-    # reach[g, v, u]: the component of u in g - v as a bitset (for u = v, the
-    # rest of g, led by no u), by Warshall's pass over the vertices w on one
-    # Python integer that holds all of them in fields of `width` bits; no
-    # product below carries, since every field value is below 2^width
-    width = 8 if n <= 8 else 16
-    field, full = np.dtype(f"<u{width // 8}"), (1 << width) - 1
-    start = ((adj @ one)[:, None, :] | one) & ~one[:, None]
-    spread = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * n, "little")  # a (g, v)'s fields
-    low = int.from_bytes(np.ones(start.size, field).tobytes(), "little")  # bit 0 of each field
-    head = low // spread * full  # each (g, v)'s field 0
-    reach = int.from_bytes(start.astype(field).tobytes(), "little")
-    for w in range(n):  # fields holding w take their (g, v)'s field w
-        reach |= (reach >> w & low) * full & (reach >> w * width & head) * spread
-    reach = np.frombuffer(reach.to_bytes(start.size * field.itemsize, "little"), field)
-    reach = reach.reshape(start.shape).astype(np.int64)
-    lead = reach & -reach == one  # u is its component's least vertex
-    hit = lead & (lead.sum(axis=2) >= 2)[:, :, None]
+    if n > ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"star split supports up to {ENUM_MAX_ORDER} vertices, got {n}")
+    one, full = 1 << np.arange(n), (1 << n) - 1
+    # comp[g, v, u]: u's component in g - v, in its labels; a hit where u leads it and g - v has another
+    comp = _component_table(n - 1)[_sub_masks(adj, np.arange(count)[:, None], full - one)[1]]
+    hit = (comp & -comp == one[:-1]) & (comp != full >> 1)
     gi, vi, ui = np.nonzero(hit)
     if not len(gi):
         return [None] * count
-    comp = reach[gi, vi, ui]
-    qe = _blocks_qe(adj, dist, np.tile(gi, 2), np.concatenate([comp | one[vi], ~comp & (1 << n) - 1]))
+    part = comp[gi, vi, ui] + (comp[gi, vi, ui] >> vi << vi)  # in g's labels: bit v inserted
+    qe = _blocks_qe(adj, dist, np.concatenate([gi, gi]), np.concatenate([part | one[vi], full ^ part]))
     hit[gi, vi, ui] = qe[:len(gi)] & qe[len(gi):]
     first = hit.reshape(count, -1).argmax(axis=1).tolist()
-    comps = reach.reshape(count, -1)[np.arange(count), first].tolist()
-    return [(f // n, c.bit_count() + 1, n - c.bit_count()) if h else None
-            for f, c, h in zip(first, comps, hit.any(axis=(1, 2)))]
+    comps = comp.reshape(count, -1)[np.arange(count), first].tolist()
+    return [(f // (n - 1), c.bit_count() + 1, n - c.bit_count()) if h else None
+            for f, c, h in zip(first, comps, hit.any(axis=(1, 2)).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +302,54 @@ def enumerate_connected(n: int) -> list[Graph]:
 
 @lru_cache(maxsize=None)
 def _non_qe_table(k: int) -> np.ndarray:
-    """Read-only bitmap over the labeled masks on 2 <= k < ENUM_MAX_ORDER
+    """Read-only bitmap over the labeled masks on k < ENUM_MAX_ORDER
     vertices, 1 exactly on the relabelings of the non-QE connected classes
     (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once,
     the classes decided by one stacked elimination."""
+    if not 1 <= k < ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
     masks = _class_masks(k)
     psd = _psd_zero_stack(distance_stack(unpack_stack(k, masks)))[0]
     for mask in masks[~psd].tolist():
         kernels.orbit_min_mark(mask, perm_powers(k), table)
+    table.setflags(write=False)
+    return table
+
+
+def _closed_rows(k: int, masks: np.ndarray) -> np.ndarray:
+    """(len(masks), k) uint8 closed neighbourhoods, as bitsets, of labeled masks on k vertices."""
+    rows = np.tile((1 << np.arange(k)).astype(np.uint8), (len(masks), 1))
+    for t, (i, j) in enumerate(pair_list(k)):
+        edge = (masks >> t & 1).astype(np.uint8)
+        rows[:, i] |= edge << j
+        rows[:, j] |= edge << i
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _component_table(k: int) -> np.ndarray:
+    """Read-only uint8 table: at (labeled mask on k < ENUM_MAX_ORDER vertices, u), u's component as a bitset."""
+    if not 1 <= k < ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
+    comp = _closed_rows(k, np.arange(1 << n_bits(k)))
+    for w in range(k):  # rows holding w take w's row
+        comp |= comp[:, w:w + 1] * (comp >> w & 1)
+    comp.setflags(write=False)
+    return comp
+
+
+@lru_cache(maxsize=None)
+def _distance_table(k: int) -> np.ndarray:
+    """Read-only int64 table over the labeled masks on k vertices: -1, but at those `_non_qe_table(k)`
+    marks (it refuses k >= ENUM_MAX_ORDER) their distances, 4 bits a pair in graph6 order (< 16 to MAX_ORDER)."""
+    masks, table = np.flatnonzero(_non_qe_table(k)), np.full(1 << n_bits(k), -1)
+    reach = rows = _closed_rows(k, masks)
+    (i, j), weights = pair_rows_cols(k), 1 << 4 * np.arange(n_bits(k))
+    table[masks] = weights.sum()  # d(i, j) counts the steps s >= 0 before j is in reach of i
+    for _ in range(k - 2):
+        table[masks] += (~reach[:, i] >> j & 1) @ weights
+        reach = np.bitwise_or.reduce([rows[:, w:w + 1] * (reach >> w & 1) for w in range(k)])
     table.setflags(write=False)
     return table
 

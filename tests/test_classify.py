@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,8 @@ from qec.classify import (
     _blocks_qe,
     _class_certs,
     _class_masks,
+    _component_table,
+    _distance_table,
     _family_index,
     _isometric,
     _join_stack,
@@ -123,34 +126,101 @@ def _hyperplane(k):
     return u[:, 1:]
 
 
+def _every_mask_oracle(k):
+    """Reach and distances of every labeled mask on k vertices, by numpy
+    alone: boolean matrix powers of the adjacency, pairs in graph6 order.
+    Returns the pairs, the (2^(k(k-1)/2), k, k) reach after k - 1 steps, and
+    the distances (0 where a pair is out of reach)."""
+    pairs = [(i, j) for j in range(1, k) for i in range(j)]  # graph6 order
+    masks = np.arange(1 << len(pairs))
+    adj = np.zeros((masks.size, k, k), dtype=np.int64)
+    for t, (i, j) in enumerate(pairs):
+        adj[:, i, j] = adj[:, j, i] = masks >> t & 1
+    step = adj | np.eye(k, dtype=np.int64)
+    reach, dist = step.astype(bool), adj.astype(float)
+    for length in range(2, k):
+        grown = (reach @ step) > 0
+        dist[grown & ~reach] = length
+        reach = grown
+    return pairs, reach, dist
+
+
 def test_non_qe_table_against_numpy_oracle():
     # numpy only on the oracle side, over every labeled mask at once:
     # distances by boolean matrix powers, QEC as the top eigenvalue of the
     # distance matrix projected onto the all-ones complement
     counts = []
     for k in range(2, 7):
-        pairs = [(i, j) for j in range(1, k) for i in range(j)]  # graph6 order
-        masks = np.arange(1 << len(pairs))
-        adj = np.zeros((masks.size, k, k), dtype=np.int64)
-        for t, (i, j) in enumerate(pairs):
-            adj[:, i, j] = adj[:, j, i] = masks >> t & 1
-        step = adj | np.eye(k, dtype=np.int64)
-        reach, dist = step.astype(bool), adj.astype(float)
-        for length in range(2, k):
-            grown = (reach @ step) > 0
-            dist[grown & ~reach] = length
-            reach = grown
+        _, reach, dist = _every_mask_oracle(k)
         connected = reach.all(axis=(1, 2))
         q = _hyperplane(k)
         top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
         assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
-        want = np.zeros(masks.size, dtype=bool)
+        want = np.zeros(len(reach), dtype=bool)
         want[connected] = top > 1e-9
         table = _non_qe_table(k)
         assert not table.flags.writeable
         assert np.array_equal(table.astype(bool), want), k
         counts.append(int(table.sum()))
     assert counts == [0, 0, 0, 40, 5860]
+
+
+def test_subgraph_tables_against_numpy_oracle():
+    # numpy only on the oracle side (`_every_mask_oracle`), over every labeled
+    # mask on 1..6 vertices: a vertex's component is its row of the reach
+    # matrix, and each mask the non-QE table marks holds its distances packed
+    # 4 bits a pair in graph6 order; every other distance entry is -1
+    for k in range(1, 7):
+        pairs, reach, dist = _every_mask_oracle(k)
+        comps, dists = _component_table(k), _distance_table(k)
+        for table in (comps, dists):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.reshape(-1)[0] = 1
+        assert comps.dtype == np.uint8 and comps.shape == (reach.shape[0], k)
+        assert np.array_equal(comps, reach @ (1 << np.arange(k))), k
+        packed = sum(dist[:, i, j].astype(np.int64) << 4 * t for t, (i, j) in enumerate(pairs))
+        want = np.where(_non_qe_table(k) == 1, packed, -1)
+        assert dists.dtype == np.int64 and np.array_equal(dists, want), k
+    assert (_distance_table(6) >= 0).sum() == 5860 and int(dist.max()) == 5
+
+
+def test_subgraph_tables_build_lean():
+    """Each k = 6 table builds from uint8 row bitsets of the masks, with no
+    (2^15, 6, 6) temporary: a tracemalloc peak below 2 MB."""
+    _non_qe_table(6)
+    for build in (_component_table, _distance_table):
+        tracemalloc.start()
+        try:
+            table = build.__wrapped__(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (build.__name__, peak)
+        assert table.tobytes() == build(6).tobytes()
+
+
+def test_split_and_tables_refuse_orders_past_the_sieve():
+    """The sieve, and so the star split, runs up to ENUM_MAX_ORDER vertices
+    only, and the tables it reads stop below that: an 8-vertex stack raises
+    OrderTooLargeError before any table is read or built, and each builder
+    refuses k >= ENUM_MAX_ORDER before allocating anything."""
+    builders = (_block_tables, _component_table, _distance_table, _non_qe_table)
+    before = [build.cache_info() for build in builders]
+    with pytest.raises(OrderTooLargeError, match="star split supports up to 7 vertices, got 8"):
+        _split_stack(*stacked([build_family(cycle(8))]))
+    assert [build.cache_info() for build in builders] == before
+    for build in (_component_table, _distance_table):
+        for k in (7, 8, 10):
+            tracemalloc.start()
+            try:
+                with pytest.raises(OrderTooLargeError, match=f"cover 1..6 vertices, got {k}"):
+                    build(k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10, (build.__name__, k, peak)
+    assert [build.cache_info().currsize for build in builders] == [info.currsize for info in before]
 
 
 def test_non_qe_table_builds_with_one_stacked_elimination(monkeypatch):
@@ -446,28 +516,35 @@ def kernel_stacks():
 
 
 def test_stacked_kernels_match_per_graph_reference():
-    """`_witness_stack` and `_split_stack` against the per-graph search of
+    """`_witness_stack` on every stack, and `_split_stack` up to
+    ENUM_MAX_ORDER vertices, against the per-graph search of
     tests/per_graph.py, on each stack, the stack reversed and shuffled, and
     each graph as a stack of one; every graph is rebuilt from its mask so no
-    memo is shared."""
+    memo is shared.  Past ENUM_MAX_ORDER, where the sieve never runs, the
+    split refuses the stack; witnesses of 7 or more vertices, which take
+    the elimination path, still occur there."""
     rng = random.Random(7)
-    big_witness = big_block = 0
+    big_witness = 0
     for stack in kernel_stacks():
         n = stack[0].n
         fresh = [from_mask(n, g.mask) for g in stack]
         witnesses = [per_graph.non_qe_witness(g) for g in fresh]
-        splits = [per_graph.star_qe_split(g) for g in fresh]
+        splits = [per_graph.star_qe_split(g) for g in fresh] if n <= 7 else None
         for order in (list(range(len(stack))), list(range(len(stack)))[::-1],
                       rng.sample(range(len(stack)), len(stack))):
             again = [from_mask(n, stack[k].mask) for k in order]
             assert _witness_stack(*stacked(again)) == [witnesses[k] for k in order], n
-            assert _split_stack(*stacked(again)) == [splits[k] for k in order], n
-        for g, witness, split in zip(stack, witnesses, splits):
-            assert non_qe_witness(from_mask(n, g.mask)) == witness
-            assert _split_stack(*stacked([from_mask(n, g.mask)])) == [split]
+            if splits is None:
+                with pytest.raises(OrderTooLargeError):
+                    _split_stack(*stacked(again))
+            else:
+                assert _split_stack(*stacked(again)) == [splits[k] for k in order], n
+        for k, g in enumerate(stack):
+            assert non_qe_witness(from_mask(n, g.mask)) == witnesses[k]
+            if splits is not None:
+                assert _split_stack(*stacked([from_mask(n, g.mask)])) == [splits[k]]
         big_witness += sum(w is not None and len(w) >= 7 for w in witnesses)
-        big_block += sum(s is not None and max(s[1:]) >= 7 for s in splits)
-    assert big_witness >= 40 and big_block >= 40, (big_witness, big_block)
+    assert big_witness >= 40, big_witness
 
 
 def _recorded_blocks(monkeypatch, run):
@@ -485,18 +562,18 @@ def _recorded_blocks(monkeypatch, run):
 def test_block_tables_match_per_graph_packing(monkeypatch):
     """`_blocks_qe`, which reads each block's order and labeled mask from
     `_block_tables`, against the gather-and-pack reference of
-    tests/per_graph.py: on every (graph, block) of the witness, star-split
-    and step-5 calls of classify_all(n), n = 2..7, and of the stacked kernels
-    over kernel_stacks()'s 8-10-vertex stacks (which hold blocks of 7 or
-    more vertices), each call's stack whole and each of its graphs as a
+    tests/per_graph.py: on every (graph, block) of the star-split and step-5
+    calls of classify_all(n), n = 2..7 (whose witness search reads its
+    blocks' verdicts from `_distance_table`), and of the witness and step-5
+    kernels over kernel_stacks()'s 8-10-vertex stacks (which hold blocks of
+    7 or more vertices), each call's stack whole and each of its graphs as a
     stack of one with its own blocks."""
     calls = []
     for n in range(2, 8):
         calls += _recorded_blocks(monkeypatch, lambda: classify_all(n))
     for stack in kernel_stacks()[-3:]:
         stacks = stacked(stack)
-        calls += _recorded_blocks(monkeypatch, lambda: (
-            _witness_stack(*stacks), _split_stack(*stacks), _step5_stack(*stacks)))
+        calls += _recorded_blocks(monkeypatch, lambda: (_witness_stack(*stacks), _step5_stack(*stacks)))
     sizes, counts, singles = Counter(), Counter(), 0
     for adj, dist, which, blocks in calls:
         counts[adj.shape[-1]] += len(blocks)
@@ -508,9 +585,22 @@ def test_block_tables_match_per_graph_packing(monkeypatch):
             one = _blocks_qe(adj[i:i + 1], dist[i:i + 1], np.zeros(len(at), dtype=np.intp), blocks[at])
             assert np.array_equal(one, want[at])
             singles += 1
-    assert counts[7] == 7892 + 2496 + 20 and singles > 401 + 853 + 20
+    assert counts[7] == 2496 + 20 and singles > 385 + 20
     for n in (8, 9, 10):
         assert sizes[n, 7] and sizes[n, n - 1], (n, sizes)
+
+
+def test_sweep_reads_subgraph_tables_instead_of_isometry(monkeypatch):
+    """classify_all(7) tests no subset for isometry: its witness search
+    compares `_distance_table` entries, so `_isometric` never runs, and
+    `_blocks_qe` gets only the star split's 2,496 blocks (385 graphs) and
+    step 5's 20."""
+    module = sys.modules["qec.classify"]
+    isometric, asked = module._isometric, []
+    monkeypatch.setattr(module, "_isometric", lambda *args: asked.append(args) or isometric(*args))
+    calls = _recorded_blocks(monkeypatch, lambda: classify_all(7))
+    assert asked == []
+    assert [(len(blocks), len(set(which.tolist()))) for _, _, which, blocks in calls] == [(2496, 385), (20, 20)]
 
 
 def test_block_tables_are_read_only_and_small():
