@@ -49,7 +49,8 @@ Layers:
   blocks_qe_n7            the exact verdicts of the 7,892 isometric blocks that
                           the witness search over the 401 non-QE order-7 classes
                           decides: one classify._blocks_qe call, after an
-                          untimed one
+                          untimed one (in a tree that packs a stack's masks
+                          once, classify._pack, that pack is timed with it)
   star_qe_split_n7        the star split over all 853 order-7 classes: one
                           classify._split_stack call
   distance_stack_n7       distance matrices of the 853 order-7 classes: one
@@ -92,6 +93,9 @@ Layers:
   sieve_step5_n7          sieve step 5 over the 164 order-7 classes that reach
                           it (step 5 or 6 in classify_all(7)): one
                           classify._step5_stack call, after an untimed one
+  sieve_step5_one_n7      classify._step5_stack on each of those 164 graphs as
+                          a stack of one, as `classify` runs it, mean per call,
+                          after an untimed pass
   sieve_n7                sieve steps 1-6 and the records of the 853 order-7
                           classes, from the stacked inputs of a sweep
                           (adjacency, distances, exact verdicts, values,
@@ -178,10 +182,14 @@ def _prime(engine, graphs) -> tuple:
 
 
 def _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits):
-    """classify._run_sieve over the order-7 classes, keyed by their masks."""
+    """classify._run_sieve over the order-7 classes, keyed by their masks; a
+    tree whose sieve reads the stack's packed masks (classify._pack) packs
+    them here, inside the row, as a parent tree's sieve does inside it."""
     certs = classify._class_masks(7)
     if _takes_graphs(classify._run_sieve):
         return classify._run_sieve(graphs, adj, dist, certs, exact, witnesses, splits)
+    if "packed" in inspect.signature(classify._run_sieve).parameters:
+        return classify._run_sieve(adj, dist, classify._pack(adj), certs, exact, values, witnesses, splits)
     return classify._run_sieve(adj, dist, certs, exact, values, witnesses, splits)
 
 
@@ -288,9 +296,10 @@ def _measure() -> dict[str, float]:
     gi, si = numpy.nonzero(classify_module._isometric(adj, dist, subsets, n_bits(6)))
     if len(gi) != 7892:
         raise SystemExit(f"the order-7 witness search decides {len(gi)} blocks, expected 7892")
+    pack = getattr(classify_module, "_pack", lambda adj: adj)  # a parent tree packs in _blocks_qe
     for timed in (False, True):
         t0 = _start()
-        classify_module._blocks_qe(adj, dist, gi, subsets[si])
+        classify_module._blocks_qe(pack(adj), dist, gi, subsets[si])
         if timed:
             out["blocks_qe_n7"] = time.thread_time() - t0
     adj = numpy.stack([from_mask(7, mask).adj for mask in masks])
@@ -370,6 +379,13 @@ def _measure() -> dict[str, float]:
         classify_module._step5_stack(adj, dist)
         if timed:
             out["sieve_step5_n7"] = time.thread_time() - t0
+    ones = [(adj[i:i + 1], dist[i:i + 1]) for i in range(len(adj))]
+    for timed in (False, True):
+        t0 = _start()
+        for one in ones:
+            classify_module._step5_stack(*one)
+        if timed:
+            out["sieve_step5_one_n7"] = (time.thread_time() - t0) / len(ones)
     for timed in (False, True):
         sieve_s = _time_sieve(classify_module, engine)
         if timed:

@@ -31,7 +31,6 @@ from .canon import CanonicalCert, canonical_cert, perm_powers
 from .embedding import (  # noqa: F401
     DEFECT_TOL,
     _gram_defects,
-    _pendant_lifts,
     embed,
     pendant_rule,
     verify_embedding,
@@ -158,22 +157,29 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return orders, parts
 
 
-def _sub_masks(adj: np.ndarray, which: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orders of the vertex bitsets `blocks` of the graphs `which` of a stack (broadcast), and their labeled
-    masks below ENUM_MAX_ORDER vertices (else 0): one `_block_tables` read per byte of a packed mask, summed."""
-    (orders, parts), (u, v) = _block_tables(adj.shape[-1]), pair_rows_cols(adj.shape[-1])
-    reads = np.packbits(adj[:, u, v], axis=1, bitorder="little").T + np.arange(0, parts[0].size, 256)[:, None]
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """(bytes of a mask, len(adj)) intp: byte k of each graph's labeled mask, packed in graph6 pair
+    order (mask bit t is bit t % 8 of byte t // 8), plus 256 k, its offset in a row of `_block_tables`."""
+    u, v = pair_rows_cols(adj.shape[-1])
+    packed = np.packbits(adj[:, u, v], axis=1, bitorder="little").T.astype(np.intp)
+    return packed + np.arange(0, 256 * len(packed), 256)[:, None]
+
+
+def _sub_masks(packed: np.ndarray, n: int, which: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orders of the vertex bitsets `blocks` of the graphs `which` (broadcast) of a `_pack`ed stack on n vertices,
+    and their labeled masks below ENUM_MAX_ORDER vertices (else 0): one `_block_tables` read per byte, summed."""
+    orders, parts = _block_tables(n)
     start, flat = np.multiply(blocks, parts[0].size, dtype=np.intp), parts.reshape(-1)
-    return orders[blocks], sum(flat[start + row[which]] for row in reads)
+    return orders[blocks], sum(flat[start + row[which]] for row in packed)
 
 
-def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
+def _blocks_qe(packed: np.ndarray, dist: np.ndarray, which: np.ndarray,
                blocks: np.ndarray) -> np.ndarray:
-    """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of the graphs `which` of a
-    stack.  Up to four vertices they are QE; below ENUM_MAX_ORDER, a `_non_qe_table` read at the labeled
-    mask (`_sub_masks`); from there on (order 8 and up), one `_psd_zero_stack` per size over d[S, S]."""
-    n = adj.shape[-1]
-    sizes, masks = _sub_masks(adj, which, blocks)
+    """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of the graphs `which` of a `_pack`ed
+    stack with distances `dist`.  Up to four vertices they are QE; below ENUM_MAX_ORDER, a `_non_qe_table` read
+    at the labeled mask (`_sub_masks`); from there on (order 8 and up), one `_psd_zero_stack` per size over d[S, S]."""
+    n = dist.shape[-1]
+    sizes, masks = _sub_masks(packed, n, which, blocks)
     qe = np.ones(len(blocks), dtype=bool)
     for k in range(5, n):
         at = np.flatnonzero(sizes == k)
@@ -188,27 +194,28 @@ def _blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
     return qe
 
 
-def _witness_stack(adj: np.ndarray, dist: np.ndarray) -> list[Witness]:
-    """`non_qe_witness` of each graph of a stack (adjacency, distances) of one order.
-    A set S below ENUM_MAX_ORDER vertices qualifies iff the `_distance_table` entry at its
+def _witness_stack(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray | None = None) -> list[Witness]:
+    """`non_qe_witness` of each graph of a stack (adjacency, distances, `_pack`ed by default) of one
+    order.  A set S below ENUM_MAX_ORDER vertices qualifies iff the `_distance_table` entry at its
     labeled mask is d[S, S], packed alike; larger ones take `_isometric` and `_blocks_qe`."""
     count, n = adj.shape[:2]
     if not count or n < 6:
         return [None] * count
+    packed = _pack(adj) if packed is None else packed
     subsets, sets = _witness_candidates(n)
-    sizes, masks = _sub_masks(adj, np.arange(count)[:, None], subsets)
+    sizes, masks = _sub_masks(packed, n, np.arange(count)[:, None], subsets)
     entry = np.full(masks.shape, -1)  # -1 unless S is connected and non-QE
     for k in range(5, min(n, ENUM_MAX_ORDER)):
         entry[:, sizes == k] = _distance_table(k)[masks[:, sizes == k]]
     (gi, si), shifts = np.nonzero(entry >= 0), 4 * np.arange(n_bits(ENUM_MAX_ORDER - 1))
-    packed = (dist.reshape(count, -1)[gi[:, None], _subset_pairs(n)[subsets[si], :len(shifts)]] << shifts).sum(axis=1)
+    slices = (dist.reshape(count, -1)[gi[:, None], _subset_pairs(n)[subsets[si], :len(shifts)]] << shifts).sum(axis=1)
     hit = np.zeros(masks.shape, dtype=bool)
-    hit[gi, si] = entry[gi, si] == packed
+    hit[gi, si] = entry[gi, si] == slices
     big = np.flatnonzero(sizes >= ENUM_MAX_ORDER)
     if len(big):
         hit[:, big] = _isometric(adj, dist, subsets[big], n_bits(n - 1))
         gi, si = np.nonzero(hit[:, big])
-        hit[gi, big[si]] = ~_blocks_qe(adj, dist, gi, subsets[big[si]])
+        hit[gi, big[si]] = ~_blocks_qe(packed, dist, gi, subsets[big[si]])
     first = hit.argmax(axis=1).tolist()
     return [sets[s] if any_ else None for s, any_ in zip(first, hit.any(axis=1).tolist())]
 
@@ -220,8 +227,8 @@ def non_qe_witness(g: Graph) -> Witness:
     return _witness_stack(g.adj[None], distance_matrix(g)[None])[0]
 
 
-def _split_stack(adj: np.ndarray, dist: np.ndarray) -> list[Split]:
-    """Cut vertex splitting each graph of a stack (adjacency, distances) on at most
+def _split_stack(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray | None = None) -> list[Split]:
+    """Cut vertex splitting each graph of a stack (adjacency, distances, `_pack`ed by default) on at most
     ENUM_MAX_ORDER vertices into two QE parts, the least v, then the first component
     of g - v by least vertex: (v, n1, n2).  Each part, one component of g - v or the
     rest, plus v, is an isometric block: a walk that leaves it returns through v."""
@@ -229,14 +236,15 @@ def _split_stack(adj: np.ndarray, dist: np.ndarray) -> list[Split]:
     if n > ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"star split supports up to {ENUM_MAX_ORDER} vertices, got {n}")
     one, full = 1 << np.arange(n), (1 << n) - 1
+    packed = _pack(adj) if packed is None else packed
     # comp[g, v, u]: u's component in g - v, in its labels; a hit where u leads it and g - v has another
-    comp = _component_table(n - 1)[_sub_masks(adj, np.arange(count)[:, None], full - one)[1]]
+    comp = _component_table(n - 1)[_sub_masks(packed, n, np.arange(count)[:, None], full - one)[1]]
     hit = (comp & -comp == one[:-1]) & (comp != full >> 1)
     gi, vi, ui = np.nonzero(hit)
     if not len(gi):
         return [None] * count
     part = comp[gi, vi, ui] + (comp[gi, vi, ui] >> vi << vi)  # in g's labels: bit v inserted
-    qe = _blocks_qe(adj, dist, np.concatenate([gi, gi]), np.concatenate([part | one[vi], full ^ part]))
+    qe = _blocks_qe(packed, dist, np.concatenate([gi, gi]), np.concatenate([part | one[vi], full ^ part]))
     hit[gi, vi, ui] = qe[:len(gi)] & qe[len(gi):]
     first = hit.reshape(count, -1).argmax(axis=1).tolist()
     comps = comp.reshape(count, -1)[np.arange(count), first].tolist()
@@ -500,18 +508,17 @@ def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
 
 class Step5(NamedTuple):
     """Sieve step 5 of one graph: did a pendant lift verify, and the defect
-    of the lifted embedding, or else of the Gram embedding."""
+    of its LDL^T embedding (a lifted graph's with a' and b' last)."""
 
     lifted: bool
     defect: float
 
 
-def _step5_stack(adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
-    """Step 5 of each graph of a stack (adjacency, distances) of one order,
-    from no exact test of the graph: graphs with a pendant witness
-    (a, b, a', b') (`pendant_stack`) whose remainder G - {a', b'} is QE, a
-    `_blocks_qe` read of that isometric block, are lifted in one stack
-    (`_pendant_lifts`); every other graph gets its Gram embedding in one more."""
+def _step5_stack(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray | None = None) -> list[Step5]:
+    """Step 5 of each graph of a stack (adjacency, distances, `_pack`ed by default) of one order, from no
+    exact test of the graph and no eigensolve: a graph with a pendant witness (a, b, a', b') (`pendant_stack`)
+    whose remainder G - {a', b'} is QE, a `_blocks_qe` read of that isometric block, is lifted.  One LDL^T
+    per graph embeds the stack, a lifted graph with a' and b' last (`_gram_defects`, which checks the lift)."""
     if not len(adj):
         return []
     n = adj.shape[-1]
@@ -519,13 +526,9 @@ def _step5_stack(adj: np.ndarray, dist: np.ndarray) -> list[Step5]:
     at = np.flatnonzero(pendants[:, 0] >= 0)
     lifted = np.zeros(len(adj), dtype=bool)
     if len(at):
-        lifted[at] = _blocks_qe(adj, dist, at, (1 << n) - 1 - (1 << pendants[at, 2]) - (1 << pendants[at, 3]))
-    defects = np.empty(len(adj))
-    lift, other = np.flatnonzero(lifted), np.flatnonzero(~lifted)
-    if len(lift):
-        defects[lift] = _pendant_lifts(dist[lift], pendants[lift])
-    if len(other):
-        defects[other] = _gram_defects(dist[other])
+        blocks = (1 << n) - 1 - (1 << pendants[at, 2]) - (1 << pendants[at, 3])
+        lifted[at] = _blocks_qe(_pack(adj) if packed is None else packed, dist, at, blocks)
+    defects = _gram_defects(dist, np.where(lifted[:, None], pendants, -1))
     return [Step5(*outcome) for outcome in zip(lifted.tolist(), defects.tolist())]
 
 
@@ -558,10 +561,10 @@ def _cert_hits(index: dict[CanonicalCert, object], certs: np.ndarray, todo: np.n
     return {i: entries[k] for i, k in zip(todo[hit].tolist(), at[hit].tolist())}
 
 
-def _run_sieve(adj: np.ndarray, dist: np.ndarray, certs: np.ndarray, exact: np.ndarray,
+def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.ndarray, exact: np.ndarray,
                values: np.ndarray, witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
-    """The sieve over a stack (adjacency, distances) of one order, given the
-    graphs' certificate bits, exact verdicts (read only by the boundary labels
+    """The sieve over a stack (adjacency, distances, `_pack`) of one order, given
+    the graphs' certificate bits, exact verdicts (read only by the boundary labels
     of steps 3 and 4), QEC values, witnesses and star splits.  Steps 1-4
     decide the stack at once (star split, QE cartesian product, witness,
     family, regular join); one `_step5_stack` embeds the rest, and step 6
@@ -582,7 +585,7 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, certs: np.ndarray, exact: np.n
         if join is not None:
             step[i], verdict[i], detail[i] = 4, VERDICTS.index(_sign_verdict(join[2], exact[i])[0]), join
     todo = np.flatnonzero(step == 0)
-    for i, outcome in zip(todo.tolist(), _step5_stack(adj[todo], dist[todo])):
+    for i, outcome in zip(todo.tolist(), _step5_stack(adj[todo], dist[todo], packed[:, todo])):
         if outcome.lifted or outcome.defect <= DEFECT_TOL:
             step[i], detail[i] = 5, outcome
         else:  # decided by the number alone; step 2 has ruled out a witness, so non-QE here is primary
@@ -599,18 +602,18 @@ def _classify_stack(adj: np.ndarray, dist: np.ndarray, exact: np.ndarray, values
                     bits: np.ndarray) -> tuple[np.ndarray, list[Witness], list, Sieve | None, list[Split] | None]:
     """Everything after the exact test for a stack of one order, given its exact
     verdicts, QEC values and certificate bits: one witness search and, up to
-    ENUM_MAX_ORDER vertices, one star split and sieve; then the sieve and the
-    sign of QEC checked against the exact verdicts (AssertionError at the first
-    graph that breaks either).  Returns the verdicts (into VERDICTS),
+    ENUM_MAX_ORDER vertices, one star split and sieve, reading one `_pack`; then
+    the sieve and the sign of QEC checked against the exact verdicts (AssertionError
+    at the first graph that breaks either).  Returns the verdicts (into VERDICTS),
     witnesses and step names (None past ENUM_MAX_ORDER), the sieve and splits."""
-    n = adj.shape[-1]
-    found = iter(_witness_stack(adj[~exact], dist[~exact]))
+    n, packed = adj.shape[-1], _pack(adj)
+    found = iter(_witness_stack(adj[~exact], dist[~exact], packed[:, ~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
     verdict = np.where(exact, 0, np.where([w is not None for w in witnesses], 2, 1))
     sieve = splits = None
     if n <= ENUM_MAX_ORDER:
-        splits = _split_stack(adj, dist)
-        sieve = _run_sieve(adj, dist, bits, exact, values, witnesses, splits)
+        splits = _split_stack(adj, dist, packed)
+        sieve = _run_sieve(adj, dist, packed, bits, exact, values, witnesses, splits)
     if sieve is not None and (sieve.verdict != verdict).any():
         i = int((sieve.verdict != verdict).argmax())
         raise AssertionError(f"sieve verdict {VERDICTS[sieve.verdict[i]].value} disagrees with "

@@ -1,29 +1,28 @@
 """Explicit quadratic embeddings of QE graphs.
 
 An embedding maps vertices to points whose squared Euclidean distances
-reproduce the graph distances.  It exists exactly when the centered matrix
-G = -1/2 C D C (C the mean-centering projection) is positive semidefinite,
-in which case the rows of V sqrt(L) from its eigendecomposition realize it.
-The kernels work on stacks of distance matrices of one order, one
-eigensolve per stack; `embed`, `verify_embedding` and `pendant_rule` run
-them as a stack of one.
+reproduce the graph distances.  It exists exactly when the base-point Gram
+matrix G0_ij = (d_0i + d_0j - d_ij) / 2 (i, j >= 1) is positive semidefinite
+(Young & Householder, Psychometrika 3, 1938).  Step 5 and `pendant_rule` embed
+by one in-order LDL^T of each G0 of a stack (`_ldl_points`); `embed` prints
+principal coordinates, from one eigensolve of -1/2 C D C (C centers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
+from .bits import pair_rows_cols
 from .engine import _psd_rank, is_cnd_exact
 from .errors import DimensionMismatchError, NotQEError
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
 from .graphs import Graph, distance_matrix, find_pendant_edge, induced_subgraph  # noqa: F401
 from .kernels import jacobi_eigh
 
-RANK_CUTOFF = 1e-10
+RANK_CUTOFF = 1e-10  # LDL^T pivots at or below it are dropped; eigenvalues, at or below it times the largest
 DEFECT_TOL = 1e-8  # an embedding within it reproduces the distances
 
 
@@ -52,54 +51,54 @@ def gram_from_distance(d: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
 
-def _gram_stack(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram embeddings of a stack (m, n, n) of distance matrices, one
-    eigensolve: the eigenvalues (m, n), descending, the coordinates
-    (m, n, n) and the dimensions (m,).  Column k holds eigenvector k times
-    the root of its eigenvalue where that is above RANK_CUTOFF times the
-    largest, else zeros; the kept columns lead.  A column's sign is the
-    eigensolver's, which no distance between points depends on."""
-    vals, vecs = jacobi_eigh(gram_from_distance(d))
-    keep = vals > RANK_CUTOFF * np.maximum(vals[:, :1], 0.0)
-    return vals, vecs * np.sqrt(np.where(keep, vals, 0.0))[:, None, :], keep.sum(axis=1)
+def _ldl_points(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points (m, n, n - 1) and pivots (m, n - 1) of each distance matrix of a
+    stack (m, n, n), from an in-order LDL^T of its G0: vertex 0 at the origin,
+    vertex i >= 1 at row i - 1 of L sqrt(P).  At step k, a pivot p = A[k, k]
+    of the reduced matrix A above RANK_CUTOFF (an absolute floor) makes column
+    k c = A[k:, k] / sqrt(p), and A[k+1:, k+1:] loses c[1:] c[1:]^T; any other
+    pivot, a negative one too, leaves a zero column and A as it was, so a
+    matrix that does not embed gets points that fail to."""
+    m, n = d.shape[:2]
+    gram = 0.5 * (d[:, :1, 1:] + d[:, 1:, :1] - d[:, 1:, 1:])
+    points = np.zeros((m, n, n - 1))
+    for k in range(n - 1):
+        pivot = gram[:, k, k]
+        col = points[:, k + 1:, k] = gram[:, k:, k] / np.sqrt(np.where(pivot > RANK_CUTOFF, pivot, np.inf))[:, None]
+        gram[:, k + 1:, k + 1:] -= col[:, 1:, None] * col[:, None, 1:]
+    return points, np.diagonal(gram, axis1=1, axis2=2)
 
 
 def _defect_stack(coords: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Largest |squared point distance - graph distance| over all pairs, for
-    each embedding (points, columns) of a stack against its distance matrix."""
-    sq = np.sum((coords[:, :, None, :] - coords[:, None, :, :]) ** 2, axis=3)
-    return np.abs(sq - d).max(axis=(1, 2))
+    each embedding (points, columns) of a stack against its distance matrix;
+    each pair once (a distance matrix is symmetric, with zero diagonal)."""
+    u, v = pair_rows_cols(d.shape[-1])
+    sq = np.sum((coords[:, u] - coords[:, v]) ** 2, axis=2)
+    return np.abs(sq - d[:, u, v]).max(axis=1, initial=0.0)
 
 
-def _gram_defects(d: np.ndarray) -> np.ndarray:
-    """Defect of the Gram embedding of each matrix of a stack (m, n, n)."""
-    _, coords, dims = _gram_stack(d)
-    return _defect_stack(coords[..., :dims.max()], d)
+def _lift_order(n: int, lifts: np.ndarray) -> np.ndarray:
+    """(m, n) vertex orders: at a row (a, b, a', b') of `lifts`, the other
+    vertices ascending, then a', then b'; at a row of -1s, 0..n-1."""
+    v = np.arange(n)
+    return np.argsort(v + n * (v == lifts[:, 2:3]) + 2 * n * (v == lifts[:, 3:4]), axis=1)
 
 
-def _pendant_lifts(d: np.ndarray, witnesses: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
-    """Defects of the lifted embeddings of a stack (m, n, n) of distance
-    matrices, each of a graph with pendant witness (a, b, a', b') whose
-    remainder G - {a', b'} is QE.  The remainder is isometric (a path through
-    a' runs a-a'-b'-b, and ab is shorter), so its distances are the slice
-    d[S, S]; its Gram embeddings come from one eigensolve, and a' and b' sit
-    at height 1 above a and b in one more coordinate.  Raises ArithmeticError
-    when a lift fails to verify."""
+def _gram_defects(d: np.ndarray, lifts: np.ndarray) -> np.ndarray:
+    """Defect of the LDL^T embedding of each matrix of a stack (m, n, n), in
+    `_lift_order`.  A row (a, b, a', b') of `lifts` is a pendant witness whose
+    remainder S = G - {a', b'} is QE; it is isometric (a path through a' runs
+    a-a'-b'-b, and ab is shorter), and the factorization is prefix-consistent,
+    so S's rows embed it.  Its lift x_a' = (x_a, 1), x_b' = (x_b, 1) realises
+    the same G0, so these are a' and b''s rows (b''s pivot is 0): the defect
+    checks the lift, and ArithmeticError is raised when one fails to verify."""
     m, n = d.shape[:2]
-    at = np.arange(m)
-    a, b, ap, bp = np.array(witnesses, dtype=np.int64).reshape(m, 4).T
-    keep = np.ones((m, n), dtype=bool)
-    keep[at, ap] = keep[at, bp] = False
-    verts = np.nonzero(keep)[1].reshape(m, n - 2)
-    _, base, dims = _gram_stack(d[at[:, None, None], verts[:, :, None], verts[:, None, :]])
-    lifted = np.zeros((m, n, n - 1))
-    lifted[at[:, None], verts, :n - 2] = base
-    lifted[at, ap], lifted[at, bp] = lifted[at, a], lifted[at, b]
-    lifted[at, ap, dims] = lifted[at, bp, dims] = 1.0
-    defects = _defect_stack(lifted[..., :dims.max() + 1], d)
-    if (defects > DEFECT_TOL).any():
-        raise ArithmeticError(
-            f"pendant-edge extension failed to verify (defect {defects.max()})")
+    order = _lift_order(n, lifts)
+    d = d[np.arange(m)[:, None, None], order[:, :, None], order[:, None, :]]
+    defects = _defect_stack(_ldl_points(d)[0], d)
+    if (worst := defects[lifts[:, 0] >= 0].max(initial=0.0)) > DEFECT_TOL:
+        raise ArithmeticError(f"pendant-edge extension failed to verify (defect {worst})")
     return defects
 
 
@@ -109,15 +108,15 @@ def embed(g: Graph) -> Embedding:
         return Embedding(dim=0, coords=np.zeros((1, 0)))
     if not is_cnd_exact(g):
         raise NotQEError("graph admits no quadratic embedding")
-    vals, coords, dims = _gram_stack(distance_matrix(g)[None])
-    scale = max(float(vals[0, 0]), 1.0)
-    if float(vals[0, -1]) < -1e-6 * scale:
-        raise ArithmeticError(f"Gram matrix of a QE graph has eigenvalue {vals[0, -1]}")
-    coords = coords[0, :, :dims[0]]
+    (vals,), (vecs,) = jacobi_eigh(gram_from_distance(distance_matrix(g)[None]))
+    if float(vals[-1]) < -1e-6 * max(float(vals[0]), 1.0):
+        raise ArithmeticError(f"Gram matrix of a QE graph has eigenvalue {vals[-1]}")
+    keep = vals > RANK_CUTOFF * max(float(vals[0]), 0.0)  # the principal coordinates, leading
+    coords = vecs[:, keep] * np.sqrt(vals[keep])
     # each column signed so that its largest entry in magnitude is positive
-    coords = coords * np.copysign(1.0, coords[np.abs(coords).argmax(axis=0), np.arange(dims[0])])
+    coords = coords * np.copysign(1.0, coords[np.abs(coords).argmax(axis=0), np.arange(coords.shape[1])])
     coords.setflags(write=False)
-    return Embedding(dim=int(dims[0]), coords=coords)
+    return Embedding(dim=coords.shape[1], coords=coords)
 
 
 def verify_embedding(e: Embedding, d: np.ndarray) -> float:
@@ -132,8 +131,8 @@ def verify_embedding(e: Embedding, d: np.ndarray) -> float:
 def pendant_rule(g: Graph) -> float | None:
     """QEC = 0 when a pendant edge exists and the remainder is QE, else None.
 
-    The embedding of the remainder is extended by one coordinate (the two
-    pendant vertices sit at height 1 above their anchors) and verified.
+    The remainder's verdict is its own exact test, and the lift is verified
+    by one LDL^T with a' and b' last (`_gram_defects`).
     """
     witness = find_pendant_edge(g)
     if witness is None:
@@ -142,5 +141,5 @@ def pendant_rule(g: Graph) -> float | None:
     keep = [v for v in range(g.n) if v not in witness[2:]]
     if not _psd_rank(d[np.ix_(keep, keep)])[0]:
         return None
-    _pendant_lifts(d[None], [witness])
+    _gram_defects(d[None], np.array([witness]))
     return 0.0

@@ -14,9 +14,12 @@ Step 4 splits one graph at a time: the complement's components on bitsets,
 each side's regularity by popcounts, and the parts built as induced
 subgraphs whose eigenvalues `qec_join_regular` solves one at a time
 (`adjacency_min_eigenvalue`).
-Step 5 embeds one graph at a time: a pendant remainder is built as an
-induced subgraph with its own BFS and exact test, and a graph is embedded
-when its exact verdict says QE.  The sieve decides one graph at a time by
+Step 5 embeds one graph at a time by an in-order LDL^T of its base-point
+Gram matrix in Python floats, entry by entry, in the stacked kernel's order
+of operations (`ldl_points`); a pendant remainder is built as an induced
+subgraph with its own BFS and exact test, and the lift is that
+factorization with a' and b' last.  A graph is embedded when its exact
+verdict says QE.  The sieve decides one graph at a time by
 certificate-dict lookups and writes every step's text as it goes.
 """
 
@@ -181,6 +184,36 @@ def gram_embedding(d: np.ndarray) -> tuple[np.ndarray, Embedding]:
     return vals, Embedding(dim=int(np.count_nonzero(keep)), coords=coords)
 
 
+def ldl_points(d: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Points (n, n - 1) and pivots of one distance matrix from an in-order
+    LDL^T of its base-point Gram matrix G0_ij = (d_0i + d_0j - d_ij) / 2,
+    i, j >= 1: vertex 0 at the origin, vertex i at row i - 1 of L sqrt(P).
+    A pivot p above RANK_CUTOFF gives the column c = A[k:, k] / sqrt(p) and
+    A[i][j] -= c_i c_j over i, j > k; any other pivot a zero column."""
+    d = np.asarray(d, dtype=float).tolist()
+    n = len(d)
+    a = [[0.5 * (d[0][j] + d[i][0] - d[i][j]) for j in range(1, n)] for i in range(1, n)]
+    points = [[0.0] * (n - 1) for _ in range(n)]
+    pivots = []
+    for k in range(n - 1):
+        pivots.append(a[k][k])
+        if a[k][k] <= RANK_CUTOFF:
+            continue
+        root = math.sqrt(a[k][k])
+        col = [a[i][k] / root for i in range(k, n - 1)]
+        for i in range(k, n - 1):
+            points[i + 1][k] = col[i - k]
+        for i in range(k + 1, n - 1):
+            for j in range(k + 1, n - 1):
+                a[i][j] -= col[i - k] * col[j - k]
+    return np.array(points).reshape(n, n - 1), pivots
+
+
+def ldl_defect(d: np.ndarray) -> float:
+    """Defect of the LDL^T embedding of one distance matrix."""
+    return verify_embedding(Embedding(dim=len(d) - 1, coords=ldl_points(d)[0]), d)
+
+
 def embed(g: Graph) -> Embedding:
     """Quadratic embedding of a QE graph; raises NotQEError otherwise."""
     if g.n == 1:
@@ -201,29 +234,29 @@ def verify_embedding(e: Embedding, d: np.ndarray) -> float:
     return float(np.max(np.abs(sq - d)))
 
 
-def pendant_lift(g: Graph) -> float | None:
-    """Defect of the lifted embedding when a pendant edge exists and the
-    remainder, an induced subgraph, is QE, else None: the remainder's
-    embedding gets one more coordinate, height 1 at the two pendant vertices
-    above their anchors."""
+def lift_order(g: Graph) -> list[int] | None:
+    """The vertices of g with its pendant witness's a' and b' last,
+    (V - {a', b'} ascending, a', b'), when a pendant edge exists and the
+    remainder, an induced subgraph, is QE; else None."""
     witness = find_pendant_edge(g)
     if witness is None:
         return None
-    a, b, ap, bp = witness
-    keep = [v for v in range(g.n) if v not in (ap, bp)]
+    keep = [v for v in range(g.n) if v not in witness[2:]]
     h = induced_subgraph(g, keep)
     if h.n >= 2 and not is_cnd_exact(h):
         return None
-    base = embed(h)
-    pos = {v: i for i, v in enumerate(keep)}
-    coords = np.zeros((g.n, base.dim + 1))
-    for v in keep:
-        coords[v, :base.dim] = base.coords[pos[v]]
-    coords[ap, :base.dim] = base.coords[pos[a]]
-    coords[ap, base.dim] = 1.0
-    coords[bp, :base.dim] = base.coords[pos[b]]
-    coords[bp, base.dim] = 1.0
-    defect = verify_embedding(Embedding(dim=base.dim + 1, coords=coords), distance_matrix(g))
+    return keep + list(witness[2:])
+
+
+def pendant_lift(g: Graph) -> float | None:
+    """Defect of the lifted embedding when a pendant edge exists and the
+    remainder is QE, else None: the LDL^T of g's distances in `lift_order`,
+    whose leading rows embed the remainder and whose last two put a' and b'
+    at height 1 above their anchors."""
+    order = lift_order(g)
+    if order is None:
+        return None
+    defect = ldl_defect(distance_matrix(g)[np.ix_(order, order)])
     if defect > 1e-8:
         raise ArithmeticError(f"pendant-edge extension failed to verify (defect {defect})")
     return defect
@@ -231,12 +264,12 @@ def pendant_lift(g: Graph) -> float | None:
 
 def step5(g: Graph, exact: bool) -> Step5:
     """Step 5 decided per graph by the exact verdict: the pendant lift, else
-    the embedding of a QE graph; a non-QE graph has none (defect inf)."""
+    the LDL^T embedding of a QE graph; a non-QE graph has none (defect inf)."""
     lift = pendant_lift(g)
     if lift is not None:
         return Step5(True, lift)
     if exact:
-        return Step5(False, verify_embedding(embed(g), distance_matrix(g)))
+        return Step5(False, ldl_defect(distance_matrix(g)))
     return Step5(False, math.inf)
 
 

@@ -30,6 +30,7 @@ from qec.classify import (
     _isometric,
     _join_stack,
     _non_qe_table,
+    _pack,
     _run_sieve,
     _split_stack,
     _step5_stack,
@@ -41,7 +42,7 @@ from qec.classify import (
     sieve_trace,
 )
 from qec.cli import main
-from qec.embedding import embed, pendant_rule
+from qec.embedding import DEFECT_TOL, RANK_CUTOFF, _ldl_points, _lift_order, embed, pendant_rule
 from qec.engine import is_cnd_exact, prime_stack, qec, qec_value
 from qec.errors import (
     BadParamsError,
@@ -59,10 +60,12 @@ from qec.graphs import (
     compose,
     cycle,
     distance_matrix,
+    distance_stack,
     from_edges,
     from_mask,
     induced_subgraph,
     multipartite,
+    pendant_stack,
 )
 
 
@@ -548,7 +551,7 @@ def test_stacked_kernels_match_per_graph_reference():
 
 
 def _recorded_blocks(monkeypatch, run):
-    """Every (adjacency, distances, graphs, blocks) that `run()` passes to
+    """Every (packed stack, distances, graphs, blocks) that `run()` passes to
     classify._blocks_qe."""
     calls = []
     module = sys.modules["qec.classify"]
@@ -567,7 +570,8 @@ def test_block_tables_match_per_graph_packing(monkeypatch):
     blocks' verdicts from `_distance_table`), and of the witness and step-5
     kernels over kernel_stacks()'s 8-10-vertex stacks (which hold blocks of
     7 or more vertices), each call's stack whole and each of its graphs as a
-    stack of one with its own blocks."""
+    stack of one with its own blocks.  The reference reads its adjacency off
+    the distances (d = 1), not off the packed stack the kernel reads."""
     calls = []
     for n in range(2, 8):
         calls += _recorded_blocks(monkeypatch, lambda: classify_all(n))
@@ -575,14 +579,14 @@ def test_block_tables_match_per_graph_packing(monkeypatch):
         stacks = stacked(stack)
         calls += _recorded_blocks(monkeypatch, lambda: (_witness_stack(*stacks), _step5_stack(*stacks)))
     sizes, counts, singles = Counter(), Counter(), 0
-    for adj, dist, which, blocks in calls:
-        counts[adj.shape[-1]] += len(blocks)
-        want = per_graph.blocks_qe(adj, dist, which, blocks)
-        assert np.array_equal(_blocks_qe(adj, dist, which, blocks), want)
-        sizes.update((adj.shape[-1], bin(b).count("1")) for b in blocks.tolist())
+    for packed, dist, which, blocks in calls:
+        counts[dist.shape[-1]] += len(blocks)
+        want = per_graph.blocks_qe(dist == 1, dist, which, blocks)
+        assert np.array_equal(_blocks_qe(packed, dist, which, blocks), want)
+        sizes.update((dist.shape[-1], bin(b).count("1")) for b in blocks.tolist())
         for i in np.unique(which).tolist():
             at = np.flatnonzero(which == i)
-            one = _blocks_qe(adj[i:i + 1], dist[i:i + 1], np.zeros(len(at), dtype=np.intp), blocks[at])
+            one = _blocks_qe(packed[:, i:i + 1], dist[i:i + 1], np.zeros(len(at), dtype=np.intp), blocks[at])
             assert np.array_equal(one, want[at])
             singles += 1
     assert counts[7] == 2496 + 20 and singles > 385 + 20
@@ -650,17 +654,17 @@ def _reference_step5(g):
     lift = per_graph.pendant_lift(g)
     if lift is not None:
         return Step5(True, lift)
-    d = distance_matrix(g)
-    return Step5(False, per_graph.verify_embedding(per_graph.gram_embedding(d)[1], d))
+    return Step5(False, per_graph.ldl_defect(distance_matrix(g)))
 
 
 def test_step5_kernel_matches_per_graph_reference():
-    """`_step5_stack` against the per-graph lift and embedding of
-    tests/per_graph.py on every class on 2..7 vertices: the pendant outcome
-    and the defect to the bit, on each order's stack, reversed and shuffled,
-    and on each graph as a stack of one; `embed` and `pendant_rule` (stacks
-    of one) against the reference too.  Every graph is rebuilt from its
-    mask, so no memo is shared."""
+    """`_step5_stack` against the per-graph lift and LDL^T embedding of
+    tests/per_graph.py, Python floats one entry at a time, on every class on
+    2..7 vertices: the pendant outcome and the defect to the bit, on each
+    order's stack, reversed and shuffled, and on each graph as a stack of
+    one; `embed` (eigh principal coordinates) and `pendant_rule` (stacks of
+    one) against the reference too.  Every graph is rebuilt from its mask,
+    so no memo is shared."""
     rng = random.Random(5)
     lifts = 0
     for n in range(2, 8):
@@ -685,10 +689,10 @@ def test_step5_kernel_matches_per_graph_reference():
 
 
 def test_step5_defects_separate_qe_from_non_qe():
-    """Step 5 calls a graph QE when its Gram embedding's defect is at most
+    """Step 5 calls a graph QE when its LDL^T embedding's defect is at most
     1e-8, reading no exact verdict.  On every class with no pendant lift on
     2..7 vertices the QE defects stay below 1e-13 and the non-QE ones above
-    0.02 (least 0.0849, 0.0574 and 0.0205 at n = 5, 6, 7)."""
+    0.02 (least 1/2, 1/3 and 1/3 at n = 5, 6, 7)."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
         outcomes = _step5_stack(*stacked(graphs))
@@ -698,6 +702,75 @@ def test_step5_defects_separate_qe_from_non_qe():
         assert not any(o.lifted for g, o in zip(graphs, outcomes) if not is_cnd_exact(g))
         if n >= 5:
             assert min(non_qe) >= 0.02, n
+
+
+def _relabeled_step5(n, count=20):
+    """Every class on n vertices under the identity and `count` seeded
+    relabelings: per labeling its adjacency and distance stacks, exact
+    verdicts, `_step5_stack` outcomes and the pendant witnesses of the lifted
+    graphs (-1s elsewhere), which `_gram_defects` factors a' and b' last."""
+    rng = random.Random(100 + n)
+    adj0 = np.array([g.adj for g in enumerate_connected(n)])
+    exact = np.array([is_cnd_exact(g) for g in enumerate_connected(n)])
+    for labels in [list(range(n))] + [rng.sample(range(n), n) for _ in range(count)]:
+        adj = adj0[:, labels][:, :, labels]
+        dist = distance_stack(adj)
+        outcomes = _step5_stack(adj, dist)
+        lifted = np.array([o.lifted for o in outcomes])
+        yield adj, dist, exact, outcomes, np.where(lifted[:, None], pendant_stack(adj), -1)
+
+
+def test_step5_is_invariant_under_relabeling():
+    """An LDL^T depends on the vertex order, where an eigensolve did not: on
+    every class on 2..7 vertices under 20 seeded relabelings, `lifted` and
+    `defect <= DEFECT_TOL` equal the identity labeling's, and the QE test of
+    step 5 equals the exact verdict."""
+    for n in range(2, 8):
+        want = None
+        for _, _, exact, outcomes, _ in _relabeled_step5(n):
+            got = [(o.lifted, o.defect <= DEFECT_TOL) for o in outcomes]
+            want = got if want is None else want
+            assert got == want, n
+            assert [lifted or qe for lifted, qe in got] == exact.tolist(), n
+
+
+def test_pendant_lift_is_the_factorization_with_a_b_last():
+    """For every lifted graph on 4..7 vertices under seeded relabelings, the
+    LDL^T in `_lift_order` puts a' and b' at x_a + e and x_b + e, e the unit
+    axis of a''s pivot (which is 1; b''s is 0), within 1e-12."""
+    lifts_seen = 0
+    for n in range(4, 8):
+        for _, dist, _, _, lifts in _relabeled_step5(n):
+            at = np.flatnonzero(lifts[:, 0] >= 0)
+            order = _lift_order(n, lifts[at])
+            d = dist[at[:, None, None], order[:, :, None], order[:, None, :]]
+            points, pivots = _ldl_points(d)
+            graphs, pos = np.arange(len(at)), np.argsort(order, axis=1)  # each vertex's row
+            assert (pos[graphs, lifts[at, 2]] == n - 2).all() and (pos[graphs, lifts[at, 3]] == n - 1).all()
+            axis = np.eye(n - 1)[n - 3]
+            for anchor, row in ((0, n - 2), (1, n - 1)):
+                gap = points[graphs, row] - points[graphs, pos[graphs, lifts[at, anchor]]] - axis
+                assert np.abs(gap).max() <= 1e-12, n
+            assert np.abs(pivots[:, n - 3] - 1).max() <= 1e-12 and np.abs(pivots[:, n - 2]).max() <= 1e-12
+            lifts_seen += len(at)
+    assert lifts_seen == 21 * (1 + 2 + 10 + 52)
+
+
+def test_step5_pivots_keep_their_margins():
+    """Each QE class on 2..7 vertices, under the identity and 20 seeded
+    relabelings, factored as step 5 orders it: every kept pivot is at least
+    1e-3 (the least is 1/12) and every discarded one at most 1e-12 in
+    magnitude (the largest is a few 1e-15), far on either side of the
+    RANK_CUTOFF floor."""
+    kept, dropped = [], []
+    for n in range(2, 8):
+        for _, dist, exact, _, lifts in _relabeled_step5(n):
+            order = _lift_order(n, lifts[exact])
+            d = dist[exact][np.arange(exact.sum())[:, None, None], order[:, :, None], order[:, None, :]]
+            pivots = _ldl_points(d)[1]
+            kept += pivots[pivots > RANK_CUTOFF].tolist()
+            dropped += pivots[pivots <= RANK_CUTOFF].tolist()
+    assert min(kept) >= 1e-3 and max(map(abs, dropped)) <= 1e-12
 
 
 def test_trace_prints_the_reference_sieve(capsys):
@@ -741,7 +814,7 @@ def test_stacked_sieve_matches_per_graph_reference():
             exact = np.array([is_cnd_exact(g) for g in again])
             values = np.array([qec_value(g) for g in again])
             witnesses = [None if e else w for e, w in zip(exact, _witness_stack(adj, dist))]
-            sieve = _run_sieve(adj, dist, certs[order], exact, values, witnesses, _split_stack(adj, dist))
+            sieve = _run_sieve(adj, dist, _pack(adj), certs[order], exact, values, witnesses, _split_stack(adj, dist))
             got = [(VERDICTS[v], f"step{k}") for v, k in zip(sieve.verdict.tolist(), sieve.step.tolist())]
             assert got == [want[k] for k in order], n
         seen.update(step for _, step in want)
@@ -757,7 +830,7 @@ def test_sweep_raises_when_the_sieve_disagrees(monkeypatch, capsys):
     module = sys.modules["qec.classify"]
     step5 = module._step5_stack
     monkeypatch.setattr(module, "_step5_stack",
-                        lambda adj, dist: [Step5(True, 0.0) for _ in step5(adj, dist)])
+                        lambda *stack: [Step5(True, 0.0) for _ in step5(*stack)])
     with pytest.raises(AssertionError, match=f"sieve verdict QE disagrees with exact verdict "
                                              f"NonQePrimary of {first.cert}"):
         classify_all(6)
@@ -883,7 +956,7 @@ def test_sieve_step6_decides_from_the_value(monkeypatch):
     g = parse_graph6("ELr?")
     assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = 0.11963298118 -> NonQePrimary")
     adj, dist = g.adj[None], distance_matrix(g)[None]
-    sieve = _run_sieve(adj, dist, np.array([canonical_cert(g).bits]), np.array([False]),
+    sieve = _run_sieve(adj, dist, _pack(adj), np.array([canonical_cert(g).bits]), np.array([False]),
                        np.array([-0.5]), [None], _split_stack(adj, dist))
     assert (sieve.step.tolist(), VERDICTS[sieve.verdict[0]], sieve.detail) == ([6], Verdict.QE, {0: -0.5})
     # a doctored value reaches the records, whose check against the exact verdict trips
@@ -969,15 +1042,16 @@ def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     assert hash(tuple(second)) == hash(tuple(first)) and second == first
 
 
-def test_warm_sweep_decides_step5_in_two_eigensolves(monkeypatch):
+def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     """A warm classify_all(7) eliminates no matrix alone: the pendant
     remainders of step 5 are verdict-table reads.  Its one stacked
-    elimination covers the 853 classes, and step 5 makes two eigensolves,
-    one over the 20 pendant remainders and one over the 144 other graphs
-    that reach it."""
+    elimination covers the 853 classes, and step 5 makes no eigensolve: one
+    LDL^T per graph embeds the 164 graphs that reach it.  The sweep's only
+    eigensolves are prime_stack's values and step 4's regular parts, one
+    solve per part order."""
     classify_all(7)
-    engine, embedding = sys.modules["qec.engine"], sys.modules["qec.embedding"]
-    single, stacked, solved = [], [], []
+    engine, embedding, kernels = (sys.modules[f"qec.{name}"] for name in ("engine", "embedding", "kernels"))
+    single, stacked, solved, parts, values = [], [], [], [], []
 
     def counted(fn, log):
         return lambda *args: log.append(args[0]) or fn(*args)
@@ -988,11 +1062,16 @@ def test_warm_sweep_decides_step5_in_two_eigensolves(monkeypatch):
     monkeypatch.setattr(engine, "_psd_zero_stack", stack)
     monkeypatch.setattr(sys.modules["qec.classify"], "_psd_zero_stack", stack)
     monkeypatch.setattr(embedding, "jacobi_eigh", counted(embedding.jacobi_eigh, solved))
+    monkeypatch.setattr(engine, "jacobi_eigh", counted(engine.jacobi_eigh, solved))
+    monkeypatch.setattr(kernels, "jacobi_eigh", counted(kernels.jacobi_eigh, parts))
+    monkeypatch.setattr(engine, "eigvalsh", counted(engine.eigvalsh, values))
     records, _ = classify_all(7)
     monkeypatch.undo()
     assert single == []
     assert [d.shape for d in stacked] == [(853, 7, 7)]
-    assert [d.shape for d in solved] == [(20, 5, 5), (144, 7, 7)]
+    assert solved == []
+    assert [d.shape for d in parts] == [(2, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (1, 5, 5), (2, 6, 6)]
+    assert [d.shape for d in values] == [(689, 6, 6)]
     assert sum(r.sieve_step == "step5" for r in records) == 154
 
 

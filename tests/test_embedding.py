@@ -3,9 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+import per_graph
 from constructions import add_apex, is_isomorphic
 from qec.classify import enumerate_connected
-from qec.embedding import Embedding, embed, gram_from_distance, pendant_rule, verify_embedding
+from qec.embedding import (
+    RANK_CUTOFF,
+    Embedding,
+    _ldl_points,
+    embed,
+    gram_from_distance,
+    pendant_rule,
+    verify_embedding,
+)
 from qec.engine import is_cnd_exact, qec
 from qec.errors import DimensionMismatchError, NotQEError
 from qec.graphs import (
@@ -40,6 +49,25 @@ def test_gram_row_sums_vanish():
     for g in enumerate_connected(5):
         gram = gram_from_distance(distance_matrix(g))
         assert np.abs(gram.sum(axis=1)).max() <= 1e-12
+
+
+def test_ldl_points_match_per_graph_reference():
+    """The stacked LDL^T against the Python-float one of tests/per_graph.py,
+    points and pivots to the bit: on the distance matrices of every class on
+    2..7 vertices (the non-QE ones have negative pivots, which leave zero
+    columns), and those scaled by 1e-11 (every pivot below the absolute
+    floor, so every point at the origin) and by RANK_CUTOFF (K2's pivot is at
+    the floor, and is discarded)."""
+    for n in range(2, 8):
+        d = np.array([distance_matrix(g) for g in enumerate_connected(n)], dtype=float)
+        for scale in (1.0, 1e-11, RANK_CUTOFF):
+            points, pivots = _ldl_points(scale * d)
+            for got, piv, one in zip(points, pivots, scale * d):
+                want, want_piv = per_graph.ldl_points(one)
+                assert np.array_equal(got, want) and piv.tolist() == want_piv, (n, scale)
+        assert (_ldl_points(d)[1] < 0).any() == (n >= 5)
+        assert _ldl_points(d)[0].any() and not _ldl_points(1e-11 * d)[0].any()
+    assert not _ldl_points(np.array([[[0.0, RANK_CUTOFF], [RANK_CUTOFF, 0.0]]]))[0].any()
 
 
 def test_embed_c4_unit_square():
