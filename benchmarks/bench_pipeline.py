@@ -23,6 +23,8 @@ End to end:
                           --out FILE`, run once in a fresh interpreter (after
                           `import qec.cli`, so the lazy tables are built inside)
   enum7_op_warm           the same operation run again in that interpreter
+  sweep_n7_warm           classify._sweep(7) after classify_all_n7 has swept
+                          order 7 once in the process: a second sweep
 Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   graphs_from_masks_n7    enumerate_connected(7) again: the 853 graphs built
@@ -56,10 +58,12 @@ Layers:
   distance_stack_n7       distance matrices of the 853 order-7 classes: one
                           graphs.distance_stack call
   qec_values_n7           QEC values of the 853 order-7 classes, BFS and exact
-                          zero test included: one engine.prime_stack call,
-                          the adjacency stack built inside the row
-  prime_stack_n7          the same prime_stack call on the adjacency stack
-                          built before the row
+                          zero test included: one engine.prime_stack call
+                          (after one graphs.distance_stack in a tree whose
+                          prime_stack takes the distance stack), the
+                          adjacency stack built inside the row
+  prime_stack_n7          the same BFS and prime_stack call on the adjacency
+                          stack built before the row
   exact_stack_n{7,8}      the stacked exact kernel (engine._psd_zero_stack, the
                           parent tree's engine._psd_rank_stack) over the 853
                           order-7 distance matrices and over the 2,000 order-8
@@ -78,6 +82,12 @@ Layers:
                           built once in a fresh interpreter after
                           `import qec.cli` and _non_qe_table(6); a tree
                           without them has no such row
+  class_stack_n7          the order-7 class stack built once in a fresh
+                          interpreter, after `import qec.cli` and
+                          classify._class_masks(7): classify._class_stack(7),
+                          and in a tree without it the unpack_stack,
+                          classify._pack and graphs.distance_stack calls its
+                          sweep runs
   enumerate_report_n7     `qec enumerate --n 7` from sweep to bytes in process:
                           qec.cli._cmd_enumerate, the file written to a
                           temporary directory, after an untimed call
@@ -124,9 +134,11 @@ One-record reports, each the mean over its 200 payloads of the best of 9 calls:
                           in-process run of each command)
 The stacked layers run on graphs rebuilt from their masks, so no memo filled
 while picking them is reused, and read the adjacency and distance stacks of
-one engine.prime_stack call, as a sweep does.  The parent tree's prime_stack
-and _run_sieve also take the graphs (the parent's sieve reads its step-6
-values from their memos), and `_prime` and `_sieve` pass them there.
+`_prime`: one graphs.distance_stack BFS and one engine.prime_stack call over
+it, as a sweep does.  An older tree's prime_stack runs the BFS itself from
+the adjacency stack, and an older one still and its _run_sieve also take the
+graphs (its sieve reads its step-6 values from their memos); `_prime_stack`
+and `_sieve` pass each what it takes.
 Each row (and the single-graph rows as a group) starts after
 `gc.collect(); gc.freeze()`, as perfbench does before timing, so a
 collection of what earlier rows left behind lands in no timed row.
@@ -173,12 +185,23 @@ def _takes_graphs(fn) -> bool:
     return "graphs" in inspect.signature(fn).parameters
 
 
+def _prime_stack(engine, graphs, adj) -> tuple:
+    """The distance stack, exact verdicts and values of graphs of one order and
+    their adjacency stack, from engine.prime_stack: this tree's takes the
+    distance stack, whose BFS runs here; an older tree's the adjacency stack,
+    and an older one still the graphs too."""
+    if _takes_graphs(engine.prime_stack):
+        return engine.prime_stack(graphs, adj)
+    if "adj" in inspect.signature(engine.prime_stack).parameters:
+        return engine.prime_stack(adj)
+    return engine.prime_stack(importlib.import_module("qec.graphs").distance_stack(adj))
+
+
 def _prime(engine, graphs) -> tuple:
-    """engine.prime_stack over graphs of one order: their adjacency stack, then
-    the distance stack, exact verdicts and values it returns."""
+    """`_prime_stack` over graphs of one order: their adjacency stack, then the
+    distance stack, exact verdicts and values."""
     adj = numpy.stack([g.adj for g in graphs])
-    return (adj, *(engine.prime_stack(graphs, adj) if _takes_graphs(engine.prime_stack)
-                   else engine.prime_stack(adj)))
+    return (adj, *_prime_stack(engine, graphs, adj))
 
 
 def _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits):
@@ -208,7 +231,7 @@ def _connected(g) -> bool:
 def _sweep_inputs(classify, engine) -> tuple:
     """The stacked inputs of the order-7 sieve: graphs, adjacency, distances,
     exact verdicts, values, witnesses and star splits."""
-    graphs = classify._class_graphs(7)[0]
+    graphs = classify.enumerate_connected(7)
     adj, dist, exact, values = _prime(engine, graphs)
     found = iter(classify._witness_stack(adj[~exact], dist[~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
@@ -330,7 +353,7 @@ def _measure() -> dict[str, float]:
     out["exact_stack_n8"] = time.thread_time() - t0
     adj7 = numpy.stack([g.adj for g in graphs])
     t0 = _start()
-    engine.prime_stack(graphs, adj7) if _takes_graphs(engine.prime_stack) else engine.prime_stack(adj7)
+    _prime_stack(engine, graphs, adj7)
     out["prime_stack_n7"] = time.thread_time() - t0
     t0 = _start()
     graphs_module.pendant_stack(adj)
@@ -352,6 +375,9 @@ def _measure() -> dict[str, float]:
         t0 = _start()
         records, summary = classify_all(n, workers=1)
         out[f"classify_all_n{n}"] = time.thread_time() - t0
+    t0 = _start()
+    classify_module._sweep(7)
+    out["sweep_n7_warm"] = time.thread_time() - t0
     cli = importlib.import_module("qec.cli")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         args = argparse.Namespace(n=7, format="json", out=str(Path(tmp) / "n7.json"))
@@ -492,18 +518,28 @@ def _full_powers(n: int) -> numpy.ndarray:
 
 
 def _measure_tables() -> dict[str, float]:
-    """The k = 6 component and distance tables built in this (fresh)
-    interpreter, after `import qec.cli` and the non-QE table they read; none
-    in a tree without them."""
+    """The order-7 class stack, then the k = 6 component and distance tables
+    (after the non-QE table they read; none in a tree without them), each built
+    once in this (fresh) interpreter after `import qec.cli`."""
     importlib.import_module("qec.cli")
     classify = importlib.import_module("qec.classify")
-    if not hasattr(classify, "_component_table"):
-        return {}
-    classify._non_qe_table(6)
+    graphs = importlib.import_module("qec.graphs")
+    masks = classify._class_masks(7)
     t0 = _start()
-    classify._component_table(6)
-    classify._distance_table(6)
-    return {"subgraph_tables_k6": time.thread_time() - t0}
+    if hasattr(classify, "_class_stack"):
+        classify._class_stack(7)
+    else:
+        adj = importlib.import_module("qec.bits").unpack_stack(7, masks)
+        classify._pack(adj)
+        graphs.distance_stack(adj)
+    out = {"class_stack_n7": time.thread_time() - t0}
+    if hasattr(classify, "_component_table"):
+        classify._non_qe_table(6)
+        t0 = _start()
+        classify._component_table(6)
+        classify._distance_table(6)
+        out["subgraph_tables_k6"] = time.thread_time() - t0
+    return out
 
 
 def _measure_op() -> dict[str, float]:

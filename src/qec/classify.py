@@ -9,9 +9,11 @@ every graph of a stack its deciding step and verdict in one pass
 `_classify_stack`: one witness search, star split and sieve over a stack,
 then its columns, checked over the whole stack against the exact verdicts
 (the sieve agrees, and QEC > 0 exactly for non-QE graphs).  `_sweep` hands
-it a sweep's arrays from `prime_stack`, for `qec enumerate` and `classify_all`;
-`classify` and `sieve_trace` hand it one graph with its exact verdict and
-value decided alone, and `sieve_trace` writes the steps from what decided it.
+it an order's `_class_stack` (adjacency, packed masks and distances, made once
+per process) and its own exact verdicts and values from `prime_stack`, for
+`qec enumerate` and `classify_all`; `classify` and `sieve_trace` hand it one
+graph with its exact verdict and value decided alone, and `sieve_trace`
+writes the steps from what decided it.
 """
 
 from __future__ import annotations
@@ -290,22 +292,36 @@ def _class_certs(n: int) -> tuple[CanonicalCert, ...]:
     return tuple(CanonicalCert(n, mask) for mask in _class_masks(n).tolist())
 
 
-def _class_graphs(n: int) -> tuple[list[Graph], np.ndarray]:
-    """`enumerate_connected(n)` and the adjacency stack the graphs are views of,
-    each graph holding its class's certificate."""
-    graphs, adj = _from_masks(n, _class_masks(n).tolist())
+@lru_cache(maxsize=None)
+def _class_stack(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of the classes on n vertices, the `_class_masks(n)`
+    in order, built once per process from no graph: their adjacency stack
+    (one `unpack_stack`), its `_pack` and its `distance_stack` (one BFS)."""
+    if not 1 <= n <= ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"class stacks cover 1..{ENUM_MAX_ORDER} vertices, got {n}")
+    adj = unpack_stack(n, _class_masks(n))
+    packed = _pack(adj)
+    adj.setflags(write=False)
+    packed.setflags(write=False)
+    return adj, packed, distance_stack(adj)
+
+
+def _class_graphs(n: int) -> list[Graph]:
+    """`enumerate_connected(n)`: fresh views of the class stack's adjacency,
+    each graph holding its class's certificate and no memo."""
+    graphs = _from_masks(n, _class_masks(n).tolist(), _class_stack(n)[0])
     for g, cert in zip(graphs, _class_certs(n)):
         g._cert = cert
-    return graphs, adj
+    return graphs
 
 
 def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class, in
-    certificate order: fresh graphs on every call, unpacked in one broadcast
-    from the class masks that `_class_masks` enumerates once per process."""
+    certificate order: fresh graphs on every call, views of the adjacency
+    stack that `_class_stack` unpacks once per process from the class masks."""
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"enumeration supports 1..{ENUM_MAX_ORDER} vertices, got {n}")
-    return _class_graphs(n)[0]
+    return _class_graphs(n)
 
 
 @lru_cache(maxsize=None)
@@ -313,12 +329,12 @@ def _non_qe_table(k: int) -> np.ndarray:
     """Read-only bitmap over the labeled masks on k < ENUM_MAX_ORDER
     vertices, 1 exactly on the relabelings of the non-QE connected classes
     (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once,
-    the classes decided by one stacked elimination."""
+    the classes decided by one stacked elimination of `_class_stack(k)`."""
     if not 1 <= k < ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
     table = np.zeros(1 << n_bits(k), dtype=np.uint8)
     masks = _class_masks(k)
-    psd = _psd_zero_stack(distance_stack(unpack_stack(k, masks)))[0]
+    psd = _psd_zero_stack(_class_stack(k)[2])[0]
     for mask in masks[~psd].tolist():
         kernels.orbit_min_mark(mask, perm_powers(k), table)
     table.setflags(write=False)
@@ -598,15 +614,15 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.
 # classification
 
 
-def _classify_stack(adj: np.ndarray, dist: np.ndarray, exact: np.ndarray, values: np.ndarray,
+def _classify_stack(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, exact: np.ndarray, values: np.ndarray,
                     bits: np.ndarray) -> tuple[np.ndarray, list[Witness], list, Sieve | None, list[Split] | None]:
-    """Everything after the exact test for a stack of one order, given its exact
-    verdicts, QEC values and certificate bits: one witness search and, up to
-    ENUM_MAX_ORDER vertices, one star split and sieve, reading one `_pack`; then
+    """Everything after the exact test for a stack of one order (adjacency, distances,
+    `_pack`), given its exact verdicts, QEC values and certificate bits: one witness
+    search and, up to ENUM_MAX_ORDER vertices, one star split and sieve; then
     the sieve and the sign of QEC checked against the exact verdicts (AssertionError
     at the first graph that breaks either).  Returns the verdicts (into VERDICTS),
     witnesses and step names (None past ENUM_MAX_ORDER), the sieve and splits."""
-    n, packed = adj.shape[-1], _pack(adj)
+    n = adj.shape[-1]
     found = iter(_witness_stack(adj[~exact], dist[~exact], packed[:, ~exact]))
     witnesses = [None if psd else next(found) for psd in exact.tolist()]
     verdict = np.where(exact, 0, np.where([w is not None for w in witnesses], 2, 1))
@@ -637,8 +653,9 @@ def _classify_one(g: Graph) -> tuple[list[ClassificationRecord], Sieve | None, l
     """`_classify_stack` of g alone, a connected graph on two or more vertices,
     its exact verdict and value decided per matrix (`is_cnd_exact`,
     `qec_value`); the BFS raises DisconnectedError before anything else runs."""
-    dist, cert, exact, value = distance_matrix(g)[None], canonical_cert(g), is_cnd_exact(g), qec_value(g)
-    verdicts, witnesses, steps, sieve, splits = _classify_stack(g.adj[None], dist, np.array([exact]),
+    adj, dist = g.adj[None], distance_matrix(g)[None]
+    cert, exact, value = canonical_cert(g), is_cnd_exact(g), qec_value(g)
+    verdicts, witnesses, steps, sieve, splits = _classify_stack(adj, dist, _pack(adj), np.array([exact]),
                                                                 np.array([value]), np.array([cert.bits]))
     return _records([g], [cert], [value], verdicts.tolist(), witnesses, steps), sieve, splits
 
@@ -678,29 +695,28 @@ def classify(g: Graph) -> ClassificationRecord:
     return _classify_one(g)[0][0]
 
 
-def _sweep(n: int, adj: np.ndarray | None = None) -> tuple[tuple, Summary]:
+def _sweep(n: int) -> tuple[tuple, Summary]:
     """The checked columns of the classes on n vertices (masks, QEC values,
     verdicts into VERDICTS, witnesses, steps) and their summary, from no graph:
-    `prime_stack` of `adj` (by default unpacked from the masks), then `_classify_stack`."""
+    `prime_stack` of the `_class_stack` distances, then `_classify_stack`."""
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
-    masks = _class_masks(n)
-    adj = unpack_stack(n, masks) if adj is None else adj
-    dist, exact, values = prime_stack(adj)
-    verdicts, witnesses, steps, _, _ = _classify_stack(adj, dist, exact, values, masks)
+    masks, (adj, packed, dist) = _class_masks(n), _class_stack(n)
+    _, exact, values = prime_stack(dist)
+    verdicts, witnesses, steps, _, _ = _classify_stack(adj, dist, packed, exact, values, masks)
     qe, primary, non_primary = np.bincount(verdicts, minlength=len(VERDICTS)).tolist()
     return (masks, values.tolist(), verdicts.tolist(), witnesses, steps), Summary(qe, non_primary, primary)
 
 
 def classify_all(n: int, *, workers: int = 1) -> tuple[list[ClassificationRecord], Summary]:
     """Classify every connected graph on n vertices; records in certificate
-    order, built from the checked columns of `_sweep` over the adjacency
-    stack the graphs are views of.  `workers` must be 1: the sweep runs in
-    this process."""
+    order, built from the checked columns of `_sweep` over the class stack,
+    on fresh graphs that are views of its adjacency.  `workers` must be 1:
+    the sweep runs in this process."""
     if workers != 1:
         raise BadParamsError(f"classify_all runs on one worker, got workers={workers!r}")
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
-    graphs, adj = _class_graphs(n)
-    (_, *columns), summary = _sweep(n, adj)
+    graphs = _class_graphs(n)
+    (_, *columns), summary = _sweep(n)
     return _records(graphs, _class_certs(n), *columns), summary

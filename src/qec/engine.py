@@ -10,8 +10,9 @@ when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
 M is PSD and singular.  Fraction-free integer elimination gives both facts:
 for a single graph on Python ints with general pivots (keeping its memos),
 for a sweep in one int64 stack in order on the diagonal, where a zero pivot
-must have a zero row and no pivot may be negative (`prime_stack`, which
-then solves values only where QEC is not exactly 0, keeping nothing).
+must have a zero row and no pivot may be negative (`prime_stack`, given the
+distance stack an order's class list keeps, `classify._class_stack`; it then
+solves values only where QEC is not exactly 0, keeping nothing).
 `qec_value` is the value alone, from no eigenvector; `qec` reads it and
 adds diagnostics, solving eigenvectors for the maximizer only.
 """
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OrderOneError
-from .graphs import Graph, distance_matrix, distance_stack
+from .graphs import Graph, distance_matrix
 from .kernels import eigvalsh, jacobi_eigh
 
 
@@ -68,13 +69,12 @@ def _projected(d: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def prime_stack(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distance stack, exact verdicts and `qec_value`s of connected graphs
-    of one order n >= 2, from their adjacency stack (N, n, n): one batched
-    BFS, one stacked elimination (`_psd_zero_stack`), and +0.0 where QEC = 0
-    or one values-only batched eigensolve, each matrix alone (as `qec_value`
-    solves it).  Nothing is kept on any graph."""
-    dist = distance_stack(adj)
+def prime_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance stack (N, n, n) of connected graphs of one order n >= 2, as
+    given, then their exact verdicts and `qec_value`s: one stacked elimination
+    (`_psd_zero_stack`), and +0.0 where QEC = 0 or one values-only batched
+    eigensolve, each matrix alone (as `qec_value` solves it).  No BFS (a sweep
+    passes its class stack's distances) and nothing kept on any graph."""
     psd, zero = _psd_zero_stack(dist)
     values = np.zeros(len(dist))
     values[~zero] = eigvalsh(_projected(dist[~zero]))[:, 0]

@@ -101,16 +101,17 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adj)
 
 
-def _from_masks(n: int, masks: list[int]) -> tuple[list[Graph], np.ndarray]:
-    """Graphs of packed masks on n vertices and their read-only (N, n, n)
-    adjacency stack, one `unpack_stack`, of which they are views: no copy and
-    none of the constructor's checks, which an unpacked mask passes."""
-    adj = unpack_stack(n, masks)
-    adj.setflags(write=False)
+def _from_masks(n: int, masks: list[int], adj: np.ndarray | None = None) -> list[Graph]:
+    """Graphs of packed masks on n vertices as views of their read-only (N, n, n)
+    adjacency stack `adj`, by default one `unpack_stack`: no copy and none of
+    the constructor's checks, which an unpacked mask passes."""
+    if adj is None:
+        adj = unpack_stack(n, masks)
+        adj.setflags(write=False)
     graphs = [Graph.__new__(Graph) for _ in masks]
     for g, view, mask in zip(graphs, adj, masks):
         g._set(view, mask)
-    return graphs, adj
+    return graphs
 
 
 def from_mask(n: int, mask: int) -> Graph:
@@ -118,7 +119,7 @@ def from_mask(n: int, mask: int) -> Graph:
         raise BadParamsError(f"mask {mask} does not fit order {n}")
     if n < 1 or n > MAX_ORDER:
         raise OrderTooLargeError(f"order {n} outside supported range 1..{MAX_ORDER}")
-    return _from_masks(n, [int(mask)])[0][0]
+    return _from_masks(n, [int(mask)])[0]
 
 
 def distance_stack(adj: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from qec.classify import (
     _blocks_qe,
     _class_certs,
     _class_masks,
+    _class_stack,
     _component_table,
     _distance_table,
     _family_index,
@@ -1017,10 +1018,12 @@ def test_enumerate_connected_order7_count():
 
 
 def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
-    """Only the class masks outlive a sweep: a second classify_all(7) marks no
-    orbit but runs its own stacked elimination over all 853 classes and its
-    own values-only eigensolve over the 689 whose QEC is not exactly 0, on
-    graphs of its own, and returns equal records."""
+    """Only constants of the class list outlive a sweep (the class masks, their
+    certificates and the class stack of adjacency, packed masks and
+    distances): a second classify_all(7) marks no orbit but runs its own
+    stacked elimination over all 853 classes and its own values-only
+    eigensolve over the 689 whose QEC is not exactly 0, on graphs of its own,
+    and returns equal records."""
     first, _ = classify_all(7)
     engine, kernels = sys.modules["qec.engine"], sys.modules["qec.kernels"]
     orbits, eliminated, solved = [], [], []
@@ -1110,6 +1113,77 @@ def test_family_index_values_are_fresh_closed_forms():
             assert value.hex() == formula_value(spec).hex(), spec
 
 
+def test_class_stack_is_read_only_and_equals_an_uncached_build():
+    """An order's class stack is three read-only arrays made once per process:
+    the classes' adjacency, its packed masks and its distances, equal to an
+    uncached build and to each class's graph built alone."""
+    for n in range(2, 8):
+        stack, fresh = _class_stack(n), _class_stack.__wrapped__(n)
+        assert _class_stack(n) is stack and fresh is not stack
+        for cached, built in zip(stack, fresh):
+            assert not cached.flags.writeable and not built.flags.writeable
+            assert cached.dtype == built.dtype and cached.shape == built.shape
+            assert cached.tobytes() == built.tobytes(), n
+            with pytest.raises(ValueError):
+                cached[0] = 0
+        adj, packed, dist = stack
+        graphs = [from_mask(n, mask) for mask in _class_masks(n).tolist()]
+        assert np.array_equal(adj, [g.adj for g in graphs])
+        assert np.array_equal(dist, [distance_matrix(g) for g in graphs])
+        assert np.array_equal(packed, _pack(adj))
+
+
+def test_warm_sweep_runs_no_unpack_bfs_or_pack(monkeypatch, capsys):
+    """classify_all(7) and `qec enumerate --n 7` read the class stack and write
+    nothing into it.  After one run of each, both run again with no call to
+    unpack_stack, distance_stack or _pack: the class stack holds their results.
+    Each still runs its one stacked elimination over the 853 classes, and the
+    graphs of classify_all are views of the stack that keep no memo."""
+    stack = _class_stack(7)
+    before = [a.tobytes() for a in stack]
+    classify_all(7)
+    assert main(["enumerate", "--n", "7"]) == 0
+    expected = capsys.readouterr().out
+    classify, graphs, engine = (sys.modules[f"qec.{name}"] for name in ("classify", "graphs", "engine"))
+    calls, stacked = [], []
+
+    def counted(fn, log):
+        return lambda *args: log.append(fn.__name__) or fn(*args)
+
+    for module in (classify, graphs):
+        for name in ("unpack_stack", "distance_stack"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), calls))
+    monkeypatch.setattr(classify, "_pack", counted(classify._pack, calls))
+    eliminate = engine._psd_zero_stack
+    monkeypatch.setattr(engine, "_psd_zero_stack", lambda dist: stacked.append(dist.shape) or eliminate(dist))
+    records, summary = classify_all(7)
+    assert main(["enumerate", "--n", "7"]) == 0
+    monkeypatch.undo()
+    assert calls == []
+    assert stacked == [(853, 7, 7)] * 2
+    assert tuple(summary) == (452, 388, 13) and capsys.readouterr().out == expected
+    assert all((r.graph._dist, r.graph._psd, r.graph._top) == (None, None, None) for r in records)
+    assert all(np.shares_memory(r.graph.adj, stack[0]) for r in records)
+    assert _class_stack(7) is stack and [a.tobytes() for a in stack] == before
+
+
+def test_class_stack_refuses_orders_past_enumeration():
+    """`_class_stack` covers the enumerated orders only: it refuses 0, 8 and
+    10 before building or enumerating anything, and caches nothing."""
+    builders = (_class_stack, _class_masks)
+    before = [build.cache_info().currsize for build in builders]
+    for n in (0, 8, 10):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLargeError, match=f"class stacks cover 1..7 vertices, got {n}"):
+                _class_stack(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, (n, peak)
+    assert [build.cache_info().currsize for build in builders] == before
+
+
 def test_class_masks_are_read_only_and_graphs_fresh():
     for n in range(1, 8):
         masks = _class_masks(n)
@@ -1118,7 +1192,7 @@ def test_class_masks_are_read_only_and_graphs_fresh():
             masks[0] = 1
         assert np.array_equal(masks, _class_masks.__wrapped__(n)), n
     graphs = enumerate_connected(6)
-    values = prime_stack(np.array([g.adj for g in graphs]))[2].tolist()
+    values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))[2].tolist()
     assert all((g._dist, g._psd, g._top) == (None, None, None) for g in graphs)  # a sweep keeps no memo
     assert [qec_value(g) for g in graphs] == values
     for g in graphs:  # spoil every memo

@@ -249,13 +249,15 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 def test_cli_import_builds_no_table():
     """Every table is built on first use: `import qec.cli` fills no cache of
-    the library, the block tables of the witness search and the class
-    certificates included."""
+    the library, the block tables of the witness search, the class
+    certificates and the class stacks included."""
     show = ("import sys, qec.cli; print(sorted(f'{name}.{key}' for name, module in sys.modules.items()"
             " if name.startswith('qec') for key, fn in vars(module).items()"
             " if getattr(fn, '__module__', None) == name and hasattr(fn, 'cache_info')"
             " and fn.cache_info().currsize))")
     assert _fresh_import(show) == "[]"
+    stack = "import sys, qec.cli; print(tuple(sys.modules['qec.classify']._class_stack.cache_info()))"
+    assert _fresh_import(stack) == "(0, 0, None, 0)"
 
 
 def test_sign_invariant_breach_exits_3(capsys, monkeypatch):

@@ -271,7 +271,7 @@ def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
     records, summary = classify_all(7, workers=1)
     assert tuple(summary) == (452, 388, 13)
     assert calls == []
-    dist, exact, _ = prime_stack(np.array([r.graph.adj for r in records]))
+    dist, exact, _ = prime_stack(distance_stack(np.array([r.graph.adj for r in records])))
     ranks = [_psd_rank(d) for d in dist]
     assert exact.tolist() == [psd for psd, _ in ranks]
     assert [r.qec_value == 0 for r in records] == [psd and rank < 6 for psd, rank in ranks]
@@ -286,7 +286,7 @@ def test_stacked_values_against_eigvalsh():
 
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        dist, _, values = prime_stack(np.array([g.adj for g in graphs]))
+        dist, _, values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))
         diff = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
         q = np.linalg.qr(diff)[0]
         for g, d, value in zip(graphs, dist, values.tolist()):
@@ -305,7 +305,7 @@ def test_stacked_values_equal_unbatched_solves_bitwise():
     give, so sweep records do not depend on how the sweep is stacked."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        dist, _, values = prime_stack(np.array([g.adj for g in graphs]))
+        dist, _, values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))
         q = _hyperplane_basis(n)
         for g, d, value in zip(graphs, dist, values.tolist()):
             assert value.hex() == qec_value(from_mask(n, g.mask)).hex()
