@@ -70,18 +70,27 @@ Layers:
                           ones of non_qe_witness_n8, BFS excluded
   exact_stack_one_n7      the same kernel on each order-7 distance matrix as a
                           stack of one, mean per call
+  exact_one_n{5..10}      one matrix's exact test (engine._psd_zero, the
+                          parent tree's engine._psd_rank) on each distance
+                          matrix of 200 seeded random connected graphs on n
+                          vertices, mean per call, best of 9 passes
   find_pendant_edge_n7    the pendant search over the 853 order-7 classes: one
                           graphs.pendant_stack call over their adjacency stack
   step4_n7                sieve step 4 over the 168 order-7 classes that reach
                           it (step 4, 5 or 6 in classify_all(7)): one
                           classify._join_stack call, after an untimed one
-  non_qe_table_k6         _non_qe_table(6) uncached, through __wrapped__: the
-                          exact test of its 112 classes and the orbit marking
+  non_qe_table_k6         the subgraph verdicts on 6 vertices uncached, through
+                          __wrapped__: _distance_table(6), which eliminates
+                          its 112 classes, marks the non-QE orbits and packs
+                          their distances (a parent tree's _non_qe_table(6)
+                          then its _distance_table(6), both uncached)
   subgraph_tables_k6      the component and distance tables on 6 vertices
-                          (classify._component_table(6), _distance_table(6)),
-                          built once in a fresh interpreter after
-                          `import qec.cli` and _non_qe_table(6); a tree
-                          without them has no such row
+                          (classify._component_table(6), _distance_table(6),
+                          and in a parent tree the _non_qe_table(6) the
+                          distance table reads), built once in a fresh
+                          interpreter after `import qec.cli` and
+                          classify._class_stack(6); a tree without them has
+                          no such row
   class_stack_n7          the order-7 class stack built once in a fresh
                           interpreter, after `import qec.cli` and
                           classify._class_masks(7): classify._class_stack(7),
@@ -188,13 +197,16 @@ def _takes_graphs(fn) -> bool:
 def _prime_stack(engine, graphs, adj) -> tuple:
     """The distance stack, exact verdicts and values of graphs of one order and
     their adjacency stack, from engine.prime_stack: this tree's takes the
-    distance stack, whose BFS runs here; an older tree's the adjacency stack,
-    and an older one still the graphs too."""
+    distance stack, whose BFS runs here, and returns the verdicts and values
+    (a parent tree's returns the distance stack first); an older tree's takes
+    the adjacency stack, and an older one still the graphs too."""
     if _takes_graphs(engine.prime_stack):
         return engine.prime_stack(graphs, adj)
     if "adj" in inspect.signature(engine.prime_stack).parameters:
         return engine.prime_stack(adj)
-    return engine.prime_stack(importlib.import_module("qec.graphs").distance_stack(adj))
+    dist = importlib.import_module("qec.graphs").distance_stack(adj)
+    primed = engine.prime_stack(dist)
+    return primed if len(primed) == 3 else (dist, *primed)
 
 
 def _prime(engine, graphs) -> tuple:
@@ -351,6 +363,23 @@ def _measure() -> dict[str, float]:
     t0 = _start()
     exact_stack(dist8)
     out["exact_stack_n8"] = time.thread_time() - t0
+    exact_one = getattr(engine, "_psd_zero", None) or engine._psd_rank
+    for n in range(5, 11):
+        rng = random.Random(100 + n)
+        chosen = []
+        while len(chosen) < 200:
+            p = rng.uniform(0.2, 0.9)
+            g = from_mask(n, sum(1 << t for t in range(n_bits(n)) if rng.random() < p))
+            if _connected(g):
+                chosen.append(g.adj)
+        matrices, best_s = list(graphs_module.distance_stack(numpy.stack(chosen))), float("inf")
+        _start()
+        for _ in range(9):
+            t0 = time.thread_time()
+            for d in matrices:
+                exact_one(d)
+            best_s = min(best_s, time.thread_time() - t0)
+        out[f"exact_one_n{n}"] = best_s / len(matrices)
     adj7 = numpy.stack([g.adj for g in graphs])
     t0 = _start()
     _prime_stack(engine, graphs, adj7)
@@ -369,7 +398,9 @@ def _measure() -> dict[str, float]:
         if timed:
             out["step4_n7"] = time.thread_time() - t0
     t0 = _start()
-    classify_module._non_qe_table.__wrapped__(6)
+    if hasattr(classify_module, "_non_qe_table"):  # a parent tree's two tables, both uncached
+        classify_module._non_qe_table.__wrapped__(6)
+    classify_module._distance_table.__wrapped__(6)
     out["non_qe_table_k6"] = time.thread_time() - t0
     for n in (5, 6, 7):
         t0 = _start()
@@ -519,8 +550,9 @@ def _full_powers(n: int) -> numpy.ndarray:
 
 def _measure_tables() -> dict[str, float]:
     """The order-7 class stack, then the k = 6 component and distance tables
-    (after the non-QE table they read; none in a tree without them), each built
-    once in this (fresh) interpreter after `import qec.cli`."""
+    (and a parent tree's non-QE table, which its distance table reads; none in
+    a tree without them) after the order-6 class stack, each built once in
+    this (fresh) interpreter after `import qec.cli`."""
     importlib.import_module("qec.cli")
     classify = importlib.import_module("qec.classify")
     graphs = importlib.import_module("qec.graphs")
@@ -534,8 +566,10 @@ def _measure_tables() -> dict[str, float]:
         graphs.distance_stack(adj)
     out = {"class_stack_n7": time.thread_time() - t0}
     if hasattr(classify, "_component_table"):
-        classify._non_qe_table(6)
+        classify._class_stack(6)  # every tree with the tables has the class stacks
         t0 = _start()
+        if hasattr(classify, "_non_qe_table"):
+            classify._non_qe_table(6)
         classify._component_table(6)
         classify._distance_table(6)
         out["subgraph_tables_k6"] = time.thread_time() - t0

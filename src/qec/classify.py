@@ -178,7 +178,7 @@ def _sub_masks(packed: np.ndarray, n: int, which: np.ndarray, blocks: np.ndarray
 def _blocks_qe(packed: np.ndarray, dist: np.ndarray, which: np.ndarray,
                blocks: np.ndarray) -> np.ndarray:
     """Exact QE verdicts of isometric blocks, the vertex bitsets `blocks` of the graphs `which` of a `_pack`ed
-    stack with distances `dist`.  Up to four vertices they are QE; below ENUM_MAX_ORDER, a `_non_qe_table` read
+    stack with distances `dist`.  Up to four vertices they are QE; below ENUM_MAX_ORDER, a `_distance_table` read
     at the labeled mask (`_sub_masks`); from there on (order 8 and up), one `_psd_zero_stack` per size over d[S, S]."""
     n = dist.shape[-1]
     sizes, masks = _sub_masks(packed, n, which, blocks)
@@ -188,7 +188,7 @@ def _blocks_qe(packed: np.ndarray, dist: np.ndarray, which: np.ndarray,
         if not len(at):
             continue
         if k < ENUM_MAX_ORDER:
-            qe[at] = _non_qe_table(k)[masks[at]] == 0
+            qe[at] = _distance_table(k)[masks[at]] < 0
         else:
             verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]
@@ -324,23 +324,6 @@ def enumerate_connected(n: int) -> list[Graph]:
     return _class_graphs(n)
 
 
-@lru_cache(maxsize=None)
-def _non_qe_table(k: int) -> np.ndarray:
-    """Read-only bitmap over the labeled masks on k < ENUM_MAX_ORDER
-    vertices, 1 exactly on the relabelings of the non-QE connected classes
-    (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none below).  Built once,
-    the classes decided by one stacked elimination of `_class_stack(k)`."""
-    if not 1 <= k < ENUM_MAX_ORDER:
-        raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
-    table = np.zeros(1 << n_bits(k), dtype=np.uint8)
-    masks = _class_masks(k)
-    psd = _psd_zero_stack(_class_stack(k)[2])[0]
-    for mask in masks[~psd].tolist():
-        kernels.orbit_min_mark(mask, perm_powers(k), table)
-    table.setflags(write=False)
-    return table
-
-
 def _closed_rows(k: int, masks: np.ndarray) -> np.ndarray:
     """(len(masks), k) uint8 closed neighbourhoods, as bitsets, of labeled masks on k vertices."""
     rows = np.tile((1 << np.arange(k)).astype(np.uint8), (len(masks), 1))
@@ -365,9 +348,16 @@ def _component_table(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _distance_table(k: int) -> np.ndarray:
-    """Read-only int64 table over the labeled masks on k vertices: -1, but at those `_non_qe_table(k)`
-    marks (it refuses k >= ENUM_MAX_ORDER) their distances, 4 bits a pair in graph6 order (< 16 to MAX_ORDER)."""
-    masks, table = np.flatnonzero(_non_qe_table(k)), np.full(1 << n_bits(k), -1)
+    """Read-only int64 table over the labeled masks on k < ENUM_MAX_ORDER vertices: -1, but at the
+    relabelings of the non-QE connected classes (k = 5: 40 of 1,024; k = 6: 5,860 of 32,768; none
+    below) their distances, 4 bits a pair in graph6 order (< 16 to MAX_ORDER).  Built once, the
+    classes decided by one stacked elimination of `_class_stack(k)`, their orbits marked in a bitmap."""
+    if not 1 <= k < ENUM_MAX_ORDER:
+        raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
+    marks = np.zeros(1 << n_bits(k), dtype=np.uint8)
+    for mask in _class_masks(k)[~_psd_zero_stack(_class_stack(k)[2])[0]].tolist():
+        kernels.orbit_min_mark(mask, perm_powers(k), marks)
+    masks, table = np.flatnonzero(marks), np.full(1 << n_bits(k), -1)
     reach = rows = _closed_rows(k, masks)
     (i, j), weights = pair_rows_cols(k), 1 << 4 * np.arange(n_bits(k))
     table[masks] = weights.sum()  # d(i, j) counts the steps s >= 0 before j is in reach of i
@@ -385,14 +375,14 @@ def _distance_table(k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
     """Certificates, ascending, of Cartesian products of two smaller QE
-    graphs, whose verdicts are `_non_qe_table` reads."""
+    graphs, whose verdicts are `_distance_table` reads."""
     found: dict[CanonicalCert, tuple[int, int]] = {}
     for a in range(2, n):
         if n % a or a > n // a:
             continue
         b = n // a
         left, right = ([from_mask(k, mask) for mask in _class_masks(k).tolist()
-                        if not _non_qe_table(k)[mask]] for k in (a, b))
+                        if _distance_table(k)[mask] < 0] for k in (a, b))
         for g1 in left:
             for g2 in right:
                 prod = compose("cartesian", g1, g2)
@@ -702,7 +692,7 @@ def _sweep(n: int) -> tuple[tuple, Summary]:
     if not 2 <= n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"classification sweep supports 2..{ENUM_MAX_ORDER}, got {n}")
     masks, (adj, packed, dist) = _class_masks(n), _class_stack(n)
-    _, exact, values = prime_stack(dist)
+    exact, values = prime_stack(dist)
     verdicts, witnesses, steps, _, _ = _classify_stack(adj, dist, packed, exact, values, masks)
     qe, primary, non_primary = np.bincount(verdicts, minlength=len(VERDICTS)).tolist()
     return (masks, values.tolist(), verdicts.tolist(), witnesses, steps), Summary(qe, non_primary, primary)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import pair_rows_cols
-from .engine import _psd_rank, is_cnd_exact
+from .engine import _psd_zero, is_cnd_exact
 from .errors import DimensionMismatchError, NotQEError
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
 from .graphs import Graph, distance_matrix, find_pendant_edge, induced_subgraph  # noqa: F401
@@ -139,7 +139,7 @@ def pendant_rule(g: Graph) -> float | None:
         return None
     d = distance_matrix(g)
     keep = [v for v in range(g.n) if v not in witness[2:]]
-    if not _psd_rank(d[np.ix_(keep, keep)])[0]:
+    if not _psd_zero(d[np.ix_(keep, keep)])[0]:
         return None
     _gram_defects(d[None], np.array([witness]))
     return 0.0

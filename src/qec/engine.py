@@ -7,12 +7,13 @@ eigenvalue of Q^T D Q where Q is an orthonormal basis of the hyperplane
 sit on the QEC = 0 boundary where a floating-point sign test is fragile:
 with the integral difference basis E of 1-perp, M = -E^T D E is PSD exactly
 when the graph is QE, and by Sylvester's law of inertia QEC = 0 exactly when
-M is PSD and singular.  Fraction-free integer elimination gives both facts:
-for a single graph on Python ints with general pivots (keeping its memos),
-for a sweep in one int64 stack in order on the diagonal, where a zero pivot
-must have a zero row and no pivot may be negative (`prime_stack`, given the
-distance stack an order's class list keeps, `classify._class_stack`; it then
-solves values only where QEC is not exactly 0, keeping nothing).
+M is PSD and singular.  One rule gives both facts: fraction-free integer
+elimination in order on the diagonal, where a zero pivot must have a zero row
+and no pivot may be negative.  It runs on Python ints for a single graph
+(`_psd_zero`, kept on the graph) and in one int64 stack for a sweep
+(`prime_stack`, given the distance stack an order's class list keeps,
+`classify._class_stack`; it then solves values only where QEC is not exactly
+0, keeping nothing).
 `qec_value` is the value alone, from no eigenvector; `qec` reads it and
 adds diagnostics, solving eigenvectors for the maximizer only.
 """
@@ -69,16 +70,16 @@ def _projected(d: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def prime_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distance stack (N, n, n) of connected graphs of one order n >= 2, as
-    given, then their exact verdicts and `qec_value`s: one stacked elimination
+def prime_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact verdicts and `qec_value`s of the distance stack (N, n, n) of
+    connected graphs of one order n >= 2: one stacked elimination
     (`_psd_zero_stack`), and +0.0 where QEC = 0 or one values-only batched
     eigensolve, each matrix alone (as `qec_value` solves it).  No BFS (a sweep
     passes its class stack's distances) and nothing kept on any graph."""
     psd, zero = _psd_zero_stack(dist)
     values = np.zeros(len(dist))
     values[~zero] = eigvalsh(_projected(dist[~zero]))[:, 0]
-    return dist, psd, values
+    return psd, values
 
 
 def qec_value(g: Graph) -> float:
@@ -86,8 +87,7 @@ def qec_value(g: Graph) -> float:
     with no eigensolve), otherwise the top eigenvalue of Q^T D Q, memoized on g."""
     if g.n < 2:
         raise OrderOneError("QEC is undefined on a single vertex")
-    psd, rank = _graph_psd_rank(g)
-    if psd and rank < g.n - 1:
+    if _graph_psd_zero(g)[1]:
         return 0.0
     if g._top is None:
         g._top = float(eigvalsh(_projected(distance_matrix(g)[None]))[0, 0])
@@ -114,41 +114,27 @@ def qec(g: Graph) -> QecReport:
                      lambda1=float(spectrum[0]), lambda2=float(spectrum[1]))
 
 
-def _psd_rank(d: np.ndarray) -> tuple[bool, int]:
-    """(psd, rank) of M = -E^T D E, E the difference basis e_i - e_{i+1} of
-    1-perp, by fraction-free (Bareiss, Math. Comp. 22, 1968) elimination on
-    Python ints.
-
-    Pivots are positive diagonal entries while they last: M is PSD iff no
-    negative diagonal appears and, once none is positive, the active block
-    is zero.  Otherwise any nonzero pivot goes on, to count the rank.  Every
-    entry stays a minor of M, so each division by the previous pivot is exact.
-    """
+def _psd_zero(d: np.ndarray) -> tuple[bool, bool]:
+    """(psd, zero) of M = -E^T D E, E the difference basis e_i - e_{i+1} of
+    1-perp: `_psd_zero_stack`'s fraction-free rule (Bareiss, Math. Comp. 22,
+    1968) for one matrix, on Python ints, on the upper triangle, returning at
+    the first step that proves M not PSD."""
     m = (-np.diff(np.diff(d, axis=0), axis=1)).tolist()  # M_ij = -(E^T D E)_ij
-    rows, cols = list(range(len(m))), list(range(len(m)))
-    psd, rank, prev = True, 0, 1
-    while rows:
-        pivot = None
-        if psd:  # rows == cols so far
-            if any(m[i][i] < 0 for i in rows):
-                psd = False
-            else:
-                pivot = next(((i, i) for i in rows if m[i][i] > 0), None)
-        if pivot is None:
-            pivot = next(((i, j) for i in rows for j in cols if m[i][j]), None)
-            if pivot is None:
-                break
-            psd = False
-        r, c = pivot
-        rows.remove(r)
-        cols.remove(c)
-        p = m[r][c]
-        for i in rows:
-            for j in cols:
-                m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) // prev
+    k, zero, prev = len(m), False, 1
+    for s in range(k):
+        row = m[s]
+        p = row[s]
+        if p <= 0:
+            if p < 0 or any(row[s + 1:]):
+                return False, False
+            zero = True  # a zero row carries the block on
+            continue
+        for i in range(s + 1, k):
+            r, mi = row[i], m[i]
+            for j in range(i, k):
+                mi[j] = (p * mi[j] - r * row[j]) // prev
         prev = p
-        rank += 1
-    return psd, rank
+    return True, zero
 
 
 def _psd_zero_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +151,7 @@ def _psd_zero_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact, and each product within B^2, B the Hadamard bound (the product of
     M's row norms, each at least 1).  (k max|M|^2)^k < 2^62 bounds a whole
     stack (always at n <= 7: |M_ij| <= 2 diam); else matrices with B^2 >=
-    2^62, or an entry at 2^24 or more, are zeroed and go to `_psd_rank`."""
+    2^62, or an entry at 2^24 or more, are zeroed and go to `_psd_zero`."""
     m = -np.diff(np.diff(dist, axis=1), axis=2)
     k = m.shape[-1]
     ok = np.ones(len(m), dtype=bool)
@@ -191,15 +177,14 @@ def _psd_zero_stack(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m, prev = sub, p
     zero = psd & singular
     for i in np.flatnonzero(~ok).tolist():
-        psd[i], rank = _psd_rank(dist[i])
-        zero[i] = psd[i] and rank < k
+        psd[i], zero[i] = _psd_zero(dist[i])
     return psd, zero
 
 
-def _graph_psd_rank(g: Graph) -> tuple[bool, int]:
-    """`_psd_rank` of g's distance matrix, factored once and kept on g."""
+def _graph_psd_zero(g: Graph) -> tuple[bool, bool]:
+    """`_psd_zero` of g's distance matrix, factored once and kept on g."""
     if g._psd is None:
-        g._psd = _psd_rank(distance_matrix(g))
+        g._psd = _psd_zero(distance_matrix(g))
     return g._psd
 
 
@@ -209,4 +194,4 @@ def is_cnd_exact(g: Graph) -> bool:
     reuse it); authoritative for classification."""
     if g.n < 2:
         raise OrderOneError("QE test is undefined on a single vertex")
-    return _graph_psd_rank(g)[0]
+    return _graph_psd_zero(g)[0]

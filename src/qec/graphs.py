@@ -33,7 +33,7 @@ class Graph:
     (the graph6 bit order); certificates and the codec work on it directly.
     """
 
-    # qec.engine sets _psd, (psd, rank), and _top, the top eigenvalue of Q^T D Q
+    # qec.engine sets _psd, (psd, zero), and _top, the top eigenvalue of Q^T D Q
     __slots__ = ("n", "adj", "_mask", "_cert", "_dist", "_psd", "_top")
 
     def __init__(self, adj: np.ndarray):
@@ -288,14 +288,8 @@ def compose(kind: str, g1: Graph, g2: Graph,
         n1, n2 = g1.n, g2.n
         if n1 * n2 > MAX_ORDER:
             raise OrderTooLargeError(f"product has {n1 * n2} vertices (max {MAX_ORDER})")
-        adj = np.zeros((n1 * n2, n1 * n2), dtype=bool)
-        for x1 in range(n1):
-            for y1 in range(n2):
-                for x2 in range(n1):
-                    for y2 in range(n2):
-                        if (x1 == x2 and g2.adj[y1, y2]) or (g1.adj[x1, x2] and y1 == y2):
-                            adj[x1 * n2 + y1, x2 * n2 + y2] = True
-        return Graph(adj)
+        # vertex (x, y) is x n2 + y: x moves along g1 with y fixed, or y along g2
+        return Graph(np.kron(g1.adj, np.eye(n2, dtype=bool)) | np.kron(np.eye(n1, dtype=bool), g2.adj))
     if kind == "star":
         if roots is None:
             raise BadRootError("star product requires roots=(o1, o2)")

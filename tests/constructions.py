@@ -2,7 +2,8 @@
 only by the tests.
 
 The library builds graphs from masks, edge lists and families; the tests
-also relabel graphs, take disjoint unions, add apex vertices, test
+also relabel graphs, take disjoint unions and Cartesian products by
+their definitions, add apex vertices, test
 connectivity on adjacency bitsets (the library leaves that to its BFS) and
 compare graphs up to isomorphism, with these helpers.
 """
@@ -33,6 +34,21 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         raise OrderTooLargeError(f"union has {g1.n + g2.n} vertices (max {MAX_ORDER})")
     edges = g1.edges() + [(g1.n + u, g1.n + v) for u, v in g2.edges()]
     return from_edges(g1.n + g2.n, edges)
+
+
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """The Cartesian product by its definition, vertex (x, y) labelled
+    x n2 + y: (x1, y1) ~ (x2, y2) when x1 = x2 and y1 ~ y2, or x1 ~ x2 and
+    y1 = y2; the reference for `compose("cartesian", ...)`."""
+    n1, n2 = g1.n, g2.n
+    adj = np.zeros((n1 * n2, n1 * n2), dtype=bool)
+    for x1 in range(n1):
+        for y1 in range(n2):
+            for x2 in range(n1):
+                for y2 in range(n2):
+                    if (x1 == x2 and g2.adj[y1, y2]) or (g1.adj[x1, x2] and y1 == y2):
+                        adj[x1 * n2 + y1, x2 * n2 + y2] = True
+    return Graph(adj)
 
 
 def add_apex(g: Graph, attach: Iterable[int]) -> Graph:

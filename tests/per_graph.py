@@ -5,8 +5,10 @@ reference for the stacked kernels of `qec.classify`, `qec.graphs` and
 Each search walks one graph's vertex subsets in Python, the order the
 kernels must reproduce: witnesses by size, then in `combinations` order;
 splits by cut vertex, then by the least vertex of the component.  Blocks
-below seven vertices read the library's verdict tables (checked against a
-numpy oracle in `test_classify.py`); larger ones are eliminated alone.
+below seven vertices read the library's `_distance_table` (checked against a
+numpy oracle in `test_classify.py`); larger ones are eliminated alone, by
+`psd_rank`, a general-pivot elimination that shares no code with the
+library's in-order rule and is the reference for it.
 `blocks_qe` decides a stack's blocks by gathering each block's pairs from
 the adjacency and packing them with one integer product, the reference for
 the table reads of `qec.classify._blocks_qe`.
@@ -39,18 +41,55 @@ from qec.classify import (
     ENUM_MAX_ORDER,
     Step5,
     Verdict,
+    _distance_table,
     _family_index,
-    _non_qe_table,
     _qe_cartesian_products,
     _sign_verdict,
     _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
-from qec.engine import _psd_rank, _psd_zero_stack, is_cnd_exact, qec_value
+from qec.engine import _psd_zero_stack, is_cnd_exact, qec_value
 from qec.errors import NotQEError, NotRegularError
 from qec.formulas import formula_value, qec_formula_exact, regular_join_value
 from qec.graphs import FamilySpec, Graph, distance_matrix, induced_subgraph
 from qec.kernels import jacobi_eigh
+
+
+def psd_rank(d: np.ndarray) -> tuple[bool, int]:
+    """(psd, rank) of M = -E^T D E, E the difference basis e_i - e_{i+1} of
+    1-perp, by fraction-free (Bareiss, Math. Comp. 22, 1968) elimination on
+    Python ints: the general-pivot reference for `qec.engine._psd_zero`.
+
+    Pivots are positive diagonal entries while they last: M is PSD iff no
+    negative diagonal appears and, once none is positive, the active block
+    is zero.  Otherwise any nonzero pivot goes on, to count the rank.  Every
+    entry stays a minor of M, so each division by the previous pivot is exact.
+    """
+    m = (-np.diff(np.diff(d, axis=0), axis=1)).tolist()  # M_ij = -(E^T D E)_ij
+    rows, cols = list(range(len(m))), list(range(len(m)))
+    psd, rank, prev = True, 0, 1
+    while rows:
+        pivot = None
+        if psd:  # rows == cols so far
+            if any(m[i][i] < 0 for i in rows):
+                psd = False
+            else:
+                pivot = next(((i, i) for i in rows if m[i][i] > 0), None)
+        if pivot is None:
+            pivot = next(((i, j) for i in rows for j in cols if m[i][j]), None)
+            if pivot is None:
+                break
+            psd = False
+        r, c = pivot
+        rows.remove(r)
+        cols.remove(c)
+        p = m[r][c]
+        for i in rows:
+            for j in cols:
+                m[i][j] = (p * m[i][j] - m[i][c] * m[r][j]) // prev
+        prev = p
+        rank += 1
+    return psd, rank
 
 
 def set_bits(mask: int) -> list[int]:
@@ -75,15 +114,15 @@ def component_masks(rows: Sequence[int], todo: int) -> list[int]:
 def qe_slice(d: np.ndarray, rows: Sequence[int], vertices: Sequence[int]) -> bool:
     """Exact QE test of the isometric induced subgraph on the sorted
     `vertices`, whose distance matrix is the slice d[S, S] of the ambient one:
-    below ENUM_MAX_ORDER vertices, a `_non_qe_table` read at its labeled mask
+    below ENUM_MAX_ORDER vertices, a `_distance_table` read at its labeled mask
     (graph6 pair order, from the adjacency bitsets `rows`); else on the slice."""
     k = len(vertices)
     if k >= ENUM_MAX_ORDER:
-        return _psd_rank(d[np.ix_(vertices, vertices)])[0]
+        return psd_rank(d[np.ix_(vertices, vertices)])[0]
     mask = 0
     for t, (i, j) in enumerate(pair_list(k)):
         mask |= (rows[vertices[j]] >> vertices[i] & 1) << t
-    return not _non_qe_table(k)[mask]
+    return _distance_table(k)[mask] < 0
 
 
 def blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
@@ -92,7 +131,7 @@ def blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
     the graphs `which` of a stack (adjacency, distances): each block's order
     by shifting its bitset, its labeled mask by one gather of its pairs
     (`_subset_pairs`) and one product with the bit weights; below
-    ENUM_MAX_ORDER a `_non_qe_table` read, from there on one elimination per
+    ENUM_MAX_ORDER a `_distance_table` read, from there on one elimination per
     size over the slices d[S, S]."""
     n = adj.shape[-1]
     sizes = (blocks[:, None] >> np.arange(n) & 1).sum(axis=1)
@@ -102,7 +141,7 @@ def blocks_qe(adj: np.ndarray, dist: np.ndarray, which: np.ndarray,
     for k in set(sizes.tolist()) & set(range(5, n)):
         at = np.flatnonzero(sizes == k)
         if k < ENUM_MAX_ORDER:
-            qe[at] = _non_qe_table(k)[masks[at]] == 0
+            qe[at] = _distance_table(k)[masks[at]] < 0
         else:
             verts = np.nonzero(blocks[at, None] >> np.arange(n) & 1)[1].reshape(-1, k)
             d = dist[which[at, None, None], verts[:, :, None], verts[:, None, :]]

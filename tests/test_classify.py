@@ -30,7 +30,6 @@ from qec.classify import (
     _family_index,
     _isometric,
     _join_stack,
-    _non_qe_table,
     _pack,
     _run_sieve,
     _split_stack,
@@ -149,33 +148,24 @@ def _every_mask_oracle(k):
     return pairs, reach, dist
 
 
-def test_non_qe_table_against_numpy_oracle():
-    # numpy only on the oracle side, over every labeled mask at once:
-    # distances by boolean matrix powers, QEC as the top eigenvalue of the
-    # distance matrix projected onto the all-ones complement
-    counts = []
-    for k in range(2, 7):
-        _, reach, dist = _every_mask_oracle(k)
-        connected = reach.all(axis=(1, 2))
-        q = _hyperplane(k)
-        top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
-        assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
-        want = np.zeros(len(reach), dtype=bool)
-        want[connected] = top > 1e-9
-        table = _non_qe_table(k)
-        assert not table.flags.writeable
-        assert np.array_equal(table.astype(bool), want), k
-        counts.append(int(table.sum()))
-    assert counts == [0, 0, 0, 40, 5860]
-
-
 def test_subgraph_tables_against_numpy_oracle():
     # numpy only on the oracle side (`_every_mask_oracle`), over every labeled
-    # mask on 1..6 vertices: a vertex's component is its row of the reach
-    # matrix, and each mask the non-QE table marks holds its distances packed
-    # 4 bits a pair in graph6 order; every other distance entry is -1
+    # mask on 1..6 vertices at once: a vertex's component is its row of the
+    # reach matrix; a connected mask is non-QE when the top eigenvalue of its
+    # distance matrix projected onto the all-ones complement is positive, and
+    # each mask the oracle marks non-QE holds its distances packed 4 bits a
+    # pair in graph6 order; every other distance entry is -1
+    counts = []
     for k in range(1, 7):
         pairs, reach, dist = _every_mask_oracle(k)
+        non_qe = np.zeros(len(reach), dtype=bool)
+        if k >= 2:
+            connected = reach.all(axis=(1, 2))
+            q = _hyperplane(k)
+            top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
+            assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
+            non_qe[connected] = top > 1e-9
+            counts.append(int(non_qe.sum()))
         comps, dists = _component_table(k), _distance_table(k)
         for table in (comps, dists):
             assert not table.flags.writeable
@@ -184,15 +174,17 @@ def test_subgraph_tables_against_numpy_oracle():
         assert comps.dtype == np.uint8 and comps.shape == (reach.shape[0], k)
         assert np.array_equal(comps, reach @ (1 << np.arange(k))), k
         packed = sum(dist[:, i, j].astype(np.int64) << 4 * t for t, (i, j) in enumerate(pairs))
-        want = np.where(_non_qe_table(k) == 1, packed, -1)
+        want = np.where(non_qe, packed, -1)
         assert dists.dtype == np.int64 and np.array_equal(dists, want), k
+    assert counts == [0, 0, 0, 40, 5860]
     assert (_distance_table(6) >= 0).sum() == 5860 and int(dist.max()) == 5
 
 
 def test_subgraph_tables_build_lean():
     """Each k = 6 table builds from uint8 row bitsets of the masks, with no
-    (2^15, 6, 6) temporary: a tracemalloc peak below 2 MB."""
-    _non_qe_table(6)
+    (2^15, 6, 6) temporary: a tracemalloc peak below 2 MB, the distance
+    table's elimination of the class stack and orbit marking included."""
+    _class_stack(6)
     for build in (_component_table, _distance_table):
         tracemalloc.start()
         try:
@@ -209,7 +201,7 @@ def test_split_and_tables_refuse_orders_past_the_sieve():
     only, and the tables it reads stop below that: an 8-vertex stack raises
     OrderTooLargeError before any table is read or built, and each builder
     refuses k >= ENUM_MAX_ORDER before allocating anything."""
-    builders = (_block_tables, _component_table, _distance_table, _non_qe_table)
+    builders = (_block_tables, _component_table, _distance_table)
     before = [build.cache_info() for build in builders]
     with pytest.raises(OrderTooLargeError, match="star split supports up to 7 vertices, got 8"):
         _split_stack(*stacked([build_family(cycle(8))]))
@@ -228,12 +220,12 @@ def test_split_and_tables_refuse_orders_past_the_sieve():
 
 
 def test_non_qe_table_builds_with_one_stacked_elimination(monkeypatch):
-    cached = _non_qe_table(6)
+    cached = _distance_table(6)
     engine = sys.modules["qec.engine"]
-    single = engine._psd_rank
+    single = engine._psd_zero
     calls = []
-    monkeypatch.setattr(engine, "_psd_rank", lambda d: calls.append(d) or single(d))
-    table = _non_qe_table.__wrapped__(6)
+    monkeypatch.setattr(engine, "_psd_zero", lambda d: calls.append(d) or single(d))
+    table = _distance_table.__wrapped__(6)
     assert calls == []
     assert table.dtype == cached.dtype and table.tobytes() == cached.tobytes()
 
@@ -1047,7 +1039,7 @@ def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
 
 def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     """A warm classify_all(7) eliminates no matrix alone: the pendant
-    remainders of step 5 are verdict-table reads.  Its one stacked
+    remainders of step 5 are distance-table reads.  Its one stacked
     elimination covers the 853 classes, and step 5 makes no eigensolve: one
     LDL^T per graph embeds the 164 graphs that reach it.  The sweep's only
     eigensolves are prime_stack's values and step 4's regular parts, one
@@ -1059,8 +1051,8 @@ def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     def counted(fn, log):
         return lambda *args: log.append(args[0]) or fn(*args)
 
-    monkeypatch.setattr(engine, "_psd_rank", counted(engine._psd_rank, single))
-    monkeypatch.setattr(embedding, "_psd_rank", counted(embedding._psd_rank, single))
+    monkeypatch.setattr(engine, "_psd_zero", counted(engine._psd_zero, single))
+    monkeypatch.setattr(embedding, "_psd_zero", counted(embedding._psd_zero, single))
     stack = counted(engine._psd_zero_stack, stacked)
     monkeypatch.setattr(engine, "_psd_zero_stack", stack)
     monkeypatch.setattr(sys.modules["qec.classify"], "_psd_zero_stack", stack)
@@ -1192,12 +1184,12 @@ def test_class_masks_are_read_only_and_graphs_fresh():
             masks[0] = 1
         assert np.array_equal(masks, _class_masks.__wrapped__(n)), n
     graphs = enumerate_connected(6)
-    values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))[2].tolist()
+    values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))[1].tolist()
     assert all((g._dist, g._psd, g._top) == (None, None, None) for g in graphs)  # a sweep keeps no memo
     assert [qec_value(g) for g in graphs] == values
     for g in graphs:  # spoil every memo
         g._dist = np.zeros((6, 6), dtype=np.int64)
-        g._psd, g._top, g._cert = (True, 0), -1.0, CanonicalCert(6, 0)
+        g._psd, g._top, g._cert = (True, True), -1.0, CanonicalCert(6, 0)
     again = enumerate_connected(6)
     assert not {id(g) for g in graphs} & {id(g) for g in again}
     assert not {id(g.adj) for g in graphs} & {id(g.adj) for g in again}

@@ -7,12 +7,12 @@ import pytest
 
 from constructions import disjoint_union, is_connected
 from isometry import is_isometric_subgraph
-from per_graph import adjacency_min_eigenvalue
+from per_graph import adjacency_min_eigenvalue, psd_rank
 from qec import kernels
 from qec.classify import enumerate_connected
 from qec.engine import (
     _hyperplane_basis,
-    _psd_rank,
+    _psd_zero,
     _psd_zero_stack,
     is_cnd_exact,
     prime_stack,
@@ -117,9 +117,9 @@ def test_one_factorization_per_graph(monkeypatch):
 
     def counted(d):
         calls.append(d.shape[0])
-        return _psd_rank(d)
+        return _psd_zero(d)
 
-    monkeypatch.setattr(engine, "_psd_rank", counted)
+    monkeypatch.setattr(engine, "_psd_zero", counted)
     g = build_family(cycle(6))
     assert is_cnd_exact(g)
     assert qec(g).value == 0.0
@@ -127,16 +127,17 @@ def test_one_factorization_per_graph(monkeypatch):
     assert calls == [6]
 
 
-def _psd_zero(d: np.ndarray) -> tuple[bool, bool]:
-    """(psd, zero) from `_psd_rank`'s (psd, rank): zero is PSD and singular."""
-    psd, rank = _psd_rank(d)
+def _implied(d: np.ndarray) -> tuple[bool, bool]:
+    """(psd, zero) from `psd_rank`'s (psd, rank): zero is PSD and singular."""
+    psd, rank = psd_rank(d)
     return psd, psd and rank < len(d) - 1
 
 
 def test_psd_rank_stack_equals_per_matrix_elimination():
     """One stack per order: every class on 2..7 vertices, and 200 seeded
     random connected graphs on each of 8, 9 and 10 vertices, give the
-    (psd, zero) that `_psd_rank`'s (psd, rank) implies, as two bool arrays."""
+    (psd, zero) that `psd_rank`'s (psd, rank) implies, as two bool arrays;
+    `_psd_zero` gives it for each matrix alone."""
     rng = random.Random(20261018)
     stacks = [[g.adj for g in enumerate_connected(n)] for n in range(2, 8)]
     for n in (8, 9, 10):
@@ -153,8 +154,10 @@ def test_psd_rank_stack_equals_per_matrix_elimination():
         dist = distance_stack(np.stack(stack))
         psd, zero = _psd_zero_stack(dist)
         assert psd.dtype == zero.dtype == bool and psd.shape == zero.shape == (len(dist),)
-        want = [_psd_rank(d) for d in dist]
-        assert list(zip(psd.tolist(), zero.tolist())) == [(p, p and r < len(d) - 1) for d, (p, r) in zip(dist, want)]
+        want = [psd_rank(d) for d in dist]
+        implied = [(p, p and r < len(d) - 1) for d, (p, r) in zip(dist, want)]
+        assert list(zip(psd.tolist(), zero.tolist())) == implied
+        assert [_psd_zero(d) for d in dist] == implied
         ranks |= {(len(dist[0]), p, r) for p, r in want}
     # both verdicts and rank-deficient matrices occur at every order from 6 on
     for n in range(6, 11):
@@ -163,10 +166,11 @@ def test_psd_rank_stack_equals_per_matrix_elimination():
 
 def test_psd_rank_stack_guards_int64(monkeypatch):
     """Symmetric integer matrices with entries from 1 to 10^6 overflow int64
-    unless routed to `_psd_rank`, and so do 3-vertex ones whose M has one
+    unless routed to `_psd_zero`, and so do 3-vertex ones whose M has one
     diagonal entry near 2^60 and small others (a Hadamard bound taken on
-    wrapped squares would pass them).  The stack agrees with `_psd_rank` on
-    all of them and eliminates the small ones itself."""
+    wrapped squares would pass them).  The stack, and `_psd_zero` alone,
+    agree with `psd_rank` on all of them; the stack eliminates the small
+    ones itself."""
     engine = sys.modules["qec.engine"]
     rng = np.random.default_rng(7)
     stacks = []
@@ -183,12 +187,14 @@ def test_psd_rank_stack_guards_int64(monkeypatch):
 
     def counted(d):
         alone.append(d.shape[0])
-        return _psd_rank(d)
+        return _psd_zero(d)
 
-    monkeypatch.setattr(engine, "_psd_rank", counted)
+    monkeypatch.setattr(engine, "_psd_zero", counted)
     for dist in stacks:
         psd, zero = _psd_zero_stack(dist)
-        assert list(zip(psd.tolist(), zero.tolist())) == [_psd_zero(d) for d in dist]
+        want = [_implied(d) for d in dist]
+        assert list(zip(psd.tolist(), zero.tolist())) == want
+        assert [_psd_zero(d) for d in dist] == want
     assert 40 < len(alone) < sum(map(len, stacks)) // 2
     assert alone[-40:] == [3] * 40  # every matrix of the last stack
 
@@ -202,7 +208,7 @@ def test_psd_zero_stack_against_sympy(monkeypatch):
     row (at the start and after a step), a negative pivot (at the start and
     after a step), the all-zero matrix, seeded Gram and indefinite matrices,
     and entries large enough that every matrix of the stack goes to the
-    per-matrix fallback."""
+    per-matrix fallback.  `_psd_zero` decides each case alone the same way."""
     sp = pytest.importorskip("sympy")
     engine = sys.modules["qec.engine"]
     cases = {
@@ -241,10 +247,11 @@ def test_psd_zero_stack_against_sympy(monkeypatch):
     for name, m in cases.items():
         psd, zero = _psd_zero_stack(stack([m]))
         assert (bool(psd[0]), bool(zero[0])) == oracle(m), name
+        assert _psd_zero(stack([m])[0]) == oracle(m), name
         seen.add(oracle(m))
     assert seen == {(True, True), (True, False), (False, False)}
     alone = []
-    monkeypatch.setattr(engine, "_psd_rank", lambda d: alone.append(d) or _psd_rank(d))
+    monkeypatch.setattr(engine, "_psd_zero", lambda d: alone.append(d) or _psd_zero(d))
     for ms in (large[:6], large[6:7], large[7:]):
         psd, zero = _psd_zero_stack(stack(ms))
         assert list(zip(psd.tolist(), zero.tolist())) == [oracle(m) for m in ms]
@@ -254,9 +261,9 @@ def test_psd_zero_stack_against_sympy(monkeypatch):
 
 def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
     """classify_all(7) decides no matrix alone: prime_stack makes every exact
-    test, the verdict tables are built by stacked eliminations and the
+    test, the distance tables are built by stacked eliminations and the
     pendant remainders of sieve step 5 are table reads.  prime_stack's
-    verdicts, and the records' zero values, are those of `_psd_rank`, and the
+    verdicts, and the records' zero values, are those of `psd_rank`, and the
     sweep keeps no distance, factorization or eigenvalue memo on a graph."""
     engine = sys.modules["qec.engine"]
     from qec.classify import classify_all
@@ -265,14 +272,15 @@ def test_sweep_eliminates_its_graphs_as_one_stack(monkeypatch):
 
     def counted(d):
         calls.append(d.shape[0])
-        return _psd_rank(d)
+        return _psd_zero(d)
 
-    monkeypatch.setattr(engine, "_psd_rank", counted)
+    monkeypatch.setattr(engine, "_psd_zero", counted)
     records, summary = classify_all(7, workers=1)
     assert tuple(summary) == (452, 388, 13)
     assert calls == []
-    dist, exact, _ = prime_stack(distance_stack(np.array([r.graph.adj for r in records])))
-    ranks = [_psd_rank(d) for d in dist]
+    dist = distance_stack(np.array([r.graph.adj for r in records]))
+    exact, _ = prime_stack(dist)
+    ranks = [psd_rank(d) for d in dist]
     assert exact.tolist() == [psd for psd, _ in ranks]
     assert [r.qec_value == 0 for r in records] == [psd and rank < 6 for psd, rank in ranks]
     assert all((r.graph._dist, r.graph._psd, r.graph._top) == (None, None, None) for r in records)
@@ -286,7 +294,8 @@ def test_stacked_values_against_eigvalsh():
 
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        dist, _, values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))
+        dist = distance_stack(np.array([g.adj for g in graphs]))
+        values = prime_stack(dist)[1]
         diff = np.eye(n)[:, :-1] - np.eye(n)[:, 1:]
         q = np.linalg.qr(diff)[0]
         for g, d, value in zip(graphs, dist, values.tolist()):
@@ -305,7 +314,8 @@ def test_stacked_values_equal_unbatched_solves_bitwise():
     give, so sweep records do not depend on how the sweep is stacked."""
     for n in range(2, 8):
         graphs = enumerate_connected(n)
-        dist, _, values = prime_stack(distance_stack(np.array([g.adj for g in graphs])))
+        dist = distance_stack(np.array([g.adj for g in graphs]))
+        values = prime_stack(dist)[1]
         q = _hyperplane_basis(n)
         for g, d, value in zip(graphs, dist, values.tolist()):
             assert value.hex() == qec_value(from_mask(n, g.mask)).hex()
@@ -342,7 +352,7 @@ def test_exact_layer_against_atlas_oracle():
         basis = np.linalg.qr(np.eye(n) - 1.0 / n)[0][:, :n - 1]
         top = np.linalg.eigvalsh(basis.T @ d @ basis)[-1]
         g = from_edges(n, list(a.edges()))
-        assert _psd_rank(distance_matrix(g)) == (top < 1e-9, sp.Matrix(m.tolist()).rank())
+        assert psd_rank(distance_matrix(g)) == (top < 1e-9, sp.Matrix(m.tolist()).rank())
         value = qec(g).value
         assert (value == 0.0) == (abs(top) < 1e-9)
         zeros[n][0] += value == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from constructions import add_apex, disjoint_union, is_connected, is_isomorphic, relabel
+from constructions import add_apex, cartesian_product, disjoint_union, is_connected, is_isomorphic, relabel
 from qec.canon import canonical_cert
 from qec.classify import enumerate_connected
 from qec.errors import (
@@ -18,6 +18,7 @@ from qec.errors import (
     SelfLoopError,
 )
 from qec.graphs import (
+    MAX_ORDER,
     FamilySpec,
     Graph,
     build_family,
@@ -267,6 +268,22 @@ def test_compose_cartesian_ladder():
     assert g.edge_count == 7
     expected = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
     assert is_isomorphic(g, expected)
+
+
+def test_compose_cartesian_labels_against_definition():
+    """The product keeps the labels (x, y) -> x n2 + y, adjacency entry for
+    entry, against the definition's loop (`cartesian_product`) on seeded
+    factor pairs of every order pair up to MAX_ORDER vertices in all."""
+    rng = random.Random(30)
+    pairs = 0
+    for n1 in range(1, MAX_ORDER + 1):
+        for n2 in range(1, MAX_ORDER // n1 + 1):
+            for _ in range(4):
+                g1 = from_mask(n1, rng.getrandbits(n_bits(n1)))
+                g2 = from_mask(n2, rng.getrandbits(n_bits(n2)))
+                assert compose("cartesian", g1, g2) == cartesian_product(g1, g2), (g1.edges(), g2.edges())
+                pairs += 1
+    assert pairs == 108
 
 
 def test_compose_join_bipartite():
