@@ -148,24 +148,40 @@ def _every_mask_oracle(k):
     return pairs, reach, dist
 
 
+def _oracle_non_qe(k, reach, dist):
+    """Non-QE marks of every labeled mask on k vertices, by numpy alone: a
+    connected mask is non-QE when the top eigenvalue of its distance matrix
+    projected onto the all-ones complement is positive."""
+    non_qe = np.zeros(len(reach), dtype=bool)
+    if k >= 2:
+        connected = reach.all(axis=(1, 2))
+        q = _hyperplane(k)
+        top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
+        assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
+        non_qe[connected] = top > 1e-9
+    return non_qe
+
+
+def test_non_qe_table_against_numpy_oracle():
+    # numpy only on the oracle side, over every labeled mask at once: the
+    # masks the distance table marks (entry >= 0) are the oracle's non-QE ones
+    counts = []
+    for k in range(2, 7):
+        _, reach, dist = _every_mask_oracle(k)
+        want = _oracle_non_qe(k, reach, dist)
+        marked = _distance_table(k) >= 0
+        assert np.array_equal(marked, want), k
+        counts.append(int(marked.sum()))
+    assert counts == [0, 0, 0, 40, 5860]
+
+
 def test_subgraph_tables_against_numpy_oracle():
     # numpy only on the oracle side (`_every_mask_oracle`), over every labeled
-    # mask on 1..6 vertices at once: a vertex's component is its row of the
-    # reach matrix; a connected mask is non-QE when the top eigenvalue of its
-    # distance matrix projected onto the all-ones complement is positive, and
-    # each mask the oracle marks non-QE holds its distances packed 4 bits a
-    # pair in graph6 order; every other distance entry is -1
-    counts = []
+    # mask on 1..6 vertices: a vertex's component is its row of the reach
+    # matrix, and each mask the oracle marks non-QE holds its distances packed
+    # 4 bits a pair in graph6 order; every other distance entry is -1
     for k in range(1, 7):
         pairs, reach, dist = _every_mask_oracle(k)
-        non_qe = np.zeros(len(reach), dtype=bool)
-        if k >= 2:
-            connected = reach.all(axis=(1, 2))
-            q = _hyperplane(k)
-            top = np.linalg.eigvalsh(q.T @ dist[connected] @ q)[:, -1]
-            assert not ((top > 1e-9) & (top < 1e-3)).any()  # the margin separates
-            non_qe[connected] = top > 1e-9
-            counts.append(int(non_qe.sum()))
         comps, dists = _component_table(k), _distance_table(k)
         for table in (comps, dists):
             assert not table.flags.writeable
@@ -174,9 +190,8 @@ def test_subgraph_tables_against_numpy_oracle():
         assert comps.dtype == np.uint8 and comps.shape == (reach.shape[0], k)
         assert np.array_equal(comps, reach @ (1 << np.arange(k))), k
         packed = sum(dist[:, i, j].astype(np.int64) << 4 * t for t, (i, j) in enumerate(pairs))
-        want = np.where(non_qe, packed, -1)
+        want = np.where(_oracle_non_qe(k, reach, dist), packed, -1)
         assert dists.dtype == np.int64 and np.array_equal(dists, want), k
-    assert counts == [0, 0, 0, 40, 5860]
     assert (_distance_table(6) >= 0).sum() == 5860 and int(dist.max()) == 5
 
 
