@@ -22,27 +22,31 @@ End to end:
                           workers=1) then an in-process `qec enumerate --n 7
                           --out FILE`, run once in a fresh interpreter (after
                           `import qec.cli`, so the lazy tables are built inside)
-  enum7_op_warm           the same operation run again in that interpreter
+  enum7_op_warm           the same operation run ENUM7_WARM_OPS = 5 more
+                          times in that interpreter, the best of them
   sweep_n7_warm           classify._sweep(7) after classify_all_n7 has swept
                           order 7 once in the process: a second sweep
 Layers:
   enumerate_connected_n7  enumerate_connected(7) alone (first call in the process)
   graphs_from_masks_n7    enumerate_connected(7) again: the 853 graphs built
                           from the cached class masks
-  canonical_cert_n{7,8,9,10}_per_call
-                          canon.canonical_cert of a graph built from each of
-                          200 seeded random masks (3 at n = 9 and 2 at n = 10),
-                          mean per call, after an untimed call has built the tables
-  family_index_n9         classify._family_index(9) on first use (the parent
-                          tree's through __wrapped__ of its cache): the
-                          certificates of the 38 closed-form family members on
-                          9 vertices and their values, after the certificate rows
-  orbit_min_mark_n{7,8}_per_call
-                          the n = 7 and 8 masks of the certificate rows through
-                          orbit_min_mark into one pre-faulted bitmap (256 MiB
-                          at n = 8), with the float64 power table of every
-                          relabeling: canon.perm_powers(7), and at n = 8 one
-                          built here, as the library's covers 7! of the 8!
+  canonical_cert_n{5,...,10}_per_call
+                          canon.canonical_cert of a graph built (untimed)
+                          from each of 200 seeded random masks (20 at n = 9
+                          and 10 at n = 10), mean per call, after an untimed
+                          call has built the tables
+  family_index_n10        classify._family_index(10) uncached, through
+                          __wrapped__ of its cache (the parent tree's is not
+                          cached): the certificates of the 54 closed-form
+                          family members on 10 vertices and their values,
+                          after the certificate rows
+  class_masks_n7          classify._class_masks(7), the class masks of orders
+                          1..7, built once in a fresh interpreter after
+                          `import qec.cli`, power tables included
+  load_catalog_n7         graph6.load_catalog of the 996 connected graphs on
+                          1..7 vertices of the networkx atlas, in atlas
+                          labels, in a fresh interpreter after `import qec.cli`,
+                          power tables included (as query-mix set-up loads it)
   non_qe_witness_n7       the witness search over the 401 non-QE order-7
                           classes: one classify._witness_stack call
   non_qe_witness_n8       the same over a seeded stack of 2,000 random
@@ -161,7 +165,6 @@ import gc
 import importlib
 import inspect
 import io
-import itertools
 import json
 import os
 import platform
@@ -177,7 +180,8 @@ from pathlib import Path
 import numpy
 
 HERE = Path(__file__).resolve().parents[1]
-MASKS_PER_ORDER = {7: 200, 8: 200, 9: 3, 10: 2}
+MASKS_PER_ORDER = {5: 200, 6: 200, 7: 200, 8: 200, 9: 20, 10: 10}
+ENUM7_WARM_OPS = 5
 
 
 def _start() -> float:
@@ -287,13 +291,12 @@ def _time_records(classify, engine) -> float:
 def _measure() -> dict[str, float]:
     """One round of every in-process timing, in the current interpreter."""
     from qec.bits import n_bits
-    from qec.canon import canonical_cert, perm_powers
+    from qec.canon import canonical_cert
     from qec.classify import _family_index, classify, classify_all, enumerate_connected
     from qec.embedding import embed
     from qec.engine import is_cnd_exact
     from qec.graph6 import to_graph6
     from qec.graphs import from_mask
-    from qec.kernels import orbit_min_mark
 
     out: dict[str, float] = {}
     t0 = _start()
@@ -513,50 +516,31 @@ def _measure() -> dict[str, float]:
                 best_s = min(best_s, time.thread_time() - t0)
             total += best_s
         out[f"dump_json_{name}_record"] = total / len(chosen)
-    cert_masks = {}
     for n, count in MASKS_PER_ORDER.items():
         rng = random.Random(n)
-        cert_masks[n] = [rng.getrandbits(n_bits(n)) for _ in range(count)]
         canonical_cert(from_mask(n, 0))
+        fresh = [from_mask(n, rng.getrandbits(n_bits(n))) for _ in range(count)]
         t0 = _start()
-        for mask in cert_masks[n]:
-            canonical_cert(from_mask(n, mask))
+        for g in fresh:
+            canonical_cert(g)
         out[f"canonical_cert_n{n}_per_call"] = (time.thread_time() - t0) / count
     t0 = _start()
-    getattr(_family_index, "__wrapped__", _family_index)(9)
-    out["family_index_n9"] = time.thread_time() - t0
-    for n in (7, 8):
-        orbit_table = perm_powers(n) if n == 7 else _full_powers(n)
-        seen = numpy.ones(1 << n_bits(n), dtype=numpy.uint8)  # every page touched
-        seen[:] = 0
-        t0 = _start()
-        for mask in cert_masks[n]:
-            orbit_min_mark(mask, orbit_table, seen)
-        out[f"orbit_min_mark_n{n}_per_call"] = (time.thread_time() - t0) / len(cert_masks[n])
-        del seen
+    getattr(_family_index, "__wrapped__", _family_index)(10)
+    out["family_index_n10"] = time.thread_time() - t0
     return out
 
 
-def _full_powers(n: int) -> numpy.ndarray:
-    """float64 (n(n-1)/2, n!) table: column p holds 2.0 ** the bit each vertex
-    pair moves to under the p-th relabeling of n vertices, pairs in graph6's
-    column-major order, so pair (i, j), i < j, is bit j(j-1)/2 + i."""
-    perms = numpy.array(list(itertools.permutations(range(n))))
-    ii, jj = numpy.array([(i, j) for j in range(n) for i in range(j)]).T
-    a, b = perms[:, ii], perms[:, jj]
-    lo, hi = numpy.minimum(a, b), numpy.maximum(a, b)
-    return numpy.ascontiguousarray(numpy.ldexp(1.0, hi * (hi - 1) // 2 + lo).T)
-
-
 def _measure_tables() -> dict[str, float]:
-    """The order-7 class stack, then the k = 6 component and distance tables
-    (and a parent tree's non-QE table, which its distance table reads; none in
-    a tree without them) after the order-6 class stack, each built once in
-    this (fresh) interpreter after `import qec.cli`."""
+    """The order-7 class masks (orders 1..7) and class stack, then the k = 6
+    component and distance tables (and a parent tree's non-QE table, which its
+    distance table reads; none in a tree without them) after the order-6 class
+    stack, each built once in this (fresh) interpreter after `import qec.cli`."""
     importlib.import_module("qec.cli")
     classify = importlib.import_module("qec.classify")
     graphs = importlib.import_module("qec.graphs")
+    t0 = _start()
     masks = classify._class_masks(7)
+    out = {"class_masks_n7": time.thread_time() - t0}
     t0 = _start()
     if hasattr(classify, "_class_stack"):
         classify._class_stack(7)
@@ -564,7 +548,7 @@ def _measure_tables() -> dict[str, float]:
         adj = importlib.import_module("qec.bits").unpack_stack(7, masks)
         classify._pack(adj)
         graphs.distance_stack(adj)
-    out = {"class_stack_n7": time.thread_time() - t0}
+    out["class_stack_n7"] = time.thread_time() - t0
     if hasattr(classify, "_component_table"):
         classify._class_stack(6)  # every tree with the tables has the class stacks
         t0 = _start()
@@ -576,22 +560,44 @@ def _measure_tables() -> dict[str, float]:
     return out
 
 
+def _measure_catalog() -> dict[str, float]:
+    """graph6.load_catalog of every connected atlas graph on 1..7 vertices,
+    once in this (fresh) interpreter after `import qec.cli`; the file is
+    written from networkx, so no qec table is built before the timed load."""
+    import networkx
+
+    importlib.import_module("qec.cli")
+    graph6 = importlib.import_module("qec.graph6")
+    lines = [networkx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+             for h in networkx.graph_atlas_g()[1:] if networkx.is_connected(h)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.g6"
+        path.write_text("".join(f"A{k} {g6}\n" for k, g6 in enumerate(lines)), encoding="ascii")
+        t0 = _start()
+        catalog = graph6.load_catalog(path)
+        out = {"load_catalog_n7": time.thread_time() - t0}
+    if len(catalog.entries) != 996 or catalog.warnings:
+        raise SystemExit(f"catalog of {len(catalog.entries)} entries, {len(catalog.warnings)} warnings")
+    return out
+
+
 def _measure_op() -> dict[str, float]:
-    """The enum7 operation twice in this (fresh) interpreter: cold, then warm."""
+    """The enum7 operation in this (fresh) interpreter: once cold, then the
+    best of ENUM7_WARM_OPS warm runs."""
     from qec.classify import classify_all
     from qec.cli import main as cli_main
 
-    out: dict[str, float] = {}
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["enumerate", "--n", "7", "--out", str(Path(tmp) / "n7.json")]
-        for name in ("enum7_op_cold", "enum7_op_warm"):
+        for _ in range(1 + ENUM7_WARM_OPS):
             t0 = _start()
             classify_all(7, workers=1)
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit("qec enumerate --n 7 failed")
-            out[name] = time.thread_time() - t0
-    return out
+            runs.append(time.thread_time() - t0)
+    return {"enum7_op_cold": runs[0], "enum7_op_warm": min(runs[1:])}
 
 
 def _children_cpu_s() -> float:
@@ -603,7 +609,7 @@ def _children_cpu_s() -> float:
 def _round(tree: Path) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     times: dict[str, float] = {}
-    for mode in ("--measure", "--measure-op", "--measure-tables"):
+    for mode in ("--measure", "--measure-op", "--measure-tables", "--measure-catalog"):
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), mode],
                               env=env, cwd=tree, capture_output=True, text=True, check=True)
         times.update(json.loads(proc.stdout.splitlines()[-1]))
@@ -641,9 +647,10 @@ def main() -> None:
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--measure-op", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--measure-tables", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--measure-catalog", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     for flag, measure in ((args.measure, _measure), (args.measure_op, _measure_op),
-                          (args.measure_tables, _measure_tables)):
+                          (args.measure_tables, _measure_tables), (args.measure_catalog, _measure_catalog)):
         if flag:
             print(json.dumps(measure()))
             return

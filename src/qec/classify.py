@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .bits import n_bits, pair_list, pair_rows_cols, unpack_stack
-from .canon import CanonicalCert, canonical_cert, perm_powers
+from .canon import CanonicalCert, canonical_cert, least_masks, perm_powers
 # `embed`, `pendant_rule` and `verify_embedding` stay bound here, unused:
 # perfbench/tracing.py traces its embedding layers through them
 from .embedding import (  # noqa: F401
@@ -266,21 +266,13 @@ def _class_masks(n: int) -> np.ndarray:
     Deleting a leaf of a spanning tree leaves a connected graph, so every
     connected graph on n >= 2 vertices is an order-(n - 1) class plus a
     vertex joined to a nonempty subset (vertex augmentation; McKay, J.
-    Algorithms 26, 1998).  Each candidate orbit is marked when first met and
-    contributes its smallest mask, its certificate.
+    Algorithms 26, 1998).  The classes are the distinct certificates of those
+    candidates, made by one `least_masks` of their stack.
     """
-    if n == 1:
-        minima = [0]
-    else:
-        joined = np.arange(1, 1 << (n - 1)) << n_bits(n - 1)
-        seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-        minima = []
-        for parent in _class_masks(n - 1).tolist():
-            masks = parent | joined
-            for mask in masks[seen[masks] == 0].tolist():
-                if not seen[mask]:  # an orbit marked since may cover it
-                    minima.append(kernels.orbit_min_mark(mask, perm_powers(n), seen))
-    out = np.array(sorted(minima), dtype=np.int64)
+    joined = np.arange(1, 1 << (n - 1)) << n_bits(n - 1)
+    candidates = (_class_masks(n - 1)[:, None] | joined).ravel() if n > 1 else np.zeros(1, dtype=np.int64)
+    certs = np.sort(least_masks(unpack_stack(n, candidates)))
+    out = certs[np.diff(certs, prepend=-1) != 0]  # np.unique would import numpy.ma, 15 ms in a cold process
     out.setflags(write=False)
     return out
 
@@ -356,7 +348,7 @@ def _distance_table(k: int) -> np.ndarray:
         raise OrderTooLargeError(f"subgraph tables cover 1..{ENUM_MAX_ORDER - 1} vertices, got {k}")
     marks = np.zeros(1 << n_bits(k), dtype=np.uint8)
     for mask in _class_masks(k)[~_psd_zero_stack(_class_stack(k)[2])[0]].tolist():
-        kernels.orbit_min_mark(mask, perm_powers(k), marks)
+        kernels.orbit_min_mark(mask, perm_powers((k,)), marks)
     masks, table = np.flatnonzero(marks), np.full(1 << n_bits(k), -1)
     reach = rows = _closed_rows(k, masks)
     (i, j), weights = pair_rows_cols(k), 1 << 4 * np.arange(n_bits(k))
@@ -375,55 +367,31 @@ def _distance_table(k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _qe_cartesian_products(n: int) -> dict[CanonicalCert, tuple[int, int]]:
     """Certificates, ascending, of Cartesian products of two smaller QE
-    graphs, whose verdicts are `_distance_table` reads."""
+    graphs, whose verdicts are `_distance_table` reads, certified as one stack."""
     found: dict[CanonicalCert, tuple[int, int]] = {}
     for a in range(2, n):
         if n % a or a > n // a:
             continue
-        b = n // a
         left, right = ([from_mask(k, mask) for mask in _class_masks(k).tolist()
-                        if _distance_table(k)[mask] < 0] for k in (a, b))
-        for g1 in left:
-            for g2 in right:
-                prod = compose("cartesian", g1, g2)
-                found.setdefault(canonical_cert(prod), (a, b))
+                        if _distance_table(k)[mask] < 0] for k in (a, n // a))
+        prods = np.stack([compose("cartesian", g1, g2).adj for g1 in left for g2 in right])
+        for bits in least_masks(prods).tolist():
+            found.setdefault(CanonicalCert(n, bits), (a, n // a))
     return dict(sorted(found.items()))
 
 
 @lru_cache(maxsize=None)
-def _family_members(n: int) -> tuple[tuple[FamilySpec, ...], np.ndarray]:
-    """The closed-form family members on n >= 2 vertices, in index order, and their `_degree_keys`."""
+def _family_index(n: int) -> dict[CanonicalCert, tuple[FamilySpec, float]]:
+    """Certificate -> (family spec, closed-form value) for every closed-form
+    family member on n >= 2 vertices, certificates ascending; built once per
+    order, the members certified as one `least_masks` stack."""
     specs = [FamilySpec("complete", (n,)), FamilySpec("path", (n,))] + ([FamilySpec("cycle", (n,))] if n >= 3 else [])
     specs += [FamilySpec("multipartite", parts) for parts in _partitions(n) if len(parts) >= 2]
     specs += [FamilySpec("wedge", (n - 1, m)) for m in range(1, n)] + ([FamilySpec("knp4", (n,))] if n >= 5 else [])
-    return tuple(specs), _degree_keys(n, np.array([build_family(spec).mask for spec in specs]))
-
-
-def _degree_keys(n: int, masks: np.ndarray) -> np.ndarray:
-    """Each packed mask's degree sequence on n vertices: the sum of (n + 1)^degree over its vertices."""
-    u, v = pair_rows_cols(n)
-    return ((n + 1.0) ** ((masks[:, None] >> np.arange(len(u)) & 1) @ (np.eye(n)[u] + np.eye(n)[v]))).sum(axis=1)
-
-
-@lru_cache(maxsize=None)
-def _family_entry(n: int, i: int) -> tuple[CanonicalCert, tuple[FamilySpec, float]]:
-    """Member i's certificate and (spec, closed-form value), made once."""
-    spec = _family_members(n)[0][i]
-    return canonical_cert(build_family(spec)), (spec, formula_value(spec))
-
-
-def _family_index(n: int, masks: np.ndarray | None = None) -> dict[CanonicalCert, tuple[FamilySpec, float]]:
-    """Certificate -> (family spec, closed-form value) for every family member
-    on n >= 2 vertices, or only those with the degree sequence of a packed
-    mask in `masks` (no other is isomorphic to one); certificates ascending."""
-    specs, keys = _family_members(n)
-    hits = range(len(specs)) if masks is None else np.flatnonzero(
-        (keys[:, None] == _degree_keys(n, masks)).any(axis=1)).tolist()
-    index = dict(reversed([_family_entry(n, i) for i in hits]))  # the first spec of equal certificates wins
-    return dict(sorted(index.items(), key=lambda item: item[0].bits))
-
-
-_full_family_index = lru_cache(maxsize=None)(_family_index)  # `_family_index(n)`, made once per order
+    bits = least_masks(np.stack([build_family(spec).adj for spec in specs])).tolist()
+    # the first spec of equal certificates wins
+    index = dict(reversed([(CanonicalCert(n, b), (spec, formula_value(spec))) for b, spec in zip(bits, specs)]))
+    return dict(sorted(index.items()))
 
 
 def _partitions(total: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -584,7 +552,7 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.
     step[witnessed], verdict[witnessed] = 2, 2
     if step.all():  # a stack decided by its splits and witnesses
         return Sieve(step, verdict, detail)
-    for i, (spec, value) in _cert_hits(_full_family_index(n), certs, np.flatnonzero(step == 0)).items():
+    for i, (spec, value) in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
         step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
     todo = np.flatnonzero(step == 0)
     for i, join in zip(todo.tolist(), _join_stack(adj[todo])):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 # `classify_all` stays bound here, unused: perfbench patches it to one worker
-from .classify import (ENUM_MAX_ORDER, VERDICTS, ClassificationRecord, _cert_hits, _family_index,  # noqa: F401
-                       _full_family_index, _sweep, classify, classify_all, sieve_trace)
+from .classify import (VERDICTS, ClassificationRecord, _cert_hits, _family_index, _sweep, classify,  # noqa: F401
+                       classify_all, sieve_trace)
 from .embedding import embed, verify_embedding
 from .engine import is_cnd_exact, qec
 from .errors import BadParamsError, CatalogParseError, Graph6Error, QecError
@@ -81,10 +81,9 @@ def _record_rows(n: int, masks: np.ndarray, bits: np.ndarray, values: Sequence[f
     """The report fields of graphs of one order, by column, from their packed masks, certificate
     bits, QEC values, verdicts (into VERDICTS), witnesses and sieve steps: graph6 texts and edge counts
     from the masks in one pass, each value formatted once, closed forms only at the family members
-    among the certificates (past ENUM_MAX_ORDER, certifying only those of their degree sequences)."""
+    among the certificates."""
     closed_forms = [[] for _ in range(len(masks))]
-    index = _full_family_index(n) if n <= ENUM_MAX_ORDER else _family_index(n, bits)
-    for i, (spec, value) in _cert_hits(index, bits, np.arange(len(bits))).items():
+    for i, (spec, value) in _cert_hits(_family_index(n), bits, np.arange(len(bits))).items():
         closed_forms[i] = [{"family": str(spec), "value": _round12(value), "exact": qec_formula_exact(spec)}]
     digits = list(map(_fmt, values))
     return _Rows({

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import n_bits
-from .canon import CanonicalCert, canonical_cert
+from .canon import CanonicalCert, canonical_cert, least_masks
 from .errors import (
     BadHeaderError,
     BadLengthError,
@@ -108,12 +108,11 @@ def load_catalog(path) -> Catalog:
     """Read newline-separated graph6 records, each optionally prefixed by an id.
 
     Missing ids default to "G<order>-<lineno>".  Duplicate certificates are
-    reported as warnings; duplicate ids are an error.
+    reported as warnings; duplicate ids are an error.  The records of each
+    order are certified as one `least_masks` stack.
     """
-    entries: list[CatalogEntry] = []
-    warnings: list[str] = []
+    parsed: list[tuple[int, str, str, Graph]] = []
     seen_ids: set[str] = set()
-    seen_certs: dict[CanonicalCert, str] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
@@ -139,14 +138,16 @@ def load_catalog(path) -> Catalog:
             if ident in seen_ids:
                 raise CatalogParseError(lineno, f"duplicate id {ident!r}")
             seen_ids.add(ident)
-            cert = canonical_cert(g)
-            if cert in seen_certs:
-                warnings.append(
-                    f"line {lineno}: {ident} is isomorphic to earlier entry {seen_certs[cert]}")
-            else:
-                seen_certs[cert] = ident
-            entries.append(CatalogEntry(ident, g6, cert))
-    return Catalog(entries, warnings)
+            parsed.append((lineno, ident, g6, g))
+    for n in {g.n for *_, g in parsed}:
+        graphs = [g for *_, g in parsed if g.n == n]
+        for g, bits in zip(graphs, least_masks(np.stack([g.adj for g in graphs])).tolist()):
+            g._cert = CanonicalCert(n, bits)
+    catalog = Catalog([CatalogEntry(ident, g6, g._cert) for _, ident, g6, g in parsed])
+    first = catalog.by_cert()
+    catalog.warnings = [f"line {lineno}: {e.id} is isomorphic to earlier entry {first[e.cert]}"
+                        for (lineno, *_), e in zip(parsed, catalog.entries) if first[e.cert] != e.id]
+    return catalog
 
 
 def identify(g: Graph, catalog: Catalog) -> str | None:

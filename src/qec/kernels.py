@@ -3,9 +3,10 @@ implementation for run reports; it is always "numpy".
 
 - ``connected_masks``: every connected labeled graph on n vertices, as a
   packed upper-triangle edge mask; unused, kept for the benchmark's tracer;
-- ``relabeled_masks``: a mask's relabelings, as one product of its bit row
-  with a float64 table of powers of two; orbit collapse (``orbit_min_mark``)
-  and certificates (``canon.canonical_cert``) both take their images from it;
+- ``relabeled_masks``: masks' relabelings, as one product of their bit rows
+  with a float64 table of powers of two; orbit marking (``orbit_min_mark``)
+  and the certificate kernel's cell tables (``canon.least_masks``) both take
+  their images from it;
 - ``jacobi_eigh`` and ``eigvalsh``: LAPACK's symmetric eigensolver with and
   without eigenvectors, eigenvalues descending, on one matrix or a stack.
 """
@@ -59,16 +60,15 @@ def connected_masks(n: int) -> np.ndarray:
 # times powers sums distinct powers of two below 2^45, so it is exact.
 
 
-def relabeled_masks(mask: int, sources: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """(..., P) relabelings of `mask` by one BLAS product: bit t of the mask
-    moved by a row of `sources` is bit row[t] of `mask`; each column of powers
-    then relabels it."""
-    return (np.int64(mask) >> sources & 1).astype(np.float64) @ powers
+def relabeled_masks(bits: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(..., P) relabelings of the masks whose 0/1 bit rows are `bits`, by one
+    BLAS product: each column of powers relabels every row."""
+    return bits.astype(np.float64) @ powers
 
 
 def orbit_min_mark(mask: int, powers: np.ndarray, seen: np.ndarray) -> int:
     """Mark every relabeling of `mask` in `seen` and return the minimal one."""
-    imgs = relabeled_masks(mask, np.arange(len(powers)), powers).astype(np.int64)
+    imgs = relabeled_masks(mask >> np.arange(len(powers)) & 1, powers).astype(np.int64)
     seen[imgs] = 1
     return int(imgs.min())
 

@@ -7,7 +7,8 @@ import pytest
 
 from constructions import add_apex, is_isomorphic, relabel
 from qec.bits import n_bits, pair_list
-from qec.canon import CanonicalCert, canonical_cert, perm_powers
+from qec import canon
+from qec.canon import TABLE_MAX, CanonicalCert, canonical_cert, least_masks, perm_powers
 from qec.classify import ENUM_MAX_ORDER, enumerate_connected
 from qec.errors import OrderTooLargeError
 from qec.graphs import (
@@ -135,14 +136,17 @@ def test_cert_equals_reference_on_seeded_masks():
 
 def test_every_class_to_order7_is_its_own_certificate():
     """Each enumerated class mask, on a fresh graph and relabeled once at
-    random, has itself as certificate."""
+    random, has itself as certificate, and it is the least mask of the
+    relabeled graph over all n! relabelings (the int8 shift-and-add reference)."""
     rng = random.Random(17)
     for n in range(1, 8):
         for g in enumerate_connected(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            for h in (from_mask(n, g.mask), relabel(g, perm)):
+            moved = relabel(g, perm)
+            for h in (from_mask(n, g.mask), moved):
                 assert canonical_cert(h).bits == g.mask
+            assert min_permuted_mask(moved.mask, perm_table(n)) == g.mask
 
 
 @pytest.mark.parametrize("n, count", [(8, 4), (9, 2)])
@@ -194,12 +198,58 @@ def test_petersen_and_pentagonal_prism_differ():
     assert canonical_cert(prism) != canonical_cert(petersen)
 
 
-def test_power_table_covers_every_enumerated_order():
-    """Orbit marking reads perm_powers(n) as every relabeling of n vertices;
-    above 7 it holds only the 7! of vertices 0..6, so the enumeration cap may
-    not pass 7 without a full table."""
-    for n in range(1, ENUM_MAX_ORDER + 1):
-        assert perm_powers(n).shape == (n_bits(n), math.factorial(n))
+def test_one_cell_power_table_covers_every_subgraph_order():
+    """Orbit marking in the subgraph tables reads perm_powers((k,)) as every
+    relabeling of k < ENUM_MAX_ORDER vertices, within the 720-column bound."""
+    for k in range(1, ENUM_MAX_ORDER):
+        assert perm_powers((k,)).shape == (n_bits(k), math.factorial(k))
+        assert math.factorial(k) <= TABLE_MAX
+
+
+def _circulant(n, steps):
+    return from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def _symmetric_graphs():
+    """Graphs whose many ties and twins make the cut branch most: the cube,
+    K_{4,4}, C8, K_{3,3,3}, the 3 x 3 rook's graph, a circulant and the
+    Petersen graph; the 10-vertex cases of the table bound below add K10, its
+    complement, the star, K_{5,5}, K_{2,2,2,2,2} and C10."""
+    cube = from_edges(8, [(a, b) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1])
+    rook = from_edges(9, [(a, b) for a in range(9) for b in range(a + 1, 9) if a // 3 == b // 3 or a % 3 == b % 3])
+    return [cube, build_family(multipartite(4, 4)), build_family(cycle(8)), build_family(multipartite(3, 3, 3)),
+            rook, _circulant(9, (1, 3)), _petersen()]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_cert_equals_numpy_brute_force_on_symmetric_graphs(index):
+    g = _symmetric_graphs()[index]
+    h = relabel(g, random.Random(index).sample(range(g.n), g.n))
+    assert canonical_cert(h) == numpy_brute_force_cert(h)
+
+
+def test_power_tables_hold_at_most_720_relabelings(monkeypatch):
+    """Every table the kernel reads has at most TABLE_MAX = 720 columns and
+    36 rows (207 KB): certifying every class on 2..7 vertices, relabeled, and
+    the graphs that branch most on 8..10 vertices, including those whose
+    certificate is known: K10 (all 45 bits), its complement (0) and the star
+    (vertex 0 joined to the rest)."""
+    shapes = []
+    monkeypatch.setattr(canon, "perm_powers", lambda sizes: shapes.append(perm_powers(sizes).shape) or perm_powers(sizes))
+    rng = random.Random(720)
+    for n in range(2, 8):
+        masks = [relabel(g, rng.sample(range(n), n)).mask for g in enumerate_connected(n)]
+        assert least_masks(np.stack([from_mask(n, m).adj for m in masks])).tolist() == [
+            g.mask for g in enumerate_connected(n)]
+    known = [(build_family(complete(10)), (1 << 45) - 1), (from_mask(10, 0), 0),
+             (from_edges(10, [(0, j) for j in range(1, 10)]), sum(1 << n_bits(j) for j in range(1, 10)))]
+    for g, bits in known:
+        assert canonical_cert(relabel(g, rng.sample(range(10), 10))).bits == bits
+    for g in _symmetric_graphs() + [build_family(multipartite(5, 5)), build_family(multipartite(2, 2, 2, 2, 2)),
+                                    build_family(cycle(10)), _circulant(10, (1, 3))]:
+        canonical_cert(relabel(g, rng.sample(range(g.n), g.n)))
+    assert max(cols for _, cols in shapes) == TABLE_MAX
+    assert max(rows for rows, _ in shapes) <= n_bits(9) and max(r * c * 8 for r, c in shapes) <= 207_360
 
 
 def test_cert_str_roundtrippable():

@@ -1027,25 +1027,28 @@ def test_enumerate_connected_order7_count():
 def test_second_sweep_classifies_again_without_enumerating(monkeypatch):
     """Only constants of the class list outlive a sweep (the class masks, their
     certificates and the class stack of adjacency, packed masks and
-    distances): a second classify_all(7) marks no orbit but runs its own
+    distances): a second classify_all(7) marks no orbit and certifies no
+    graph, but runs its own
     stacked elimination over all 853 classes and its own values-only
     eigensolve over the 689 whose QEC is not exactly 0, on graphs of its own,
     and returns equal records."""
     first, _ = classify_all(7)
-    engine, kernels = sys.modules["qec.engine"], sys.modules["qec.kernels"]
-    orbits, eliminated, solved = [], [], []
+    engine, kernels, canon = (sys.modules[f"qec.{name}"] for name in ("engine", "kernels", "canon"))
+    orbits, certified, eliminated, solved = [], [], [], []
 
     def counted(fn, log):
         return lambda *args: log.append(args[0]) or fn(*args)
 
     monkeypatch.setattr(kernels, "orbit_min_mark", counted(kernels.orbit_min_mark, orbits))
+    for module in (canon, sys.modules["qec.classify"]):
+        monkeypatch.setattr(module, "least_masks", counted(canon.least_masks, certified))
     stack = counted(engine._psd_zero_stack, eliminated)
     monkeypatch.setattr(engine, "_psd_zero_stack", stack)
     monkeypatch.setattr(sys.modules["qec.classify"], "_psd_zero_stack", stack)
     monkeypatch.setattr(engine, "eigvalsh", counted(engine.eigvalsh, solved))
     second, _ = classify_all(7)
     monkeypatch.undo()
-    assert orbits == []
+    assert orbits == [] and certified == []
     assert [d.shape for d in eliminated] == [(853, 7, 7)]
     assert [m.shape for m in solved] == [(689, 6, 6)]  # Q^T D Q where M is not PSD and singular
     assert not {id(r.graph) for r in first} & {id(r.graph) for r in second}

@@ -147,20 +147,22 @@ def test_classify_json_lists_closed_forms_at_orders_9_and_10(capsys):
             assert forms[family] == value
 
 
-def test_classify_json_certifies_only_family_members_of_its_degree_sequence(monkeypatch, capsys):
-    """`classify --json` of the 10-cycle makes two canonical certificates:
-    the record's and that of the one family member on 10 vertices with its
-    degree sequence, the cycle, and none for the other 53 members."""
-    classify_module = sys.modules["qec.classify"]
-    classify_module._family_entry.cache_clear()
-    certify, calls = classify_module.canonical_cert, []
-    monkeypatch.setattr(classify_module, "canonical_cert", lambda g: calls.append(to_graph6(g)) or certify(g))
-    code, out, _ = run(capsys, "classify", "--json", "IhCGGC@_G")
-    assert code == 0
-    (record,) = json.loads(out)["records"]
-    assert [form["family"] for form in record["closed_forms"]] == ["cycle:10"]
-    assert calls == ["IhCGGC@_G", to_graph6(build_family(cycle(10)))]
-    assert len(classify_module._family_members(10)[0]) == 54
+def test_classify_json_certifies_each_order_family_index_once(monkeypatch, capsys):
+    """`classify --json` of the 10-cycle certifies the record's graph and, on
+    first use, the 54 family members on 10 vertices as one stack; a second
+    query certifies only its own graph, reading the cached index."""
+    classify_module, canon_module = sys.modules["qec.classify"], sys.modules["qec.canon"]
+    classify_module._family_index.cache_clear()
+    certify, shapes = canon_module.least_masks, []
+    counted = lambda adj: shapes.append(adj.shape) or certify(adj)  # noqa: E731
+    monkeypatch.setattr(classify_module, "least_masks", counted)
+    monkeypatch.setattr(canon_module, "least_masks", counted)
+    for _ in range(2):
+        code, out, _ = run(capsys, "classify", "--json", "IhCGGC@_G")
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert [form["family"] for form in record["closed_forms"]] == ["cycle:10"]
+    assert shapes == [(1, 10, 10), (54, 10, 10), (1, 10, 10)]
 
 
 def test_classify_text_equals_the_json_fields(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -28,7 +29,7 @@ def test_orbit_min_mark():
     table = perm_table(n)
     g = build_family(cycle(5))
     seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-    least = kernels.orbit_min_mark(g.mask, perm_powers(n), seen)
+    least = kernels.orbit_min_mark(g.mask, perm_powers((n,)), seen)
     assert least <= g.mask
     assert seen[g.mask] == 1 and seen[least] == 1
     # orbit size x automorphism order = n!
@@ -68,30 +69,47 @@ def test_orbit_kernels_against_brute_force(n):
         mask = rng.getrandbits(n_bits(n))
         orbit = _brute_force_orbit(n, mask)
         seen = np.zeros(1 << n_bits(n), dtype=np.uint8)
-        least = kernels.orbit_min_mark(mask, perm_powers(n), seen)
+        least = kernels.orbit_min_mark(mask, np.ldexp(1.0, table), seen)
         assert set(np.flatnonzero(seen).tolist()) == orbit
         assert least == min(orbit)
         assert min_permuted_mask(mask, table) == min(orbit)
 
 
+def _compositions(n):
+    """Every tuple of positive cell sizes summing to n, in order."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
+
+
 def test_perm_powers_is_a_read_only_float64_power_table():
+    """The table of consecutive cells of `sizes` vertices is 2.0 ** the columns
+    of the all-relabelings table whose relabeling keeps every cell in place,
+    in the same order: for one cell of 2..6 vertices, every column; and for
+    every split of 2..7 vertices into cells with at most 720 such relabelings."""
     for n in range(2, 8):
-        powers = perm_powers(n)
-        assert powers.dtype == np.float64 and not powers.flags.writeable
-        assert np.array_equal(powers, 2.0 ** perm_table(n).astype(np.int64))
+        for sizes in _compositions(n):
+            if math.prod(map(math.factorial, sizes)) > 720:
+                continue
+            cell_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+            keep = [p for p, perm in enumerate(itertools.permutations(range(n)))
+                    if all(cell_of[v] == cell_of[i] for i, v in enumerate(perm))]
+            powers = perm_powers(sizes)
+            assert powers.dtype == np.float64 and not powers.flags.writeable
+            assert np.array_equal(powers, 2.0 ** perm_table(n)[:, keep].astype(np.int64)), sizes
 
 
 def test_power_images_exact_at_order_8():
     """Order 8 has 28 edge bits, beyond float32's 24: the float64 product must
     give the int8 shift-and-add images bit for bit (the full 8! power table is
-    built here; the library's covers the 7! relabelings of vertices 0..6)."""
+    built here; the library's tables hold at most 720 relabelings each)."""
     table = perm_table(8)
     powers = np.ldexp(1.0, table)
     rng = random.Random(8)
     masks = [rng.getrandbits(28) for _ in range(50)] + [(1 << 28) - 1]
     masks += [1 << s for s in range(28)]
     for mask in masks:
-        images = kernels.relabeled_masks(mask, np.arange(28), powers).astype(np.int64)
+        images = kernels.relabeled_masks(mask >> np.arange(28) & 1, powers).astype(np.int64)
         assert np.array_equal(images, _images(mask, table))
 
 

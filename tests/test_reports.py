@@ -5,8 +5,8 @@ full tables.  A QEC that is exactly zero prints as 0.0 (JSON) or 0 (CSV),
 and nothing else prints within 1e-9 of zero.  An oracle builds each record's
 dict here, field by field from `classify_all`'s records, `to_graph6` and
 `per_graph.closed_form_matches`, and writes the dicts with `json.dumps` and
-`csv.writer`: the reports must equal it on 2..7 vertices (n = 2..4 have no
-digest), and `qec classify --json` must equal it on each class.
+`csv.writer`: the reports must equal it on 2..7 vertices, and `qec classify
+--json` must equal it on each class.
 """
 
 import contextlib
@@ -27,7 +27,14 @@ from qec.graph6 import to_graph6
 from qec.graphs import Graph
 
 DIGESTS = [
+    (2, "json", "917be8bbb604bceb5617be84dfc5687ca1303874ba1ee826573cf5db39c7923d"),
+    (2, "csv", "a4e080b95b1c9b8215fd09ae9cf45e23e7ac6a54ca0a23240c9319525e44e488"),
+    (3, "json", "2bbe9f9eba92c1781cddbbffeb6e17fc7f4ab963a29314ab55ca0f41b0adf231"),
+    (3, "csv", "4c51ce5846532e6d172be0127e014e667220e2c351ef5279e6afadfd73ba9825"),
+    (4, "json", "f0756fecb2d490157b29bacd1ecd3548aff6828822708db8415ba3cede21502e"),
+    (4, "csv", "af64408c9d58ff6ad5bc1b0458d977ff70208677b460559340376b8ca5af24e7"),
     (5, "json", "46506e6eb3898ffe08d632b3ab6969df24eb2e5af0658915f900e56cbddcc900"),
+    (5, "csv", "9f2a280579116d8b065f830b22d6d2afe880ffaa6df50c1d0c843eacf321529e"),
     (6, "json", "86f8273dfbd0c633b29b7bf646d62563c7cac461ca935d040792605d9a733486"),
     (6, "csv", "55ba78fee636825d52b4b990f3c5552cce515f90bd78614ebd5c72631492c19d"),
     (7, "json", "c39c02a1589de7d491c8372f83847457190fe9e264fb1a9c6693a1c42555f9b1"),
@@ -35,7 +42,7 @@ DIGESTS = [
 ]
 
 # classes with QEC exactly 0 (even cycles, pendant-edge graphs, ...)
-EXACT_ZEROS = {5: 3, 6: 25, 7: 164}
+EXACT_ZEROS = {2: 0, 3: 0, 4: 1, 5: 3, 6: 25, 7: 164}
 
 
 def _qec_values(text: str, fmt: str) -> list[float]:
