@@ -223,11 +223,15 @@ def _prime(engine, graphs) -> tuple:
 def _sieve(classify, graphs, adj, dist, exact, values, witnesses, splits):
     """classify._run_sieve over the order-7 classes, keyed by their masks; a
     tree whose sieve reads the stack's packed masks (classify._pack) packs
-    them here, inside the row, as a parent tree's sieve does inside it."""
+    them here, inside the row, as a parent tree's sieve does inside it.  This
+    tree's sieve takes no exact verdicts and no values: it solves step 6's."""
     certs = classify._class_masks(7)
     if _takes_graphs(classify._run_sieve):
         return classify._run_sieve(graphs, adj, dist, certs, exact, witnesses, splits)
-    if "packed" in inspect.signature(classify._run_sieve).parameters:
+    params = inspect.signature(classify._run_sieve).parameters
+    if "exact" not in params:
+        return classify._run_sieve(adj, dist, classify._pack(adj), certs, witnesses, splits)
+    if "packed" in params:
         return classify._run_sieve(adj, dist, classify._pack(adj), certs, exact, values, witnesses, splits)
     return classify._run_sieve(adj, dist, certs, exact, values, witnesses, splits)
 

@@ -5,15 +5,15 @@ is *primary* when no proper isometrically embedded connected induced
 subgraph is non-QE.  The sieve, a six-step decision pipeline (products,
 witnesses, families, regular joins, embeddings, direct computation), gives
 every graph of a stack its deciding step and verdict in one pass
-(`_run_sieve`).  Everything after the exact test runs in one body,
-`_classify_stack`: one witness search, star split and sieve over a stack,
-then its columns, checked over the whole stack against the exact verdicts
-(the sieve agrees, and QEC > 0 exactly for non-QE graphs).  `_sweep` hands
-it an order's `_class_stack` (adjacency, packed masks and distances, made once
-per process) and its own exact verdicts and values from `prime_stack`, for
-`qec enumerate` and `classify_all`; `classify` and `sieve_trace` hand it one
-graph with its exact verdict and value decided alone, and `sieve_trace`
-writes the steps from what decided it.
+(`_run_sieve`), reading no exact verdict or QEC value.  Everything after the
+exact test runs in one body, `_classify_stack`: one witness search, star
+split and sieve over a stack, then its columns, checked over the whole stack
+against the exact verdicts (the sieve agrees, and QEC > 0 exactly for non-QE
+graphs).  `_sweep` hands it an order's `_class_stack` (adjacency, packed masks
+and distances, made once per process) and its own exact verdicts and values
+from `prime_stack`, for `qec enumerate` and `classify_all`; `classify` and
+`sieve_trace` hand it one graph with its exact verdict and value decided
+alone, and `sieve_trace` writes the steps from what decided it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .embedding import (  # noqa: F401
     verify_embedding,
 )
 # `qec` stays bound here, unused: perfbench/tracing.py traces its engine.qec layer through it
-from .engine import _psd_zero_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
+from .engine import _projected, _psd_zero_stack, is_cnd_exact, prime_stack, qec, qec_value  # noqa: F401
 from .errors import BadParamsError, OrderOneError, OrderTooLargeError
 from .formulas import formula_value, regular_join_value
 # `induced_subgraph` stays bound here, unused: perfbench/tracing.py traces its graphs.induced layer through it
@@ -465,17 +465,6 @@ def _join_stack(adj: np.ndarray) -> list[Join]:
     return joins
 
 
-def _sign_verdict(value: float, exact: bool) -> tuple[Verdict, str]:
-    """Verdict and its trace label from a closed-form value; near zero the
-    exact test decides, and the label says so."""
-    if value > BOUNDARY_TOL:
-        return Verdict.NON_QE_PRIMARY, Verdict.NON_QE_PRIMARY.value
-    if value < -BOUNDARY_TOL:
-        return Verdict.QE, Verdict.QE.value
-    verdict = Verdict.QE if exact else Verdict.NON_QE_PRIMARY
-    return verdict, f"{verdict.value} (boundary, exact test decides)"
-
-
 # ---------------------------------------------------------------------------
 # the sieve
 
@@ -535,14 +524,14 @@ def _cert_hits(index: dict[CanonicalCert, object], certs: np.ndarray, todo: np.n
     return {i: entries[k] for i, k in zip(todo[hit].tolist(), at[hit].tolist())}
 
 
-def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.ndarray, exact: np.ndarray,
-               values: np.ndarray, witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
+def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.ndarray,
+               witnesses: Sequence[Witness], splits: Sequence[Split]) -> Sieve:
     """The sieve over a stack (adjacency, distances, `_pack`) of one order, given
-    the graphs' certificate bits, exact verdicts (read only by the boundary labels
-    of steps 3 and 4), QEC values, witnesses and star splits.  Steps 1-4
-    decide the stack at once (star split, QE cartesian product, witness,
-    family, regular join); one `_step5_stack` embeds the rest, and step 6
-    reads their values."""
+    the graphs' certificate bits, witnesses and star splits, and no exact verdict
+    or QEC: steps 1-4 decide the stack at once (star split, QE cartesian product,
+    witness, family, regular join); one `_step5_stack` embeds the rest, and step 6
+    solves the values of what is left.  Steps 3, 4 and 6 share one margin rule:
+    non-QE (primary) iff the value is above BOUNDARY_TOL, else QE."""
     n = adj.shape[-1]
     step = np.where([split is None for split in splits], 0, 1)
     verdict = np.zeros(len(step), dtype=np.int64)
@@ -553,18 +542,19 @@ def _run_sieve(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, certs: np.
     if step.all():  # a stack decided by its splits and witnesses
         return Sieve(step, verdict, detail)
     for i, (spec, value) in _cert_hits(_family_index(n), certs, np.flatnonzero(step == 0)).items():
-        step[i], verdict[i], detail[i] = 3, VERDICTS.index(_sign_verdict(value, exact[i])[0]), (spec, value)
+        step[i], verdict[i], detail[i] = 3, value > BOUNDARY_TOL, (spec, value)
     todo = np.flatnonzero(step == 0)
     for i, join in zip(todo.tolist(), _join_stack(adj[todo])):
         if join is not None:
-            step[i], verdict[i], detail[i] = 4, VERDICTS.index(_sign_verdict(join[2], exact[i])[0]), join
+            step[i], verdict[i], detail[i] = 4, join[2] > BOUNDARY_TOL, join
     todo = np.flatnonzero(step == 0)
     for i, outcome in zip(todo.tolist(), _step5_stack(adj[todo], dist[todo], packed[:, todo])):
         if outcome.lifted or outcome.defect <= DEFECT_TOL:
             step[i], detail[i] = 5, outcome
-        else:  # decided by the number alone; step 2 has ruled out a witness, so non-QE here is primary
-            value = float(values[i])
-            step[i], verdict[i], detail[i] = 6, value > BOUNDARY_TOL, value
+    todo = np.flatnonzero(step == 0)  # step 2 has ruled out a witness, so non-QE here is primary
+    values = kernels.eigvalsh(_projected(dist[todo]))[:, 0]
+    step[todo], verdict[todo] = 6, values > BOUNDARY_TOL
+    detail.update(zip(todo.tolist(), values.tolist()))
     return Sieve(step, verdict, detail)
 
 
@@ -576,18 +566,18 @@ def _classify_stack(adj: np.ndarray, dist: np.ndarray, packed: np.ndarray, exact
                     bits: np.ndarray) -> tuple[np.ndarray, list[Witness], list, Sieve | None, list[Split] | None]:
     """Everything after the exact test for a stack of one order (adjacency, distances,
     `_pack`), given its exact verdicts, QEC values and certificate bits: one witness
-    search and, up to ENUM_MAX_ORDER vertices, one star split and sieve; then
-    the sieve and the sign of QEC checked against the exact verdicts (AssertionError
-    at the first graph that breaks either).  Returns the verdicts (into VERDICTS),
-    witnesses and step names (None past ENUM_MAX_ORDER), the sieve and splits."""
+    search over the whole stack and, up to ENUM_MAX_ORDER vertices, one star split
+    and sieve, none of which reads the verdicts or values; then the sieve and the
+    sign of QEC checked against the exact verdicts (AssertionError at the first
+    graph that breaks either).  Returns the verdicts (into VERDICTS), witnesses
+    and step names (None past ENUM_MAX_ORDER), the sieve and splits."""
     n = adj.shape[-1]
-    found = iter(_witness_stack(adj[~exact], dist[~exact], packed[:, ~exact]))
-    witnesses = [None if psd else next(found) for psd in exact.tolist()]
+    witnesses = _witness_stack(adj, dist, packed)
     verdict = np.where(exact, 0, np.where([w is not None for w in witnesses], 2, 1))
     sieve = splits = None
     if n <= ENUM_MAX_ORDER:
         splits = _split_stack(adj, dist, packed)
-        sieve = _run_sieve(adj, dist, packed, bits, exact, values, witnesses, splits)
+        sieve = _run_sieve(adj, dist, packed, bits, witnesses, splits)
     if sieve is not None and (sieve.verdict != verdict).any():
         i = int((sieve.verdict != verdict).argmax())
         raise AssertionError(f"sieve verdict {VERDICTS[sieve.verdict[i]].value} disagrees with "
@@ -624,7 +614,7 @@ def sieve_trace(g: Graph) -> list[tuple[str, str]]:
     if not 2 <= g.n <= ENUM_MAX_ORDER:
         raise OrderTooLargeError(f"sieve supports 2..{ENUM_MAX_ORDER} vertices, got {g.n}")
     (record,), sieve, (split,) = _classify_one(g)
-    step, info, exact = int(sieve.step[0]), sieve.detail.get(0), record.verdict is Verdict.QE
+    step, info, verdict = int(sieve.step[0]), sieve.detail.get(0), VERDICTS[sieve.verdict[0]].value
     if split is not None:
         text = f"star product of QE factors ({split[1]}+{split[2]} glued at {split[0]}) -> QE"
     elif step == 1:
@@ -632,16 +622,15 @@ def sieve_trace(g: Graph) -> list[tuple[str, str]]:
     elif step == 2:
         text = f"isometric non-QE subgraph on {set(record.witness)} -> non-QE, non-primary"
     elif step == 3:
-        text = f"matches family {info[0]}, closed form {info[1]:.12g} -> {_sign_verdict(info[1], exact)[1]}"
+        text = f"matches family {info[0]}, closed form {info[1]:.12g} -> {verdict}"
     elif step == 4:
-        text = (f"join of regular parts ({info[0]}+{info[1]}), formula {info[2]:.12g} -> "
-                f"{_sign_verdict(info[2], exact)[1]}")
+        text = f"join of regular parts ({info[0]}+{info[1]}), formula {info[2]:.12g} -> {verdict}"
     elif step == 5 and info.lifted:
         text = "pendant edge: lifted embedding verified, QEC = 0 -> QE"
     elif step == 5:
         text = f"explicit embedding constructed (defect {info.defect:.3g}) -> QE"
     else:
-        text = f"direct computation: QEC = {info:.12g} -> {record.verdict.value}"
+        text = f"direct computation: QEC = {info:.12g} -> {verdict}"
     return [(f"step{k}", passed) for k, passed in enumerate(_PASSED[:step - 1], 1)] + [(f"step{step}", text)]
 
 

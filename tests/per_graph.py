@@ -20,9 +20,11 @@ Step 5 embeds one graph at a time by an in-order LDL^T of its base-point
 Gram matrix in Python floats, entry by entry, in the stacked kernel's order
 of operations (`ldl_points`); a pendant remainder is built as an induced
 subgraph with its own BFS and exact test, and the lift is that
-factorization with a' and b' last.  A graph is embedded when its exact
-verdict says QE.  The sieve decides one graph at a time by
-certificate-dict lookups and writes every step's text as it goes.
+factorization with a' and b' last; every graph no lift decides is embedded.
+The sieve decides one graph at a time by certificate-dict lookups and writes
+every step's text as it goes.  It reads no exact verdict of the graph: its
+witness search runs on every graph, and steps 3, 4 and 6 decide by the
+margin rule (`margin_verdict`).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from qec.classify import (
     _distance_table,
     _family_index,
     _qe_cartesian_products,
-    _sign_verdict,
     _subset_pairs,
 )
 from qec.embedding import DEFECT_TOL, RANK_CUTOFF, Embedding
@@ -301,15 +302,18 @@ def pendant_lift(g: Graph) -> float | None:
     return defect
 
 
-def step5(g: Graph, exact: bool) -> Step5:
-    """Step 5 decided per graph by the exact verdict: the pendant lift, else
-    the LDL^T embedding of a QE graph; a non-QE graph has none (defect inf)."""
+def step5(g: Graph) -> Step5:
+    """Step 5 of one graph: the pendant lift, else its LDL^T embedding."""
     lift = pendant_lift(g)
     if lift is not None:
         return Step5(True, lift)
-    if exact:
-        return Step5(False, ldl_defect(distance_matrix(g)))
-    return Step5(False, math.inf)
+    return Step5(False, ldl_defect(distance_matrix(g)))
+
+
+def margin_verdict(value: float) -> Verdict:
+    """The verdict of a value that steps 3, 4 and 6 decide by: non-QE (primary)
+    above BOUNDARY_TOL, else QE."""
+    return Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
 
 
 Head = tuple[list[tuple[str, str]], Verdict | None]  # steps 1-4 and their verdict
@@ -372,9 +376,8 @@ def step4(g: Graph) -> tuple[int, int, float] | None:
     return None if join is None else (join[0].n, join[1].n, qec_join_regular(*join))
 
 
-def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
-    """Steps 1-4 of the sieve, given g's exact verdict (read only by the
-    boundary labels of steps 3 and 4), witness and star split: the steps
+def sieve_head(g: Graph, witness, split) -> Head:
+    """Steps 1-4 of the sieve, given g's witness and star split: the steps
     taken and the verdict, None when none of them decides."""
     steps: list[tuple[str, str]] = []
 
@@ -396,16 +399,16 @@ def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
     entry = _family_index(g.n).get(canonical_cert(g))
     if entry is not None:
         spec, value = entry[0], formula_value(entry[0])  # the value afresh, not the index's
-        verdict, label = _sign_verdict(value, exact)
-        steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {label}"))
+        verdict = margin_verdict(value)
+        steps.append(("step3", f"matches family {spec}, closed form {value:.12g} -> {verdict.value}"))
         return steps, verdict
     steps.append(("step3", "no closed-form family match"))
 
     join = step4(g)
     if join is not None:
         n1, n2, value = join
-        verdict, label = _sign_verdict(value, exact)
-        steps.append(("step4", f"join of regular parts ({n1}+{n2}), formula {value:.12g} -> {label}"))
+        verdict = margin_verdict(value)
+        steps.append(("step4", f"join of regular parts ({n1}+{n2}), formula {value:.12g} -> {verdict.value}"))
         return steps, verdict
     steps.append(("step4", "not a join of two regular graphs"))
     return steps, None
@@ -414,12 +417,10 @@ def sieve_head(g: Graph, exact: bool, witness, split) -> Head:
 def sieve(g: Graph) -> tuple[list[tuple[str, str]], Verdict, str]:
     """(steps, verdict, deciding step) of g, with the witness, split and
     step 5 found per graph."""
-    exact = is_cnd_exact(g)
-    witness = None if exact else non_qe_witness(g)
-    steps, verdict = sieve_head(g, exact, witness, star_qe_split(g))
+    steps, verdict = sieve_head(g, non_qe_witness(g), star_qe_split(g))
     if verdict is not None:
         return steps, verdict, steps[-1][0]
-    outcome = step5(g, exact)
+    outcome = step5(g)
     if outcome.lifted:
         steps.append(("step5", "pendant edge: lifted embedding verified, QEC = 0 -> QE"))
         return steps, Verdict.QE, "step5"
@@ -428,7 +429,7 @@ def sieve(g: Graph) -> tuple[list[tuple[str, str]], Verdict, str]:
         return steps, Verdict.QE, "step5"
     steps.append(("step5", "no pendant edge, no embedding"))
     value = qec_value(g)
-    verdict = Verdict.NON_QE_PRIMARY if value > BOUNDARY_TOL else Verdict.QE
+    verdict = margin_verdict(value)
     steps.append(("step6", f"direct computation: QEC = {value:.12g} -> {verdict.value}"))
     return steps, verdict, "step6"
 

@@ -16,6 +16,7 @@ from isometry import is_isometric_subgraph
 from qec.bits import n_bits, pack_mask
 from qec.canon import CanonicalCert, canonical_cert
 from qec.classify import (
+    BOUNDARY_TOL,
     VERDICTS,
     ClassificationRecord,
     Step5,
@@ -34,6 +35,7 @@ from qec.classify import (
     _run_sieve,
     _split_stack,
     _step5_stack,
+    _sweep,
     _witness_stack,
     classify,
     classify_all,
@@ -388,9 +390,10 @@ def test_warm_sweep_builds_no_join_part(monkeypatch):
 
 def test_trace_of_the_step4_classes(capsys):
     """The four order-7 classes that step 4 decides trace their parts and the
-    join formula's value, its floating-point noise where the value is 0."""
-    want = {"FsnV?": "(1+6), formula 4.4408920985e-16 -> QE (boundary, exact test decides)",
-            "Ftvn_": "(1+6), formula 8.881784197e-16 -> QE (boundary, exact test decides)",
+    join formula's value, its floating-point noise where the value is 0, which
+    the margin rule decides QE."""
+    want = {"FsnV?": "(1+6), formula 4.4408920985e-16 -> QE",
+            "Ftvn_": "(1+6), formula 8.881784197e-16 -> QE",
             "F~zn_": "(3+4), formula -0.142857142857 -> QE",
             "F}vn_": "(2+5), formula -0.38196601125 -> QE"}
     assert {to_graph6(r.graph) for r in classify_all(7)[0] if r.sieve_step == "step4"} == set(want)
@@ -781,6 +784,63 @@ def test_step5_pivots_keep_their_margins():
     assert min(kept) >= 1e-3 and max(map(abs, dropped)) <= 1e-12
 
 
+def _sweep_margins() -> dict[str, tuple[float, float]]:
+    """The margins each sieve tolerance sits in, from the sweep's own columns
+    over every class on 2..7 vertices (the class stack, as `_sweep` labels
+    it), as (largest value that must fall at or below the tolerance, least
+    one that must fall above it):
+    - BOUNDARY_TOL: |value| of the closed forms, join formulas and step-6
+      values (steps 3, 4 and 6) where the QEC column is exactly 0, against
+      the least |value| where it is not;
+    - DEFECT_TOL: the step-5 defect of the graphs reaching step 5 or 6 whose
+      verdict column says QE, against those it says non-QE;
+    - RANK_CUTOFF: |pivot| of the pivots dropped and least pivot kept by
+      step 5's LDL^T of those QE graphs, in step 5's vertex order."""
+    margins: dict[str, tuple[list, list]] = {name: ([], []) for name in ("BOUNDARY_TOL", "DEFECT_TOL", "RANK_CUTOFF")}
+    for n in range(2, 8):
+        (masks, values, verdicts, witnesses, _), _ = _sweep(n)
+        adj, packed, dist = _class_stack(n)
+        sieve = _run_sieve(adj, dist, packed, masks, witnesses, _split_stack(adj, dist, packed))
+        for i, info in sieve.detail.items():
+            step = int(sieve.step[i])
+            if step in (3, 4, 6):  # a closed form (spec, value), a join (n1, n2, value) or a value
+                margins["BOUNDARY_TOL"][values[i] != 0.0].append(abs(info if step == 6 else info[-1]))
+        at = np.flatnonzero(sieve.step >= 5)
+        outcomes = _step5_stack(adj[at], dist[at], packed[:, at])
+        qe = np.array(verdicts)[at] == 0
+        for outcome, is_qe in zip(outcomes, qe.tolist()):
+            margins["DEFECT_TOL"][not is_qe].append(outcome.defect)
+        lifted = np.array([o.lifted for o in outcomes], dtype=bool)[qe]
+        lifts = np.where(lifted[:, None], pendant_stack(adj[at[qe]]), -1)
+        order = _lift_order(n, lifts)
+        d = dist[at[qe]][np.arange(len(order))[:, None, None], order[:, :, None], order[:, None, :]]
+        pivots = _ldl_points(d.astype(float))[1].ravel()
+        margins["RANK_CUTOFF"][0].extend(np.abs(pivots[pivots <= RANK_CUTOFF]).tolist())
+        margins["RANK_CUTOFF"][1].extend(pivots[pivots > RANK_CUTOFF].tolist())
+    return {name: (max(below), min(above)) for name, (below, above) in margins.items()}
+
+
+def test_tolerances_sit_inside_their_measured_margins():
+    """Each sieve tolerance lies inside the margin the sweep measures on 2..7
+    vertices, with headroom h on both sides: h x the largest value at or
+    below it <= the tolerance <= the least value above it / h.  h is 10^3,
+    and 10^4 for RANK_CUTOFF, whose kept pivots (least 1/4) sit nearer.
+    Measured: boundary values at most 4.6e-13 against 0.0544 (the least
+    non-QE QEC; the least QE value off the boundary is 1/7); QE defects at
+    most 1.4e-15 against 0.4; dropped pivots at most 9.5e-16 against 0.25.
+    A tolerance moved within its headroom still passes; one moved 10^6-fold
+    does not."""
+    headroom = {"BOUNDARY_TOL": 1e3, "DEFECT_TOL": 1e3, "RANK_CUTOFF": 1e4}
+    tolerances = {"BOUNDARY_TOL": BOUNDARY_TOL, "DEFECT_TOL": DEFECT_TOL, "RANK_CUTOFF": RANK_CUTOFF}
+    margins = _sweep_margins()
+    assert margins["BOUNDARY_TOL"][0] < 5e-13 and margins["BOUNDARY_TOL"][1] == pytest.approx(0.0544, abs=1e-4)
+    assert margins["DEFECT_TOL"][0] < 1e-14 and margins["DEFECT_TOL"][1] == pytest.approx(0.4)
+    assert margins["RANK_CUTOFF"][0] < 1e-15 and margins["RANK_CUTOFF"][1] == pytest.approx(0.25)
+    for name, (below, above) in margins.items():
+        h = headroom[name]
+        assert h * below <= tolerances[name] <= above / h, (name, below, above)
+
+
 def test_trace_prints_the_reference_sieve(capsys):
     for n in range(2, 8):
         for g in enumerate_connected(n):
@@ -819,10 +879,7 @@ def test_stacked_sieve_matches_per_graph_reference():
         for order in (list(range(len(graphs))), list(range(len(graphs)))[::-1]):
             again = [from_mask(n, graphs[k].mask) for k in order]
             adj, dist = stacked(again)
-            exact = np.array([is_cnd_exact(g) for g in again])
-            values = np.array([qec_value(g) for g in again])
-            witnesses = [None if e else w for e, w in zip(exact, _witness_stack(adj, dist))]
-            sieve = _run_sieve(adj, dist, _pack(adj), certs[order], exact, values, witnesses, _split_stack(adj, dist))
+            sieve = _run_sieve(adj, dist, _pack(adj), certs[order], _witness_stack(adj, dist), _split_stack(adj, dist))
             got = [(VERDICTS[v], f"step{k}") for v, k in zip(sieve.verdict.tolist(), sieve.step.tolist())]
             assert got == [want[k] for k in order], n
         seen.update(step for _, step in want)
@@ -959,17 +1016,30 @@ def test_sieve_examples():
 
 
 def test_sieve_step6_decides_from_the_value(monkeypatch):
-    # ELr? is the six-vertex primary with QEC (-4 + sqrt 19)/3; step 6 must
-    # follow the value it is given, not the exact verdict
+    # ELr? is the six-vertex primary with QEC (-4 + sqrt 19)/3; step 6 solves
+    # that value itself, bit for bit qec_value's, and follows it
     g = parse_graph6("ELr?")
     assert sieve_trace(g)[-1] == ("step6", "direct computation: QEC = 0.11963298118 -> NonQePrimary")
     adj, dist = g.adj[None], distance_matrix(g)[None]
-    sieve = _run_sieve(adj, dist, _pack(adj), np.array([canonical_cert(g).bits]), np.array([False]),
-                       np.array([-0.5]), [None], _split_stack(adj, dist))
-    assert (sieve.step.tolist(), VERDICTS[sieve.verdict[0]], sieve.detail) == ([6], Verdict.QE, {0: -0.5})
-    # a doctored value reaches the records, whose check against the exact verdict trips
+    sieve = _run_sieve(adj, dist, _pack(adj), np.array([canonical_cert(g).bits]), [None], _split_stack(adj, dist))
+    want = ([6], Verdict.NON_QE_PRIMARY, {0: qec_value(g)})
+    assert (sieve.step.tolist(), VERDICTS[sieve.verdict[0]], sieve.detail) == want
+    # the margin rule is strict: a value at BOUNDARY_TOL is QE, the next float above it non-QE
+    kernels = sys.modules["qec.kernels"]
+    for value, verdict in ((BOUNDARY_TOL, Verdict.QE), (np.nextafter(BOUNDARY_TOL, 1.0), Verdict.NON_QE_PRIMARY)):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "eigvalsh", lambda m: np.full(m.shape[:-1], value))
+            sieve = _run_sieve(adj, dist, _pack(adj), np.array([canonical_cert(g).bits]), [None],
+                               _split_stack(adj, dist))
+        assert (sieve.step.tolist(), VERDICTS[sieve.verdict[0]]) == ([6], verdict)
+    # a doctored step-6 eigensolve reaches the sieve, whose check against the exact verdict trips
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "eigvalsh", lambda m: np.full(m.shape[:-1], -0.5))
+        with pytest.raises(AssertionError, match="sieve verdict QE disagrees with exact verdict NonQePrimary"):
+            sieve_trace(g)
+    # a doctored QEC value leaves the sieve as it was, and the sign check trips
     monkeypatch.setattr(sys.modules["qec.classify"], "qec_value", lambda h: -0.5)
-    with pytest.raises(AssertionError, match="sieve verdict QE disagrees with exact verdict NonQePrimary"):
+    with pytest.raises(AssertionError, match="QEC -0.5 contradicts exact verdict NonQePrimary"):
         sieve_trace(g)
 
 
@@ -1060,11 +1130,11 @@ def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     remainders of step 5 are distance-table reads.  Its one stacked
     elimination covers the 853 classes, and step 5 makes no eigensolve: one
     LDL^T per graph embeds the 164 graphs that reach it.  The sweep's only
-    eigensolves are prime_stack's values and step 4's regular parts, one
-    solve per part order."""
+    eigensolves are prime_stack's values, step 4's regular parts, one solve
+    per part order, and step 6's own values of the 10 graphs it decides."""
     classify_all(7)
     engine, embedding, kernels = (sys.modules[f"qec.{name}"] for name in ("engine", "embedding", "kernels"))
-    single, stacked, solved, parts, values = [], [], [], [], []
+    single, stacked, solved, parts, values, sixes = [], [], [], [], [], []
 
     def counted(fn, log):
         return lambda *args: log.append(args[0]) or fn(*args)
@@ -1078,6 +1148,7 @@ def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     monkeypatch.setattr(engine, "jacobi_eigh", counted(engine.jacobi_eigh, solved))
     monkeypatch.setattr(kernels, "jacobi_eigh", counted(kernels.jacobi_eigh, parts))
     monkeypatch.setattr(engine, "eigvalsh", counted(engine.eigvalsh, values))
+    monkeypatch.setattr(kernels, "eigvalsh", counted(kernels.eigvalsh, sixes))
     records, _ = classify_all(7)
     monkeypatch.undo()
     assert single == []
@@ -1085,6 +1156,7 @@ def test_warm_sweep_decides_step5_in_no_eigensolve(monkeypatch):
     assert solved == []
     assert [d.shape for d in parts] == [(2, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (1, 5, 5), (2, 6, 6)]
     assert [d.shape for d in values] == [(689, 6, 6)]
+    assert [d.shape for d in sixes] == [(10, 6, 6)]
     assert sum(r.sieve_step == "step5" for r in records) == 154
 
 

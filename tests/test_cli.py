@@ -206,8 +206,8 @@ def test_trace(capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("step1")
     step3 = [line for line in out.splitlines() if line.startswith("step3")]
-    # C6 has QEC exactly 0, so the exact test decides its closed form
-    assert step3[0].endswith("-> QE (boundary, exact test decides)")
+    # C6 has QEC exactly 0: its closed form is within BOUNDARY_TOL of 0, so QE by the margin rule
+    assert step3[0] == "step3: matches family cycle:6, closed form 0 -> QE"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
